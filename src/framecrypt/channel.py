@@ -176,6 +176,17 @@ def twirl_oracle(rho: np.ndarray, n_qubits: int | None = None, quad: QuadratureS
 # the channel on the working space
 # ---------------------------------------------------------------------------
 
+def reduced_blocks(v: np.ndarray, ws: WorkingSpace) -> np.ndarray:
+    """Per-block reduced operators T = a^T conj(a) of working-space coordinates.
+
+    ``v`` has shape (..., K); block i of it, seen as a D x D_alpha matrix a
+    (kept rotation rows by kept paths), gives the rotation-traced operator
+    T_i on the kept paths.  The result has shape (..., |Y|, D_alpha, D_alpha).
+    """
+    a = ws.blocks(v)
+    return np.swapaxes(a, -1, -2) @ a.conj()
+
+
 def reduced_map_f(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     """Multiplicity-space output of the channel for a working-space vector.
 
@@ -184,13 +195,11 @@ def reduced_map_f(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     kept multiplicity space and carries all the distinguishability the
     channel leaves behind.
     """
-    v = workspace_vector(phi, ws)
-    da = ws.d_alpha
-    out = np.zeros((ws.d_p, ws.d_p), dtype=complex)
-    for i in range(len(ws.y)):
-        a = v[ws.block_slice(i)].reshape(ws.d, da)
-        out[i * da : (i + 1) * da, i * da : (i + 1) * da] = a.T @ a.conj()
-    return out
+    t = reduced_blocks(workspace_vector(phi, ws), ws)
+    nb, da = len(ws.y), ws.d_alpha
+    out = np.zeros((nb, da, nb, da), dtype=complex)
+    out[np.arange(nb), :, np.arange(nb), :] = t
+    return out.reshape(ws.d_p, ws.d_p)
 
 
 def reference_states(ws: WorkingSpace) -> tuple[BlockState, np.ndarray]:
@@ -207,8 +216,7 @@ def reference_states(ws: WorkingSpace) -> tuple[BlockState, np.ndarray]:
     for tj in ws.y:
         b = layout[tj]
         p = np.zeros((b.dim_p, b.dim_p))
-        kept = np.asarray(ws.p_rows)
-        p[kept, kept] = 1.0 / ws.d_p
+        p[np.diag_indices(ws.d_alpha)] = 1.0 / ws.d_p  # the kept paths come first
         blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p).astype(complex)
     varrho = np.eye(ws.d_p, dtype=complex) / ws.d_p
     return BlockState(n=ws.n, blocks=blocks, cross=None), varrho
@@ -224,11 +232,9 @@ def twirl_working_state(phi: np.ndarray, ws: WorkingSpace) -> BlockState:
     layout = {b.two_j: b for b in block_layout(ws.n)}
     da = ws.d_alpha
     blocks: dict[int, np.ndarray] = {}
-    for i, tj in enumerate(ws.y):
+    for tj, a in zip(ws.y, ws.blocks(v)):
         b = layout[tj]
-        a = v[ws.block_slice(i)].reshape(ws.d, da)
-        t_small = a.T @ a.conj()
         t = np.zeros((b.dim_p, b.dim_p), dtype=complex)
-        t[np.ix_(ws.p_rows, ws.p_rows)] = t_small
+        t[:da, :da] = a.T @ a.conj()  # the kept paths are the first d_alpha
         blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
     return BlockState(n=ws.n, blocks=blocks, cross=None)

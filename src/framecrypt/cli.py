@@ -26,20 +26,6 @@ import framecrypt
 from framecrypt import capacity as cap
 from framecrypt import channel, privacy, repkit, workspace
 
-COMMANDS = (
-    "decompose",
-    "twirl-check",
-    "workspace",
-    "mean-f",
-    "concentration",
-    "lipschitz",
-    "haar-moments",
-    "theorem1",
-    "capacity",
-    "net",
-    "emit-curve",
-)
-
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 
 
@@ -148,6 +134,11 @@ def _need(value, flag: str):
     return value
 
 
+def _or_default(value, default):
+    """An explicit flag value, even 0, is never replaced by the default."""
+    return default if value is None else value
+
+
 def _ws_from(config: RunConfig) -> workspace.WorkingSpace:
     n = _need(config.n, "--n")
     two_j_min = None if config.j_min is None else 2 * config.j_min
@@ -173,7 +164,7 @@ def _jsonable(x):
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _run_decompose(config: RunConfig) -> dict:
+def _run_decompose(config: RunConfig) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     rows = []
     for b in repkit.block_layout(n):
@@ -186,14 +177,16 @@ def _run_decompose(config: RunConfig) -> dict:
                 "product": b.dim_r * b.dim_p,
             }
         )
-    return {"n": n, "blocks": rows, "total": 2**n, "sum_products": sum(r["product"] for r in rows)}
+    return {"n": n, "blocks": rows, "total": 2**n, "sum_products": sum(r["product"] for r in rows)}, None
 
 
-def _run_twirl_check(config: RunConfig) -> dict:
+def _run_twirl_check(config: RunConfig) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     if n > 8:
         raise ValueError("twirl-check builds dense 2^n operators; use n <= 8")
-    samples = config.samples or 10
+    samples = _or_default(config.samples, 10)
+    if samples < 1:
+        raise ValueError(f"twirl-check needs --samples >= 1, got {samples}")
     quad = (
         channel.QuadratureSpec(*config.quadrature)
         if config.quadrature
@@ -214,10 +207,10 @@ def _run_twirl_check(config: RunConfig) -> dict:
         "quadrature": dataclasses.asdict(quad),
         "quadrature_sufficient": quad.is_sufficient(n),
         "max_trace_norm_gap": worst,
-    }
+    }, None
 
 
-def _run_workspace(config: RunConfig) -> tuple[dict, dict]:
+def _run_workspace(config: RunConfig) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     asym = workspace.asymptotic_k(ws.n, ws.alpha)
     payload = {
@@ -228,27 +221,27 @@ def _run_workspace(config: RunConfig) -> tuple[dict, dict]:
     return payload, ws.descriptor()
 
 
-def _run_mean_f(config: RunConfig) -> tuple[dict, dict]:
+def _run_mean_f(config: RunConfig) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
-    report = privacy.mean_f_experiment(ws, config.samples or 2000, config.seed)
-    return _jsonable(dataclasses.asdict(report)), ws.descriptor()
+    report = privacy.mean_f_experiment(ws, _or_default(config.samples, 2000), config.seed)
+    return dataclasses.asdict(report), ws.descriptor()
 
 
-def _run_concentration(config: RunConfig) -> tuple[dict, dict]:
+def _run_concentration(config: RunConfig) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
-    params = privacy.PrivacyParams(delta=config.delta or 1.0, levy_c=config.levy_c)
+    params = privacy.PrivacyParams(delta=_or_default(config.delta, 1.0), levy_c=config.levy_c)
     report = privacy.concentration_experiment(
-        ws, config.samples or 2000, DEFAULT_GAMMA_GRID, params, config.seed
+        ws, _or_default(config.samples, 2000), DEFAULT_GAMMA_GRID, params, config.seed
     )
     d = dataclasses.asdict(report)
     d["tail"] = {f"{g:g}": v for g, v in report.tail.items()}
     d["levy_bound"] = {f"{g:g}": v for g, v in report.levy_bound.items()}
-    return _jsonable(d), ws.descriptor()
+    return d, ws.descriptor()
 
 
-def _run_lipschitz(config: RunConfig) -> tuple[dict, dict]:
+def _run_lipschitz(config: RunConfig) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
-    n_pairs = config.samples or 2000
+    n_pairs = _or_default(config.samples, 2000)
     worst = privacy.lipschitz_check(ws, n_pairs, config.seed)
     worst_near = privacy.lipschitz_check(ws, max(n_pairs // 10, 1), config.seed + 1, perturbation=1e-4)
     return (
@@ -262,24 +255,26 @@ def _run_lipschitz(config: RunConfig) -> tuple[dict, dict]:
     )
 
 
-def _run_haar_moments(config: RunConfig) -> dict:
+def _run_haar_moments(config: RunConfig) -> tuple[dict, dict | None]:
     k = _need(config.n, "--n (matrix dimension)")
-    return _jsonable(privacy.haar_moment_check(k, config.samples or 20000, config.seed))
+    return privacy.haar_moment_check(k, _or_default(config.samples, 20000), config.seed), None
 
 
-def _run_theorem1(config: RunConfig) -> dict:
+def _run_theorem1(config: RunConfig) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     delta = _need(config.delta, "--delta")
     params = privacy.PrivacyParams(delta=delta, c_prime=config.c_prime, levy_c=config.levy_c)
     report = privacy.theorem1_experiment(
-        n, delta, params, n_subspaces=config.samples or 5, seed=config.seed
+        n, delta, params, n_subspaces=_or_default(config.samples, 5), seed=config.seed
     )
-    return _jsonable(report)
+    return report, None
 
 
-def _run_capacity(config: RunConfig) -> dict:
+def _run_capacity(config: RunConfig) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
-    delta = config.delta if config.delta is not None else 0.0
+    delta = _or_default(config.delta, 0.0)
+    if not 0.0 <= delta <= 2.0:
+        raise ValueError(f"delta must lie in [0, 2], got {delta}")
     tight, middle, cube = cap.rank_pi_prime_chain(n)
     payload = {
         "n": n,
@@ -290,14 +285,14 @@ def _run_capacity(config: RunConfig) -> dict:
         "rank_chain": {"tight": tight, "middle": middle, "cube": cube},
         "min_delta_for_advantage": cap.min_delta_for_advantage(n, config.c_prime),
         "classical_capacity_upper": (
-            cap.classical_capacity_upper(n, delta) if 0.0 <= delta <= 0.5 else None
+            cap.classical_capacity_upper(n, delta) if delta <= 0.5 else None
         ),
         "thm1_dim_bound": cap.thm1_dim_bound(n, delta, config.c_prime) if delta > 0 else None,
     }
-    return payload
+    return payload, None
 
 
-def _run_net(config: RunConfig) -> dict:
+def _run_net(config: RunConfig) -> tuple[dict, dict | None]:
     dim_s = _need(config.dim_s, "--dim-s")
     epsilon = _need(config.epsilon, "--epsilon")
     net = privacy.build_eps_net(dim_s, epsilon, config.seed)
@@ -308,34 +303,30 @@ def _run_net(config: RunConfig) -> dict:
         "size_bound": net.size_bound,
         "max_probe_distance": net.max_probe_distance,
         "covering_radius_target": epsilon / 2.0,
-    }
+    }, None
+
+
+HANDLERS = {
+    "decompose": _run_decompose,
+    "twirl-check": _run_twirl_check,
+    "workspace": _run_workspace,
+    "mean-f": _run_mean_f,
+    "concentration": _run_concentration,
+    "lipschitz": _run_lipschitz,
+    "haar-moments": _run_haar_moments,
+    "theorem1": _run_theorem1,
+    "capacity": _run_capacity,
+    "net": _run_net,
+}
+COMMANDS = (*HANDLERS, "emit-curve")  # emit-curve reads result files, see main
 
 
 def run(config: RunConfig) -> RunResult:
     start = time.perf_counter()
-    ws_descriptor = None
-    if config.command == "decompose":
-        payload = _run_decompose(config)
-    elif config.command == "twirl-check":
-        payload = _run_twirl_check(config)
-    elif config.command == "workspace":
-        payload, ws_descriptor = _run_workspace(config)
-    elif config.command == "mean-f":
-        payload, ws_descriptor = _run_mean_f(config)
-    elif config.command == "concentration":
-        payload, ws_descriptor = _run_concentration(config)
-    elif config.command == "lipschitz":
-        payload, ws_descriptor = _run_lipschitz(config)
-    elif config.command == "haar-moments":
-        payload = _run_haar_moments(config)
-    elif config.command == "theorem1":
-        payload = _run_theorem1(config)
-    elif config.command == "capacity":
-        payload = _run_capacity(config)
-    elif config.command == "net":
-        payload = _run_net(config)
-    else:
+    handler = HANDLERS.get(config.command)
+    if handler is None:
         raise ValueError(f"unknown command {config.command!r}")
+    payload, ws_descriptor = handler(config)
     return RunResult(
         config=config.echo(),
         tool_version=framecrypt.__version__,
@@ -371,10 +362,13 @@ def _lookup_field(doc: dict, field: str):
 
 def emit_curve(results: list[dict], x_field: str, y_field: str) -> str:
     """RFC 4180 CSV with one row per result, sorted by the x field."""
-    rows = sorted(
-        ((_lookup_field(doc, x_field), _lookup_field(doc, y_field)) for doc in results),
-        key=lambda r: r[0],
-    )
+    if not all(isinstance(doc, dict) for doc in results):
+        raise ValueError("every input must hold a JSON object (a result document)")
+    rows = [(_lookup_field(doc, x_field), _lookup_field(doc, y_field)) for doc in results]
+    try:
+        rows.sort(key=lambda r: r[0])
+    except TypeError as exc:
+        raise ValueError(f"values of {x_field!r} cannot be ordered: {exc}") from exc
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow([x_field, y_field])

@@ -13,8 +13,6 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 EIG_FLOOR = -1e-10
 
-SeedLike = "int | np.random.Generator | np.random.SeedSequence"
-
 
 def as_rng(seed) -> np.random.Generator:
     """Coerce an int / SeedSequence / Generator into a Generator."""

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from framecrypt.linalg import derived_rng, haar_unitary, random_pure_state, trace_norm
-from framecrypt.channel import reduced_map_f, reference_states, twirl_working_state
+from framecrypt.linalg import dagger, derived_rng, haar_unitary, random_pure_state, trace_norm
+from framecrypt.channel import reduced_blocks, reference_states, twirl_working_state
 from framecrypt.workspace import WorkingSpace, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
@@ -117,27 +118,36 @@ class ConcentrationReport:
     bound_ratio: float = 0.0
 
 
-def f_eval(phi: np.ndarray, ws: WorkingSpace, debug: bool = False) -> float:
+def _centred_blocks(v: np.ndarray, ws: WorkingSpace) -> np.ndarray:
+    """Stack of T_i - I/d_p: the per-block difference of channel output and
+    reference on the multiplicity space."""
+    t = reduced_blocks(v, ws)
+    diag = np.arange(ws.d_alpha)
+    t[..., diag, diag] -= 1.0 / ws.d_p
+    return t
+
+
+def _trace_norm_total(evals: np.ndarray) -> float:
+    """Sum of |eigenvalues| over a (|Y|, D_alpha) stack, block by block.
+
+    The block totals are added one after another in block order: ndarray.sum
+    pairs them up once there are eight or more, which moves the last bits.
+    """
+    total = 0.0
+    for block_total in np.abs(evals).sum(axis=-1):
+        total += float(block_total)
+    return total
+
+
+def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
     """Trace distance between the channel output for phi and the reference.
 
     Computed on the multiplicity space, where both operators live after the
-    rotation factors are traced away; block-diagonal structure makes this a
-    sum of small eigenvalue problems.  ``debug=True`` recomputes the same
-    number from fully materialized channel outputs and insists they agree.
+    rotation factors are traced away; block-diagonal structure makes this
+    one stacked eigenvalue problem over the kept blocks.
     """
     v = workspace_vector(phi, ws)
-    da = ws.d_alpha
-    c = 1.0 / ws.d_p
-    total = 0.0
-    for i in range(len(ws.y)):
-        a = v[ws.block_slice(i)].reshape(ws.d, da)
-        t = a.T @ a.conj()
-        t[np.diag_indices(da)] -= c
-        total += float(np.abs(np.linalg.eigvalsh(t)).sum())
-    if debug:
-        direct = f_eval_direct(phi, ws)
-        assert abs(direct - total) <= _ASSERT_SLACK, (direct, total)
-    return total
+    return _trace_norm_total(np.linalg.eigvalsh(_centred_blocks(v, ws)))
 
 
 def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -256,30 +266,12 @@ def build_eps_net(
     )
 
 
-class MaxFEstimate(tuple):
-    """(lower_bound, certified_upper_bound) with named access."""
+class MaxFEstimate(NamedTuple):
+    """Lower bound on max f over a subspace, and a certified upper bound
+    when one is available."""
 
-    def __new__(cls, lower_bound: float, certified_upper_bound: float | None):
-        return super().__new__(cls, (lower_bound, certified_upper_bound))
-
-    @property
-    def lower_bound(self) -> float:
-        return self[0]
-
-    @property
-    def certified_upper_bound(self) -> float | None:
-        return self[1]
-
-
-def _lift_apply(w_blocks: list[np.ndarray], mat: np.ndarray, ws: WorkingSpace) -> np.ndarray:
-    """Apply sum_j I_D (x) W_j^T columnwise to a K x r matrix."""
-    out = np.empty_like(mat)
-    da = ws.d_alpha
-    for i, w in enumerate(w_blocks):
-        s = ws.block_slice(i)
-        blk = mat[s].reshape(ws.d, da, -1)
-        out[s] = np.einsum("mls,lk->mks", blk, w.T).reshape(ws.d * da, -1)
-    return out
+    lower_bound: float
+    certified_upper_bound: float | None
 
 
 def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace, iters: int = 80, tol: float = 1e-12) -> tuple[float, np.ndarray]:
@@ -290,26 +282,21 @@ def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace, iters: int = 80
     phi for W' (top eigenvector of the lifted quadratic form) increases f
     monotonically.
     """
-    da = ws.d_alpha
     c = c0 / np.linalg.norm(c0)
     best = -np.inf
-    cref = 1.0 / ws.d_p
+    basis_blocks = ws.blocks(basis.T)  # (dim_s, |Y|, D, D_alpha)
     for _ in range(iters):
-        v = basis @ c
-        w_blocks = []
-        val = 0.0
-        for i in range(len(ws.y)):
-            a = v[ws.block_slice(i)].reshape(ws.d, da)
-            t = a.T @ a.conj()
-            t[np.diag_indices(da)] -= cref
-            evals, evecs = np.linalg.eigh(t)
-            val += float(np.abs(evals).sum())
-            w_blocks.append((evecs * np.sign(evals)) @ evecs.conj().T)
+        evals, evecs = np.linalg.eigh(_centred_blocks(basis @ c, ws))
+        val = _trace_norm_total(evals)
         if val <= best + tol:
             best = max(best, val)
             break
         best = val
-        quad = basis.conj().T @ _lift_apply(w_blocks, basis, ws)
+        w = (evecs * np.sign(evals)[..., None, :]) @ dagger(evecs)
+        # sum_j I_D (x) W_j^T on every basis column; einsum, not matmul,
+        # whose different rounding would move the seeded theorem1 output
+        lifted = np.einsum("sjml,jkl->sjmk", basis_blocks, w).reshape(basis.shape[::-1]).T
+        quad = basis.conj().T @ lifted
         evals, evecs = np.linalg.eigh((quad + quad.conj().T) / 2.0)
         c = evecs[:, -1]
     return best, c

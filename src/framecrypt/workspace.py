@@ -21,7 +21,6 @@ from framecrypt.repkit import (
     CoupledIndex,
     SchurTransform,
     block_layout,
-    coupled_position,
     dim_irrep,
     dim_multiplicity,
     schur_transform,
@@ -49,9 +48,6 @@ class WorkingSpace:
     d: int
     d_alpha: int
     k: int
-    r_rows: tuple[int, ...]  # kept rotation-row indices within each block
-    p_rows: tuple[int, ...]  # kept path indices within each block
-    embed_index: tuple[CoupledIndex, ...]
     # dense coupled-basis positions; None once 2^n outgrows int64 addressing
     embed_positions: np.ndarray | None = field(repr=False, compare=False)
 
@@ -60,9 +56,25 @@ class WorkingSpace:
         """Dimension |Y| * D_alpha of the kept multiplicity space."""
         return len(self.y) * self.d_alpha
 
-    def block_slice(self, i: int) -> slice:
-        w = self.d * self.d_alpha
-        return slice(i * w, (i + 1) * w)
+    @property
+    def embed_index(self) -> tuple[CoupledIndex, ...]:
+        """(two_j, two_m, path) of every coordinate, in coordinate order."""
+        return tuple(
+            CoupledIndex(tj, tj - 2 * mi, pi)
+            for tj in self.y
+            for mi in range(self.d)
+            for pi in range(self.d_alpha)
+        )
+
+    def blocks(self, v: np.ndarray) -> np.ndarray:
+        """View of coordinates (..., K) as (..., |Y|, D, D_alpha).
+
+        Axis -3 runs over the kept blocks in ``y`` order, axis -2 over the
+        kept rotation rows and axis -1 over the kept paths; for a contiguous
+        ``v`` the result is a view, so writing into it writes into ``v``.
+        """
+        v = np.asarray(v)
+        return v.reshape(v.shape[:-1] + (len(self.y), self.d, self.d_alpha))
 
     def descriptor(self) -> dict:
         """JSON-ready summary (no arrays)."""
@@ -96,22 +108,20 @@ def build_working_space(n: int, alpha: float, two_j_min: int | None = None) -> W
     d_alpha = math.floor(d / alpha)
     if d_alpha < 1:
         raise ValueError(f"alpha={alpha} truncates the multiplicity slice to zero (d={d})")
-    for tj in y:
-        if d_alpha > dim_multiplicity(n, tj):
+    layout = {b.two_j: b for b in block_layout(n)}
+    kept = [layout[tj] for tj in y]
+    for b in kept:
+        if d_alpha > b.dim_p:
             raise ValueError(
-                f"block j={tj / 2} has multiplicity {dim_multiplicity(n, tj)} < d_alpha={d_alpha}"
+                f"block j={b.two_j / 2} has multiplicity {b.dim_p} < d_alpha={d_alpha}"
             )
     k = len(y) * d * d_alpha
 
-    r_rows = tuple(range(d))
-    p_rows = tuple(range(d_alpha))
-    embed_index = tuple(
-        CoupledIndex(tj, tj - 2 * mi, pi) for tj in y for mi in r_rows for pi in p_rows
-    )
     if n <= 62:  # 2^n addressable by int64; beyond that only the arithmetic is usable
-        positions = np.fromiter(
-            (coupled_position(n, ci) for ci in embed_index), dtype=np.int64, count=k
-        )
+        offset = np.array([b.offset for b in kept], dtype=np.int64)[:, None, None]
+        dim_p = np.array([b.dim_p for b in kept], dtype=np.int64)[:, None, None]
+        m_idx = np.arange(d, dtype=np.int64)[:, None]
+        positions = (offset + m_idx * dim_p + np.arange(d_alpha, dtype=np.int64)).reshape(k)
     else:
         positions = None
     return WorkingSpace(
@@ -122,9 +132,6 @@ def build_working_space(n: int, alpha: float, two_j_min: int | None = None) -> W
         d=d,
         d_alpha=d_alpha,
         k=k,
-        r_rows=r_rows,
-        p_rows=p_rows,
-        embed_index=embed_index,
         embed_positions=positions,
     )
 

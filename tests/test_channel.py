@@ -225,10 +225,9 @@ def spread_state(ws):
     """Equal-weight maximal entanglement across every kept block."""
     v = np.zeros(ws.k, dtype=complex)
     for i in range(len(ws.y)):
-        blk = np.zeros((ws.d, ws.d_alpha), dtype=complex)
+        blk = ws.blocks(v)[i]
         for l in range(ws.d_alpha):
-            blk[l, l] = 1.0
-        v[ws.block_slice(i)] = blk.reshape(-1) / math.sqrt(len(ws.y) * ws.d_alpha)
+            blk[l, l] = 1.0 / math.sqrt(len(ws.y) * ws.d_alpha)
     return v
 
 

@@ -202,6 +202,34 @@ def test_domain_error_exit_1(capsys):
     assert "alpha" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "mean-f", "--n", "12", "--samples", "0"],
+        ["--command", "concentration", "--n", "12", "--samples", "0"],
+        ["--command", "concentration", "--n", "12", "--samples", "50", "--delta", "0"],
+        ["--command", "lipschitz", "--n", "12", "--samples", "0"],
+        ["--command", "twirl-check", "--n", "4", "--samples", "0"],
+        ["--command", "haar-moments", "--n", "4", "--samples", "0"],
+        ["--command", "theorem1", "--n", "12", "--delta", "1", "--samples", "0"],
+    ],
+    ids=["mean-f", "concentration", "concentration-delta", "lipschitz", "twirl-check",
+         "haar-moments", "theorem1"],
+)
+def test_explicit_zero_is_not_replaced_by_the_default(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "domain"
+
+
+def test_capacity_rejects_negative_delta(capsys):
+    code, out, err = run_main(capsys, "--command", "capacity", "--n", "16", "--delta", "-1")
+    assert code == 1
+    assert out == ""
+    assert "delta" in json.loads(err)["error"]["message"]
+
+
 def test_missing_required_flag(capsys):
     code, _, err = run_main(capsys, "--command", "capacity")
     assert code == 1
@@ -258,6 +286,31 @@ def test_emit_curve_missing_field_fails(tmp_path, capsys):
     )
     assert code == 1
     assert "no_such_field" in json.loads(err)["error"]["message"]
+
+
+def test_emit_curve_rejects_a_non_object_input(tmp_path, capsys):
+    p = tmp_path / "list.json"
+    p.write_text("[1, 2]")
+    code, out, err = run_main(
+        capsys, "--command", "emit-curve", "--inputs", str(p), "--x-field", "n", "--y-field", "n"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "domain"
+
+
+def test_emit_curve_rejects_unorderable_x_values(tmp_path, capsys):
+    paths = []
+    for i, x in enumerate([1, "a"]):
+        p = tmp_path / f"doc{i}.json"
+        p.write_text(json.dumps({"payload": {"x": x, "y": i}}))
+        paths.append(str(p))
+    code, out, err = run_main(
+        capsys, "--command", "emit-curve", "--inputs", *paths, "--x-field", "x", "--y-field", "y"
+    )
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "domain"
 
 
 def test_emit_curve_dotted_lookup(tmp_path, capsys):

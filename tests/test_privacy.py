@@ -8,6 +8,7 @@ import pytest
 from framecrypt.linalg import derived_rng, random_pure_state
 from framecrypt.privacy import (
     LIPSCHITZ_BOUND,
+    _ascend,
     PrivacyParams,
     build_eps_net,
     concentration_experiment,
@@ -30,9 +31,8 @@ WS12 = build_working_space(12, 2.0)
 def spread_state(ws):
     v = np.zeros(ws.k, dtype=complex)
     for i in range(len(ws.y)):
-        blk = np.zeros((ws.d, ws.d_alpha), dtype=complex)
+        blk = ws.blocks(v)[i]
         blk[np.arange(ws.d_alpha), np.arange(ws.d_alpha)] = 1.0
-        v[ws.block_slice(i)] = blk.reshape(-1)
     return v / np.linalg.norm(v)
 
 
@@ -65,9 +65,27 @@ def test_f_two_routes_agree():
         ws = build_working_space(n, 2.0)
         for s in range(20):
             phi = random_pure_state(ws.k, derived_rng(101, n, s))
-            assert f_eval(phi, ws, debug=True) == pytest.approx(
+            assert f_eval(phi, ws) == pytest.approx(
                 f_eval_direct(phi, ws), abs=1e-9
             )
+
+
+@pytest.mark.parametrize("n", [12, 128])
+def test_f_matches_the_per_block_loop_exactly(n):
+    # reference: one eigensolve per block on coordinate slices, block totals
+    # added in block order; n = 128 has 22 blocks, enough for a pairwise sum
+    # over blocks to round differently
+    ws = build_working_space(n, 2.0)
+    width = ws.d * ws.d_alpha
+    for s in range(8):
+        phi = random_pure_state(ws.k, derived_rng(303, n, s))
+        total = 0.0
+        for i in range(len(ws.y)):
+            a = phi[i * width : (i + 1) * width].reshape(ws.d, ws.d_alpha)
+            t = a.T @ a.conj()
+            t[np.diag_indices(ws.d_alpha)] -= 1.0 / ws.d_p
+            total += float(np.abs(np.linalg.eigvalsh(t)).sum())
+        assert f_eval(phi, ws) == total
 
 
 def test_f_rejects_leaky_input():
@@ -155,6 +173,43 @@ def test_net_determinism_and_validation():
 # ---------------------------------------------------------------------------
 # max-f estimation
 # ---------------------------------------------------------------------------
+
+def loop_ascend(c0, basis, ws, iters=80, tol=1e-12):
+    """Reference for the ascent: per-block eigensolves and lifts on slices."""
+    width, da = ws.d * ws.d_alpha, ws.d_alpha
+    c, best = c0 / np.linalg.norm(c0), -np.inf
+    for _ in range(iters):
+        v = basis @ c
+        val, lifted = 0.0, np.empty_like(basis)
+        for i in range(len(ws.y)):
+            s = slice(i * width, (i + 1) * width)
+            a = v[s].reshape(ws.d, da)
+            t = a.T @ a.conj()
+            t[np.diag_indices(da)] -= 1.0 / ws.d_p
+            evals, evecs = np.linalg.eigh(t)
+            val += float(np.abs(evals).sum())
+            w = (evecs * np.sign(evals)) @ evecs.conj().T
+            blk = basis[s].reshape(ws.d, da, -1)
+            lifted[s] = np.einsum("mls,lk->mks", blk, w.T).reshape(width, -1)
+        if val <= best + tol:
+            return max(best, val), c
+        best = val
+        quad = basis.conj().T @ lifted
+        c = np.linalg.eigh((quad + quad.conj().T) / 2.0)[1][:, -1]
+    return best, c
+
+
+@pytest.mark.parametrize("n, dim_s", [(12, 3), (24, 4)])
+def test_ascent_matches_the_per_block_loop_exactly(n, dim_s):
+    ws = build_working_space(n, 2.0)
+    sub = sample_subspace(ws, dim_s, 11)
+    for s in range(4):
+        c0 = random_pure_state(dim_s, derived_rng(404, n, s))
+        val, c = _ascend(c0, sub.basis, ws)
+        ref_val, ref_c = loop_ascend(c0, sub.basis, ws)
+        assert val == ref_val
+        np.testing.assert_array_equal(c, ref_c)
+
 
 def test_estimate_dim1_is_exact():
     sub = sample_subspace(WS12, 1, 2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framecrypt.repkit import CoupledIndex, dim_multiplicity, schur_transform
+from framecrypt.repkit import CoupledIndex, coupled_position, dim_multiplicity, schur_transform
 from framecrypt.workspace import (
     asymptotic_k,
     build_working_space,
@@ -112,6 +112,27 @@ def test_embed_positions_are_the_kept_indices():
     assert ws.embed_index[ws.d_alpha] == CoupledIndex(8, 6, 0)
 
 
+def test_embed_positions_at_the_int64_limit():
+    # 2^62 is the largest register the int64 positions address
+    ws = build_working_space(62, 2.0)
+    assert ws.embed_positions.dtype == np.int64
+    assert ws.embed_positions.tolist() == [coupled_position(62, ci) for ci in ws.embed_index]
+    assert build_working_space(64, 2.0).embed_positions is None
+
+
+def test_block_view_matches_the_coordinate_layout():
+    ws = build_working_space(12, 2.0)
+    width = ws.d * ws.d_alpha
+    for i in range(len(ws.y)):
+        v = np.zeros(ws.k)
+        ws.blocks(v)[i] = np.arange(1, width + 1).reshape(ws.d, ws.d_alpha)
+        # block i fills coordinates [i*D*D_alpha, (i+1)*D*D_alpha), path index fastest
+        np.testing.assert_array_equal(v[i * width : (i + 1) * width], np.arange(1, width + 1))
+        assert np.count_nonzero(v) == width
+    stack = np.zeros((3, ws.k))
+    assert ws.blocks(stack).shape == (3, len(ws.y), ws.d, ws.d_alpha)
+
+
 def test_embed_restrict_roundtrip_coupled():
     ws = build_working_space(8, 2.0)
     rng = np.random.default_rng(1)
@@ -171,6 +192,7 @@ def test_dimension_bookkeeping_property(half_n, alpha):
     assert ws.d == ws.two_j_min + 1
     assert ws.d_alpha >= 1
     assert ws.k == len(ws.embed_index) == len(ws.embed_positions)
+    assert ws.embed_positions.tolist() == [coupled_position(n, ci) for ci in ws.embed_index]
     assert ws.d_p == len(ws.y) * ws.d_alpha
     for tj in ws.y:
         assert ws.d_alpha <= dim_multiplicity(n, tj)
