@@ -2,7 +2,7 @@
 
 The package is organized bottom-up:
 
-- ``linalg``: dense complex linear algebra, norms, Haar sampling, validators
+- ``linalg``: dense complex linear algebra, norms, Haar sampling
 - ``repkit``: total-angular-momentum bookkeeping for N qubits (dimensions,
   coupling paths, the change of basis to coupled form, rotation matrices)
 - ``workspace``: the truncated direct-sum space used for encoding

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from framecrypt.linalg import kron_power
+from framecrypt.linalg import kron_power, partial_trace
 from framecrypt.repkit import block_layout, rotation_su2
 from framecrypt.workspace import WorkingSpace, workspace_vector
 
@@ -68,13 +68,12 @@ def _infer_qubits(dim: int) -> int:
 class BlockState:
     """An operator stored block-by-block in the coupled basis.
 
-    ``blocks`` maps two_j to the (dim_r*dim_p) square block; ``cross`` (when
-    kept) maps ordered pairs (two_j_row, two_j_col) to rectangular blocks.
+    ``blocks`` maps two_j to the (dim_r*dim_p) square block; every coherence
+    between different blocks is zero.
     """
 
     n: int
     blocks: dict[int, np.ndarray]
-    cross: dict[tuple[int, int], np.ndarray] | None = None
 
     def trace(self) -> complex:
         return sum(np.trace(b) for b in self.blocks.values())
@@ -84,38 +83,9 @@ class BlockState:
         out = np.zeros((dim, dim), dtype=complex)
         layout = {b.two_j: b for b in block_layout(self.n)}
         for tj, blk in self.blocks.items():
-            b = layout[tj]
-            s = slice(b.offset, b.offset + b.dim_r * b.dim_p)
+            s = layout[tj].span
             out[s, s] = blk
-        if self.cross:
-            for (tr, tc), blk in self.cross.items():
-                br, bc = layout[tr], layout[tc]
-                out[
-                    br.offset : br.offset + br.dim_r * br.dim_p,
-                    bc.offset : bc.offset + bc.dim_r * bc.dim_p,
-                ] = blk
         return out
-
-
-def block_decompose(rho: np.ndarray, n: int | None = None, keep_cross: bool = True) -> BlockState:
-    """Split a coupled-basis operator into its per-spin blocks."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = _infer_qubits(rho.shape[0]) if n is None else n
-    layout = block_layout(n)
-    blocks: dict[int, np.ndarray] = {}
-    cross: dict[tuple[int, int], np.ndarray] = {}
-    for br in layout:
-        sr = slice(br.offset, br.offset + br.dim_r * br.dim_p)
-        blocks[br.two_j] = rho[sr, sr].copy()
-        if keep_cross:
-            for bc in layout:
-                if bc.two_j == br.two_j:
-                    continue
-                sc = slice(bc.offset, bc.offset + bc.dim_r * bc.dim_p)
-                cross[(br.two_j, bc.two_j)] = rho[sr, sc].copy()
-    return BlockState(n=n, blocks=blocks, cross=cross if keep_cross else None)
 
 
 def twirl_block(rho: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -130,9 +100,8 @@ def twirl_block(rho: np.ndarray, n: int | None = None) -> np.ndarray:
     n = _infer_qubits(rho.shape[0]) if n is None else n
     out = np.zeros_like(rho)
     for b in block_layout(n):
-        s = slice(b.offset, b.offset + b.dim_r * b.dim_p)
-        blk = rho[s, s].reshape(b.dim_r, b.dim_p, b.dim_r, b.dim_p)
-        t = np.einsum("mpmq->pq", blk)
+        s = b.span
+        t = partial_trace(rho[s, s], b.dim_r, b.dim_p, "left")
         out[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
     return out
 
@@ -219,7 +188,7 @@ def reference_states(ws: WorkingSpace) -> tuple[BlockState, np.ndarray]:
         p[np.diag_indices(ws.d_alpha)] = 1.0 / ws.d_p  # the kept paths come first
         blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p).astype(complex)
     varrho = np.eye(ws.d_p, dtype=complex) / ws.d_p
-    return BlockState(n=ws.n, blocks=blocks, cross=None), varrho
+    return BlockState(n=ws.n, blocks=blocks), varrho
 
 
 def twirl_working_state(phi: np.ndarray, ws: WorkingSpace) -> BlockState:
@@ -237,4 +206,4 @@ def twirl_working_state(phi: np.ndarray, ws: WorkingSpace) -> BlockState:
         t = np.zeros((b.dim_p, b.dim_p), dtype=complex)
         t[:da, :da] = a.T @ a.conj()  # the kept paths are the first d_alpha
         blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
-    return BlockState(n=ws.n, blocks=blocks, cross=None)
+    return BlockState(n=ws.n, blocks=blocks)

@@ -31,23 +31,25 @@ DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 
 @dataclasses.dataclass
 class RunConfig:
+    """One invocation; the fields are the argparse dests of build_parser."""
+
     command: str
-    n: int | None = None
-    alpha: float = 2.0
-    delta: float | None = None
-    samples: int | None = None
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
-    c_prime: float = 0.0
-    levy_c: float = 1.0
-    j_min: int | None = None
-    quadrature: tuple[int, int, int] | None = None
-    dim_s: int | None = None
-    epsilon: float | None = None
-    inputs: tuple[str, ...] = ()
-    x_field: str | None = None
-    y_field: str | None = None
+    n: int | None
+    alpha: float
+    delta: float | None
+    samples: int | None
+    seed: int
+    out: str | None
+    fmt: str
+    c_prime: float
+    levy_c: float
+    j_min: int | None
+    quadrature: tuple[int, int, int] | None
+    dim_s: int | None
+    epsilon: float | None
+    inputs: tuple[str, ...]
+    x_field: str | None
+    y_field: str | None
 
     def echo(self) -> dict:
         d = dataclasses.asdict(self)
@@ -107,25 +109,7 @@ def parse_config(argv) -> RunConfig:
         if len(parts) != 3:
             raise ValueError("--quadrature expects three comma-separated sizes a,b,g")
         quad = tuple(parts)
-    return RunConfig(
-        command=ns.command,
-        n=ns.n,
-        alpha=ns.alpha,
-        delta=ns.delta,
-        samples=ns.samples,
-        seed=ns.seed,
-        out=ns.out,
-        fmt=ns.fmt,
-        c_prime=ns.c_prime,
-        levy_c=ns.levy_c,
-        j_min=ns.j_min,
-        quadrature=quad,
-        dim_s=ns.dim_s,
-        epsilon=ns.epsilon,
-        inputs=tuple(ns.inputs),
-        x_field=ns.x_field,
-        y_field=ns.y_field,
-    )
+    return RunConfig(**{**vars(ns), "quadrature": quad, "inputs": tuple(ns.inputs)})
 
 
 def _need(value, flag: str):
@@ -397,12 +381,25 @@ def payload_to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report an error as one canonical JSON object on stderr."""
+    print(canonical_json({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr, end="")
+    return code
+
+
+def _write(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)
     except ValueError as exc:
-        print(canonical_json({"error": {"kind": "usage", "message": str(exc)}}), file=sys.stderr, end="")
-        return 2
+        return _fail("usage", exc, 2)
 
     if config.command == "emit-curve":
         try:
@@ -412,32 +409,17 @@ def main(argv=None) -> int:
                     docs.append(json.load(fh))
             text = emit_curve(docs, _need(config.x_field, "--x-field"), _need(config.y_field, "--y-field"))
         except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-            print(canonical_json({"error": {"kind": "domain", "message": str(exc)}}), file=sys.stderr, end="")
-            return 1
-        if config.out:
-            with open(config.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+            return _fail("domain", exc, 1)
+        _write(text, config.out)
         return 0
 
     try:
         result = run(config)
     except (ValueError, AssertionError) as exc:
-        kind = "assertion" if isinstance(exc, AssertionError) else "domain"
-        print(canonical_json({"error": {"kind": kind, "message": str(exc)}}), file=sys.stderr, end="")
-        return 1
+        return _fail("assertion" if isinstance(exc, AssertionError) else "domain", exc, 1)
 
     doc = result.document()
-    if config.fmt == "csv":
-        text = payload_to_csv(doc["payload"])
-    else:
-        text = canonical_json(doc)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(payload_to_csv(doc["payload"]) if config.fmt == "csv" else canonical_json(doc), config.out)
     print(f"wall_clock_seconds={result.wall_clock_seconds:.3f}", file=sys.stderr)
     return 0
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-EIG_FLOOR = -1e-10
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -122,34 +121,3 @@ def random_density_matrix(dim: int, seed, rank: int | None = None) -> np.ndarray
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
-
-def check_pure_state(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Validate norm-1 vector; returns the input as a complex ndarray."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1:
-        raise ValueError(f"pure state must be a vector, got shape {v.shape}")
-    nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > tol:
-        raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {tol}")
-    return v
-
-
-def check_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = HERMITIAN_TOL,
-    eig_floor: float = EIG_FLOOR,
-) -> np.ndarray:
-    """Validate Hermiticity, unit trace, and positivity up to tolerances."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not is_hermitian(rho, herm_tol):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {trace_tol}")
-    lo = np.linalg.eigvalsh(rho)[0]
-    if lo < eig_floor:
-        raise ValueError(f"minimum eigenvalue {lo} below floor {eig_floor}")
-    return rho

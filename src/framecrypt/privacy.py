@@ -20,6 +20,7 @@ predicts:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -31,6 +32,7 @@ from framecrypt.channel import reduced_blocks, reference_states, twirl_working_s
 from framecrypt.workspace import WorkingSpace, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
+NET_SIZE_LIMIT = 200_000  # largest packing bound a net may be built for
 _ASSERT_SLACK = 1e-9
 
 
@@ -112,10 +114,10 @@ class ConcentrationReport:
     levy_bound: dict  # gamma -> exp2(-levy_c (K-1) gamma^2 / 2)
     fitted_c: float | None
     seeds: list
-    std_f: float = 0.0
-    stderr_f: float = 0.0
-    bound_inv_sqrt_alpha: float = 0.0
-    bound_ratio: float = 0.0
+    std_f: float
+    stderr_f: float
+    bound_inv_sqrt_alpha: float
+    bound_ratio: float
 
 
 def _centred_blocks(v: np.ndarray, ws: WorkingSpace) -> np.ndarray:
@@ -199,6 +201,12 @@ def build_eps_net(
         raise ValueError("net construction is limited to dim_s in {1, 2, 3}")
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    size_bound = math.ceil((5.0 / epsilon) ** (2 * dim_s))
+    if size_bound > NET_SIZE_LIMIT:
+        raise ValueError(
+            f"a net with epsilon={epsilon} on dim_s={dim_s} may need {size_bound} points,"
+            f" above the limit of {NET_SIZE_LIMIT}"
+        )
     # unit vectors x, y: ||x - y|| > eps/2  <=>  Re<x, y> < 1 - eps^2/8
     accept_thresh = 1.0 - epsilon**2 / 8.0
     cand_rng = derived_rng(seed, 0)
@@ -253,7 +261,6 @@ def build_eps_net(
             if (buf[:count].conj() @ vec).real.max() < accept_thresh:
                 push(vec)
 
-    size_bound = math.ceil((5.0 / epsilon) ** (2 * dim_s))
     net = buf[:count].copy()
     if net.shape[0] > size_bound:
         raise AssertionError(f"net size {net.shape[0]} exceeds the packing bound {size_bound}")
@@ -349,10 +356,27 @@ def estimate_max_f(
 # sampling experiments
 # ---------------------------------------------------------------------------
 
-def _sample_f(ws: WorkingSpace, n_samples: int, seed: int) -> np.ndarray:
-    """f on n_samples random working-space states, one derived generator each."""
-    return np.array(
+def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, ConcentrationReport]:
+    """f on n_samples random states (one derived generator each) and the
+    statistics both experiments report; the tail fields are left empty."""
+    if n_samples < 2:
+        raise ValueError("need at least two samples")
+    fs = np.array(
         [f_eval(random_pure_state(ws.k, derived_rng(seed, i)), ws) for i in range(n_samples)]
+    )
+    std = float(fs.std(ddof=1))
+    return fs, ConcentrationReport(
+        n_samples=n_samples,
+        mean_f=float(fs.mean()),
+        median_f=float(np.median(fs)),
+        tail={},
+        levy_bound={},
+        fitted_c=None,
+        seeds=[int(seed)],
+        std_f=std,
+        stderr_f=std / math.sqrt(n_samples),
+        bound_inv_sqrt_alpha=1.0 / math.sqrt(ws.alpha),
+        bound_ratio=math.sqrt(ws.d_alpha / ws.d),
     )
 
 
@@ -363,33 +387,15 @@ def mean_f_experiment(ws: WorkingSpace, n_samples: int, seed: int) -> Concentrat
     tighter sqrt(d_alpha/d)) by more than three standard errors, or if the
     median exceeds twice the mean.
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
-    fs = _sample_f(ws, n_samples, seed)
-    mean, median = float(fs.mean()), float(np.median(fs))
-    std = float(fs.std(ddof=1))
-    se = std / math.sqrt(n_samples)
-    bound_alpha = 1.0 / math.sqrt(ws.alpha)
-    bound_ratio = math.sqrt(ws.d_alpha / ws.d)
-    if mean > bound_alpha + 3.0 * se:
-        raise AssertionError(f"mean f {mean} exceeds 1/sqrt(alpha)={bound_alpha} + 3 SE")
-    if mean > bound_ratio + 3.0 * se:
-        raise AssertionError(f"mean f {mean} exceeds sqrt(d_alpha/d)={bound_ratio} + 3 SE")
-    if median > 2.0 * mean + _ASSERT_SLACK:
-        raise AssertionError(f"median {median} exceeds twice the mean {mean}")
-    return ConcentrationReport(
-        n_samples=n_samples,
-        mean_f=mean,
-        median_f=median,
-        tail={},
-        levy_bound={},
-        fitted_c=None,
-        seeds=[int(seed)],
-        std_f=std,
-        stderr_f=se,
-        bound_inv_sqrt_alpha=bound_alpha,
-        bound_ratio=bound_ratio,
-    )
+    _, r = _sampled_report(ws, n_samples, seed)
+    mean, se = r.mean_f, r.stderr_f
+    if mean > r.bound_inv_sqrt_alpha + 3.0 * se:
+        raise AssertionError(f"mean f {mean} exceeds 1/sqrt(alpha)={r.bound_inv_sqrt_alpha} + 3 SE")
+    if mean > r.bound_ratio + 3.0 * se:
+        raise AssertionError(f"mean f {mean} exceeds sqrt(d_alpha/d)={r.bound_ratio} + 3 SE")
+    if r.median_f > 2.0 * mean + _ASSERT_SLACK:
+        raise AssertionError(f"median {r.median_f} exceeds twice the mean {mean}")
+    return r
 
 
 def concentration_experiment(
@@ -405,33 +411,18 @@ def concentration_experiment(
     majorizes the observed tail on the whole grid (None when every observed
     tail is zero, i.e. no finite constraint).
     """
-    if n_samples < 2:
-        raise ValueError("need at least two samples")
     gammas = [float(g) for g in gamma_grid]
     if not gammas or min(gammas) <= 0.0:
         raise ValueError("gamma grid must be positive")
-    fs = _sample_f(ws, n_samples, seed)
-    mean, median = float(fs.mean()), float(np.median(fs))
-    dev = np.abs(fs - median)
+    fs, report = _sampled_report(ws, n_samples, seed)
+    dev = np.abs(fs - report.median_f)
     tail = {g: float(np.mean(dev > g)) for g in gammas}
     levy = {g: 2.0 ** (-params.levy_c * (ws.k - 1) * g**2 / 2.0) for g in gammas}
     constraints = [
         -2.0 * math.log2(t) / ((ws.k - 1) * g**2) for g, t in tail.items() if t > 0.0
     ]
     fitted = min(constraints) if constraints else None
-    return ConcentrationReport(
-        n_samples=n_samples,
-        mean_f=mean,
-        median_f=median,
-        tail=tail,
-        levy_bound=levy,
-        fitted_c=fitted,
-        seeds=[int(seed)],
-        std_f=float(fs.std(ddof=1)),
-        stderr_f=float(fs.std(ddof=1)) / math.sqrt(n_samples),
-        bound_inv_sqrt_alpha=1.0 / math.sqrt(ws.alpha),
-        bound_ratio=math.sqrt(ws.d_alpha / ws.d),
-    )
+    return dataclasses.replace(report, tail=tail, levy_bound=levy, fitted_c=fitted)
 
 
 def lipschitz_check(

@@ -41,10 +41,18 @@ class EulerAngles(NamedTuple):
 
 @dataclass(frozen=True)
 class BlockInfo:
+    """One total-spin block of the canonical coupled-basis layout."""
+
     two_j: int
     offset: int
     dim_r: int  # rotation factor, 2j+1
     dim_p: int  # multiplicity factor
+
+    @property
+    def span(self) -> slice:
+        """Coupled-basis positions of the block: (rotation index, path index)
+        flattened with the path index fastest."""
+        return slice(self.offset, self.offset + self.dim_r * self.dim_p)
 
 
 def _require_even(n: int) -> None:
@@ -75,7 +83,8 @@ def dim_multiplicity(n: int, two_j: int) -> int:
     j = two_j // 2
     num = math.comb(n, n // 2 - j) * (two_j + 1)
     q, r = divmod(num, n // 2 + j + 1)
-    assert r == 0, "multiplicity formula must divide exactly"
+    if r:
+        raise ValueError(f"multiplicity formula left remainder {r} for n={n}, two_j={two_j}")
     return q
 
 
@@ -87,7 +96,8 @@ def block_layout(n: int) -> list[BlockInfo]:
         dr, dp = dim_irrep(two_j), dim_multiplicity(n, two_j)
         out.append(BlockInfo(two_j, offset, dr, dp))
         offset += dr * dp
-    assert offset == 2**n
+    if offset != 2**n:
+        raise ValueError(f"blocks for n={n} cover {offset} positions, not 2^{n}")
     return out
 
 
@@ -144,17 +154,15 @@ class SchurTransform:
     """Unitary change of basis from the computational to the coupled basis.
 
     ``matrix`` columns are coupled-basis states expressed in the
-    computational basis, ordered per ``ordering`` (the canonical layout).
+    computational basis, in the canonical layout (see :class:`BlockInfo`).
     """
 
     n: int
     matrix: np.ndarray
-    ordering: tuple[CoupledIndex, ...]
     blocks: dict[int, BlockInfo]
 
     def block_columns(self, two_j: int) -> np.ndarray:
-        b = self.blocks[two_j]
-        return self.matrix[:, b.offset : b.offset + b.dim_r * b.dim_p]
+        return self.matrix[:, self.blocks[two_j].span]
 
 
 def _couple_up(mat: np.ndarray, two_j: int) -> np.ndarray:
@@ -202,34 +210,31 @@ def schur_transform(n: int, max_qubits: int = DENSE_QUBIT_LIMIT) -> SchurTransfo
     if n > max_qubits:
         raise ValueError(f"n={n} exceeds the dense-transform limit of {max_qubits} qubits")
 
-    # sectors: (two_j, path, matrix of |j, m> columns), kept in path-lex order
-    sectors: list[tuple[int, tuple[int, ...], np.ndarray]] = [(1, (1,), np.eye(2, dtype=complex))]
+    # sectors: (two_j, matrix of |j, m> columns), kept in path-lex order
+    sectors: list[tuple[int, np.ndarray]] = [(1, np.eye(2, dtype=complex))]
     for _ in range(n - 1):
-        grown: list[tuple[int, tuple[int, ...], np.ndarray]] = []
-        for two_j, path, mat in sectors:
-            grown.append((two_j + 1, path + (1,), _couple_up(mat, two_j)))
+        grown: list[tuple[int, np.ndarray]] = []
+        for two_j, mat in sectors:
+            grown.append((two_j + 1, _couple_up(mat, two_j)))
             if two_j >= 1:
-                grown.append((two_j - 1, path + (-1,), _couple_down(mat, two_j)))
+                grown.append((two_j - 1, _couple_down(mat, two_j)))
         sectors = grown
 
-    by_j: dict[int, list[tuple[tuple[int, ...], np.ndarray]]] = {}
-    for two_j, path, mat in sectors:
-        by_j.setdefault(two_j, []).append((path, mat))
+    by_j: dict[int, list[np.ndarray]] = {}
+    for two_j, mat in sectors:
+        by_j.setdefault(two_j, []).append(mat)
 
-    layout = block_layout(n)
     matrix = np.zeros((2**n, 2**n), dtype=complex)
-    ordering: list[CoupledIndex] = []
     blocks: dict[int, BlockInfo] = {}
-    for b in layout:
+    for b in block_layout(n):
         blocks[b.two_j] = b
         members = by_j.get(b.two_j, [])
-        assert len(members) == b.dim_p
-        for m_idx in range(b.dim_r):
-            two_m = b.two_j - 2 * m_idx
-            for p_idx, (_, mat) in enumerate(members):
-                matrix[:, b.offset + m_idx * b.dim_p + p_idx] = mat[:, m_idx]
-                ordering.append(CoupledIndex(b.two_j, two_m, p_idx))
-    return SchurTransform(n=n, matrix=matrix, ordering=tuple(ordering), blocks=blocks)
+        if len(members) != b.dim_p:
+            raise ValueError(f"{len(members)} coupling paths reach two_j={b.two_j}, expected {b.dim_p}")
+        cols = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
+        for p_idx, mat in enumerate(members):
+            cols[:, :, p_idx] = mat
+    return SchurTransform(n=n, matrix=matrix, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

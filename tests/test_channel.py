@@ -8,7 +8,6 @@ import pytest
 from framecrypt.channel import (
     BlockState,
     QuadratureSpec,
-    block_decompose,
     reduced_map_f,
     reference_states,
     su2_quadrature,
@@ -110,7 +109,7 @@ def test_twirl_block_fixes_multiplicity_operators():
     rho = np.zeros((16, 16), dtype=complex)
     for b in block_layout(n):
         sigma = random_density_matrix(b.dim_p, rng)
-        s = slice(b.offset, b.offset + b.dim_r * b.dim_p)
+        s = b.span
         rho[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, sigma) / len(block_layout(n))
     np.testing.assert_allclose(twirl_block(rho, n), rho, atol=1e-13)
 
@@ -183,21 +182,6 @@ def test_oracle_validation():
 # ---------------------------------------------------------------------------
 # block containers
 # ---------------------------------------------------------------------------
-
-def test_block_decompose_roundtrip():
-    rho = random_density_matrix(16, 2)
-    bs = block_decompose(rho)
-    np.testing.assert_allclose(bs.assemble(), rho, atol=1e-14)
-    assert bs.trace() == pytest.approx(1.0, abs=1e-12)
-    dropped = block_decompose(rho, keep_cross=False)
-    reassembled = dropped.assemble()
-    for b in block_layout(4):
-        s = slice(b.offset, b.offset + b.dim_r * b.dim_p)
-        np.testing.assert_allclose(reassembled[s, s], rho[s, s], atol=1e-14)
-    assert trace_norm(reassembled - rho) > 1e-3  # cross blocks really dropped
-    with pytest.raises(ValueError):
-        block_decompose(np.ones((3, 4)))
-
 
 def test_block_state_assemble_skips_missing_blocks():
     bs = BlockState(n=2, blocks={0: np.array([[1.0 + 0j]])})

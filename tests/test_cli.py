@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -228,6 +229,25 @@ def test_capacity_rejects_negative_delta(capsys):
     assert code == 1
     assert out == ""
     assert "delta" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "net", "--dim-s", "2", "--epsilon", "0.05"],
+        ["--command", "workspace", "--n", "20000", "--alpha", "2"],
+    ],
+    ids=["net", "workspace"],
+)
+def test_work_over_the_limit_is_refused_up_front(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_main(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "domain"
+    assert "limit" in error["message"]
 
 
 def test_missing_required_flag(capsys):
