@@ -33,6 +33,7 @@ from framecrypt.workspace import WorkingSpace, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
 NET_SIZE_LIMIT = 200_000  # largest packing bound a net may be built for
+HAAR_STACK_LIMIT = 2**26  # bytes of one stack of unitaries drawn at once (64 MiB)
 _ASSERT_SLACK = 1e-9
 
 
@@ -487,6 +488,11 @@ def haar_moment_check(k: int, n_samples: int, seed: int, chunk: int = 5000) -> d
         raise ValueError("need dimension k >= 2")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    stack_bytes = min(chunk, n_samples) * k * k * np.dtype(complex).itemsize
+    if stack_bytes > HAAR_STACK_LIMIT:
+        raise ValueError(
+            f"k={k} needs {stack_bytes} bytes per stack of unitaries, over the limit of {HAAR_STACK_LIMIT}"
+        )
     m_abs4 = np.empty(n_samples)
     m_cross2 = np.empty(n_samples)
     m_loop = np.empty(n_samples, dtype=complex)

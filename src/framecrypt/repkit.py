@@ -23,6 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 DENSE_QUBIT_LIMIT = 12  # full 2^N transforms above this are refused
+# exact binomials for every block: about 0.6 s at this size, 4 s at twice it
+QUBIT_LIMIT = 4096
 
 
 class CoupledIndex(NamedTuple):
@@ -61,8 +63,14 @@ def _require_even(n: int) -> None:
 
 
 def irrep_labels(n: int) -> list[int]:
-    """two_j values present for n qubits, largest first (canonical block order)."""
+    """two_j values present for n qubits, largest first (canonical block order).
+
+    Every walk over the blocks starts here, so this is where registers above
+    QUBIT_LIMIT are refused, before any exact binomial is computed.
+    """
     _require_even(n)
+    if n > QUBIT_LIMIT:
+        raise ValueError(f"n={n} exceeds the working-space limit of {QUBIT_LIMIT} qubits")
     return list(range(n, -1, -2))
 
 

@@ -23,11 +23,9 @@ from framecrypt.repkit import (
     block_layout,
     dim_irrep,
     dim_multiplicity,
+    irrep_labels,
     schur_transform,
 )
-
-# exact binomials for every block: about 0.8 s at this size, 4 s at twice it
-QUBIT_LIMIT = 4096
 
 
 def default_two_j_min(n: int) -> int:
@@ -96,10 +94,7 @@ class WorkingSpace:
 
 def build_working_space(n: int, alpha: float, two_j_min: int | None = None) -> WorkingSpace:
     """Construct the working space for n qubits at truncation parameter alpha."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"qubit count must be a positive even integer, got {n}")
-    if n > QUBIT_LIMIT:
-        raise ValueError(f"n={n} exceeds the working-space limit of {QUBIT_LIMIT} qubits")
+    irrep_labels(n)  # refuses an odd n or one above QUBIT_LIMIT before any other check
     if not alpha > 1.0:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     tjm = default_two_j_min(n) if two_j_min is None else int(two_j_min)

@@ -1,11 +1,15 @@
 """Tests for the rotation-averaging channel: exact block action vs quadrature."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import framecrypt.channel as channel_module
+import framecrypt.repkit as repkit_module
 from framecrypt.channel import (
+    QUADRATURE_LIMIT,
     BlockState,
     QuadratureSpec,
     reduced_map_f,
@@ -177,6 +181,85 @@ def test_oracle_validation():
         twirl_oracle(np.eye(8))  # odd qubit count
     with pytest.raises(ValueError):
         twirl_oracle(np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# the factored oracle against the literal product rule
+# ---------------------------------------------------------------------------
+
+def oracle_triple_loop(rho, n, quad):
+    """The product rule as written: one Kronecker power per (alpha, beta, gamma) node."""
+    alphas, betas, w_beta, gammas = su2_quadrature(quad)
+    out = np.zeros_like(rho)
+    base_w = 1.0 / (quad.n_alpha * quad.n_gamma)
+    for b, wb in zip(betas, w_beta):
+        for a in alphas:
+            for g in gammas:
+                r = kron_power(rotation_su2((a, b, g)), n)
+                out += (base_w * wb) * (r @ rho @ r.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("grid", [None, (3, 2, 3), (5, 4, 9)], ids=["default", "undersized", "asymmetric"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_oracle_matches_the_triple_loop(n, grid, stacked):
+    quad = QuadratureSpec.for_qubits(n) if grid is None else QuadratureSpec(*grid)
+    states = [random_density_matrix(2**n, derived_rng(31, n, i)) for i in range(3)]
+    rho = np.stack(states) if stacked else states[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the undersized grid warns; its answer is still compared
+        got = twirl_oracle(rho, n, quad)
+    assert got.shape == rho.shape
+    assert np.abs(got - oracle_triple_loop(rho.astype(complex), n, quad)).max() <= 1e-14
+
+
+def test_rotation_is_the_product_of_its_euler_factors():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        a, b, g = rng.uniform(0.0, 2 * math.pi, size=3)
+        np.testing.assert_allclose(
+            rotation_su2((a, b, g)),
+            rotation_su2((a, 0, 0)) @ rotation_su2((0, b, 0)) @ rotation_su2((0, 0, g)),
+            rtol=0,
+            atol=1e-15,
+        )
+
+
+def test_oracle_makes_one_kronecker_power_per_axis_node(monkeypatch):
+    calls = {"kron_power": 0, "rotation_su2": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(channel_module, "kron_power", counted("kron_power", kron_power))
+    monkeypatch.setattr(channel_module, "rotation_su2", counted("rotation_su2", rotation_su2))
+    n = 6
+    quad = QuadratureSpec.for_qubits(n)
+    twirl_oracle(random_density_matrix(2**n, 0), n)
+    assert calls["kron_power"] == quad.n_alpha + quad.n_beta + quad.n_gamma == 36
+    assert calls["rotation_su2"] == 36
+
+
+def test_oracle_never_uses_the_coupled_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle reached the coupled basis")
+
+    for module in (channel_module, repkit_module):
+        monkeypatch.setattr(module, "block_layout", refuse)
+    monkeypatch.setattr(repkit_module, "schur_transform", refuse)
+    out = twirl_oracle(random_density_matrix(16, 2))
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quadrature_sizes_are_checked_when_the_grid_is_built():
+    for sizes in [(10, 0, 10), (-1, 3, 3), (3, 3, QUADRATURE_LIMIT + 1)]:
+        with pytest.raises(ValueError):
+            QuadratureSpec(*sizes)
+    assert QuadratureSpec(QUADRATURE_LIMIT, 1, QUADRATURE_LIMIT).n_alpha == QUADRATURE_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import time
+import warnings
 
 import pytest
 
@@ -236,8 +237,13 @@ def test_capacity_rejects_negative_delta(capsys):
     [
         ["--command", "net", "--dim-s", "2", "--epsilon", "0.05"],
         ["--command", "workspace", "--n", "20000", "--alpha", "2"],
+        ["--command", "decompose", "--n", "100000"],
+        ["--command", "capacity", "--n", "100000"],
+        ["--command", "twirl-check", "--n", "2", "--samples", "1",
+         "--quadrature", "100000,100000,100000"],
+        ["--command", "haar-moments", "--n", "100000", "--samples", "100"],
     ],
-    ids=["net", "workspace"],
+    ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -248,6 +254,19 @@ def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     error = json.loads(err)["error"]
     assert error["kind"] == "domain"
     assert "limit" in error["message"]
+
+
+def test_zero_quadrature_size_is_refused_before_the_band_limit_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # any warning would surface as an exception
+        code, out, err = run_main(
+            capsys, "--command", "twirl-check", "--n", "4", "--quadrature", "10,0,10"
+        )
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "domain"
+    assert "n_beta=0" in error["message"]
 
 
 def test_missing_required_flag(capsys):
