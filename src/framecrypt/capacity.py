@@ -12,26 +12,26 @@ from __future__ import annotations
 
 import math
 
-from framecrypt.repkit import dim_irrep, dim_multiplicity, irrep_labels
+from framecrypt.repkit import _require_even, dim_irrep, dim_multiplicity, irrep_labels
 
 
 def q_perfect(n: int) -> float:
     """Zero-error quantum capacity: log2(n+1) qubits through the largest
     multiplicity space."""
-    _check_n(n)
+    _require_even(n)
     return math.log2(n + 1)
 
 
 def c_perfect_asymptotic(n: int) -> float:
     """Leading-order zero-error classical capacity, 3 log2 n bits."""
-    _check_n(n)
+    _require_even(n)
     return 3.0 * math.log2(n)
 
 
 def thm1_dim_bound(n: int, delta: float, c_prime: float) -> float:
     """log2 of the dimension of a typical delta-private subspace:
     3 log2 n + 3.5 log2 delta + c_prime."""
-    _check_n(n)
+    _require_even(n)
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
     return 3.0 * math.log2(n) + 3.5 * math.log2(delta) + c_prime
@@ -40,7 +40,7 @@ def thm1_dim_bound(n: int, delta: float, c_prime: float) -> float:
 def classical_capacity_upper(n: int, delta: float) -> float:
     """Upper bound 3 (1 + delta) log2 n + 3 on the delta-private classical
     capacity, valid for delta <= 1/2."""
-    _check_n(n)
+    _require_even(n)
     if not 0.0 <= delta <= 0.5:
         raise ValueError(f"the bound requires delta in [0, 1/2], got {delta}")
     return 3.0 * (1.0 + delta) * math.log2(n) + 3.0
@@ -49,7 +49,7 @@ def classical_capacity_upper(n: int, delta: float) -> float:
 def rank_pi_prime(n: int) -> int:
     """Exact rank available to block-diagonal encodings:
     sum over blocks of (2j+1) * min(2j+1, multiplicity)."""
-    _check_n(n)
+    _require_even(n)
     return sum(
         dim_irrep(tj) * min(dim_irrep(tj), dim_multiplicity(n, tj)) for tj in irrep_labels(n)
     )
@@ -71,10 +71,5 @@ def rank_pi_prime_chain(n: int) -> tuple[int, int, int]:
 def min_delta_for_advantage(n: int, c_prime: float) -> float:
     """Smallest delta at which the delta-private subspace dimension beats the
     zero-error quantum rate; scales like n^(-4/7)."""
-    _check_n(n)
+    _require_even(n)
     return 2.0 ** ((math.log2(n + 1) - 3.0 * math.log2(n) - c_prime) / 3.5)
-
-
-def _check_n(n: int) -> None:
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"qubit count must be a positive even integer, got {n}")

@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -27,53 +28,8 @@ from framecrypt import capacity as cap
 from framecrypt import channel, privacy, repkit, workspace
 
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """One invocation; the fields are the argparse dests of build_parser."""
-
-    command: str
-    n: int | None
-    alpha: float
-    delta: float | None
-    samples: int | None
-    seed: int
-    out: str | None
-    fmt: str
-    c_prime: float
-    levy_c: float
-    j_min: int | None
-    quadrature: tuple[int, int, int] | None
-    dim_s: int | None
-    epsilon: float | None
-    inputs: tuple[str, ...]
-    x_field: str | None
-    y_field: str | None
-
-    def echo(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["inputs"] = list(self.inputs)
-        d["quadrature"] = list(self.quadrature) if self.quadrature else None
-        return d
-
-
-@dataclasses.dataclass
-class RunResult:
-    config: dict
-    tool_version: str
-    payload: dict
-    workspace_descriptor: dict | None
-    wall_clock_seconds: float
-
-    def document(self) -> dict:
-        """The serialized (stable) part; timing stays out of the bytes."""
-        return {
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "payload": self.payload,
-            "workspace_descriptor": self.workspace_descriptor,
-        }
+# largest --samples any command accepts; the README's largest count is 100,000
+SAMPLES_LIMIT = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,15 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    quad = None
-    if ns.quadrature:
-        parts = [int(x) for x in ns.quadrature.split(",")]
-        if len(parts) != 3:
+def parse_config(argv) -> argparse.Namespace:
+    """The parsed flags, with ``quadrature`` as a list of three sizes or None."""
+    config = build_parser().parse_args(argv)
+    sizes = None
+    if config.quadrature:
+        sizes = [int(x) for x in config.quadrature.split(",")]
+        if len(sizes) != 3:
             raise ValueError("--quadrature expects three comma-separated sizes a,b,g")
-        quad = tuple(parts)
-    return RunConfig(**{**vars(ns), "quadrature": quad, "inputs": tuple(ns.inputs)})
+    config.quadrature = sizes
+    return config
 
 
 def _need(value, flag: str):
@@ -123,7 +80,7 @@ def _or_default(value, default):
     return default if value is None else value
 
 
-def _ws_from(config: RunConfig) -> workspace.WorkingSpace:
+def _ws_from(config: argparse.Namespace) -> workspace.WorkingSpace:
     n = _need(config.n, "--n")
     two_j_min = None if config.j_min is None else 2 * config.j_min
     return workspace.build_working_space(n, config.alpha, two_j_min)
@@ -148,7 +105,7 @@ def _jsonable(x):
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _run_decompose(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_decompose(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     rows = []
     for b in repkit.block_layout(n):
@@ -164,7 +121,7 @@ def _run_decompose(config: RunConfig) -> tuple[dict, dict | None]:
     return {"n": n, "blocks": rows, "total": 2**n, "sum_products": sum(r["product"] for r in rows)}, None
 
 
-def _run_twirl_check(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     if n > 8:
         raise ValueError("twirl-check builds dense 2^n operators; use n <= 8")
@@ -180,11 +137,14 @@ def _run_twirl_check(config: RunConfig) -> tuple[dict, dict | None]:
     from framecrypt.linalg import random_density_matrix, derived_rng
 
     worst = 0.0
-    for i in range(samples):
-        rho = random_density_matrix(2**n, derived_rng(config.seed, i))
-        exact = channel.twirl(rho, t)
-        quadr = channel.twirl_oracle(rho, n, quad)
-        worst = max(worst, framecrypt.trace_norm(exact - quadr))
+    with warnings.catch_warnings():
+        # the band-limit warning repeats quadrature_sufficient in the payload
+        warnings.filterwarnings("ignore", message=r"quadrature .* is below the band limit")
+        for i in range(samples):
+            rho = random_density_matrix(2**n, derived_rng(config.seed, i))
+            exact = channel.twirl(rho, t)
+            quadr = channel.twirl_oracle(rho, n, quad)
+            worst = max(worst, framecrypt.trace_norm(exact - quadr))
     return {
         "n": n,
         "n_states": samples,
@@ -194,7 +154,7 @@ def _run_twirl_check(config: RunConfig) -> tuple[dict, dict | None]:
     }, None
 
 
-def _run_workspace(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_workspace(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     asym = workspace.asymptotic_k(ws.n, ws.alpha)
     payload = {
@@ -205,13 +165,13 @@ def _run_workspace(config: RunConfig) -> tuple[dict, dict | None]:
     return payload, ws.descriptor()
 
 
-def _run_mean_f(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_mean_f(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     report = privacy.mean_f_experiment(ws, _or_default(config.samples, 2000), config.seed)
     return dataclasses.asdict(report), ws.descriptor()
 
 
-def _run_concentration(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     params = privacy.PrivacyParams(delta=_or_default(config.delta, 1.0), levy_c=config.levy_c)
     report = privacy.concentration_experiment(
@@ -223,7 +183,7 @@ def _run_concentration(config: RunConfig) -> tuple[dict, dict | None]:
     return d, ws.descriptor()
 
 
-def _run_lipschitz(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_lipschitz(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     n_pairs = _or_default(config.samples, 2000)
     worst = privacy.lipschitz_check(ws, n_pairs, config.seed)
@@ -239,22 +199,22 @@ def _run_lipschitz(config: RunConfig) -> tuple[dict, dict | None]:
     )
 
 
-def _run_haar_moments(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_haar_moments(config: argparse.Namespace) -> tuple[dict, dict | None]:
     k = _need(config.n, "--n (matrix dimension)")
     return privacy.haar_moment_check(k, _or_default(config.samples, 20000), config.seed), None
 
 
-def _run_theorem1(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_theorem1(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     delta = _need(config.delta, "--delta")
     params = privacy.PrivacyParams(delta=delta, c_prime=config.c_prime, levy_c=config.levy_c)
     report = privacy.theorem1_experiment(
-        n, delta, params, n_subspaces=_or_default(config.samples, 5), seed=config.seed
+        n, params, n_subspaces=_or_default(config.samples, 5), seed=config.seed
     )
     return report, None
 
 
-def _run_capacity(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_capacity(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     delta = _or_default(config.delta, 0.0)
     if not 0.0 <= delta <= 2.0:
@@ -276,7 +236,7 @@ def _run_capacity(config: RunConfig) -> tuple[dict, dict | None]:
     return payload, None
 
 
-def _run_net(config: RunConfig) -> tuple[dict, dict | None]:
+def _run_net(config: argparse.Namespace) -> tuple[dict, dict | None]:
     dim_s = _need(config.dim_s, "--dim-s")
     epsilon = _need(config.epsilon, "--epsilon")
     net = privacy.build_eps_net(dim_s, epsilon, config.seed)
@@ -305,19 +265,21 @@ HANDLERS = {
 COMMANDS = (*HANDLERS, "emit-curve")  # emit-curve reads result files, see main
 
 
-def run(config: RunConfig) -> RunResult:
-    start = time.perf_counter()
+def run(config: argparse.Namespace) -> dict:
+    """The result document: the echoed flags, the payload and the workspace
+    descriptor.  Wall-clock time stays out of it, so its bytes are stable."""
     handler = HANDLERS.get(config.command)
     if handler is None:
         raise ValueError(f"unknown command {config.command!r}")
+    if config.samples is not None and config.samples > SAMPLES_LIMIT:
+        raise ValueError(f"--samples {config.samples} exceeds the limit of {SAMPLES_LIMIT}")
     payload, ws_descriptor = handler(config)
-    return RunResult(
-        config=config.echo(),
-        tool_version=framecrypt.__version__,
-        payload=_jsonable(payload),
-        workspace_descriptor=ws_descriptor,
-        wall_clock_seconds=time.perf_counter() - start,
-    )
+    return {
+        "config": vars(config),
+        "tool_version": framecrypt.__version__,
+        "payload": _jsonable(payload),
+        "workspace_descriptor": ws_descriptor,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +375,15 @@ def main(argv=None) -> int:
         _write(text, config.out)
         return 0
 
+    start = time.perf_counter()
     try:
-        result = run(config)
+        doc = run(config)
     except (ValueError, AssertionError) as exc:
         return _fail("assertion" if isinstance(exc, AssertionError) else "domain", exc, 1)
+    elapsed = time.perf_counter() - start
 
-    doc = result.document()
     _write(payload_to_csv(doc["payload"]) if config.fmt == "csv" else canonical_json(doc), config.out)
-    print(f"wall_clock_seconds={result.wall_clock_seconds:.3f}", file=sys.stderr)
+    print(f"wall_clock_seconds={elapsed:.3f}", file=sys.stderr)
     return 0
 
 

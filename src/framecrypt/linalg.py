@@ -35,21 +35,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
-def is_hermitian(x: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(x: np.ndarray) -> bool:
+    """Entrywise within HERMITIAN_TOL of its adjoint."""
     x = np.asarray(x)
-    return bool(np.all(np.abs(x - dagger(x)) <= tol))
+    return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
 
 
-def trace_norm(x: np.ndarray, hermitian_tol: float = HERMITIAN_TOL) -> float:
+def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values.
 
-    Hermitian input (entrywise within ``hermitian_tol`` of its adjoint) is
-    routed through an eigendecomposition, everything else through an SVD.
+    Hermitian input (see :func:`is_hermitian`) is routed through an
+    eigendecomposition, everything else through an SVD.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {x.shape}")
-    if is_hermitian(x, hermitian_tol):
+    if is_hermitian(x):
         return float(np.abs(np.linalg.eigvalsh(x)).sum())
     return float(np.linalg.svd(x, compute_uv=False).sum())
 
@@ -111,13 +112,12 @@ def random_pure_state(dim: int, seed, size: int | None = None) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def random_density_matrix(dim: int, seed, rank: int | None = None) -> np.ndarray:
-    """Random mixed state GG^dag / tr(GG^dag) with G complex Ginibre."""
+def random_density_matrix(dim: int, seed) -> np.ndarray:
+    """Random mixed state GG^dag / tr(GG^dag) with G square complex Ginibre."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    rank = dim if rank is None else int(rank)
     rng = as_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 

@@ -33,7 +33,14 @@ from framecrypt.workspace import WorkingSpace, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
 NET_SIZE_LIMIT = 200_000  # largest packing bound a net may be built for
+NET_STOP_REJECTIONS = 3000  # consecutive rejected candidates that end the greedy fill
+NET_PROBES = 10_000  # fresh probes per round that check the covering radius
+ASCENT_ITERS = 80  # alternating-ascent rounds at most
+ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
+ASCENT_RESTARTS = 4  # best random probes that each start one ascent
+HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of one stack of unitaries drawn at once (64 MiB)
+THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 _ASSERT_SLACK = 1e-9
 
 
@@ -41,14 +48,12 @@ _ASSERT_SLACK = 1e-9
 class PrivacyParams:
     """Free parameters of the privacy statements.
 
-    ``delta`` is the privacy level, ``epsilon`` the net resolution used when
-    certifying (defaults to delta/3), ``levy_c`` the concentration constant
+    ``delta`` is the privacy level, ``levy_c`` the concentration constant
     used when plotting/reporting the tail bound, and ``c_prime`` the additive
     constant in the subspace-dimension bound.
     """
 
     delta: float
-    epsilon: float | None = None
     gamma: float = 0.2
     levy_c: float = 1.0
     c_prime: float = 0.0
@@ -56,28 +61,31 @@ class PrivacyParams:
     def __post_init__(self):
         if not 0.0 < self.delta <= 2.0:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
-        if self.epsilon is not None and not 0.0 < self.epsilon < self.delta:
-            raise ValueError("epsilon must lie in (0, delta)")
         if self.gamma <= 0.0 or self.levy_c <= 0.0:
             raise ValueError("gamma and levy_c must be positive")
 
     @property
     def net_epsilon(self) -> float:
-        return self.delta / 3.0 if self.epsilon is None else self.epsilon
+        """Net resolution used when certifying: delta/3."""
+        return self.delta / 3.0
 
 
 @dataclass(frozen=True)
 class SubspaceSample:
     """An encoding subspace drawn from the invariant measure."""
 
-    ambient_dim: int
-    dim_s: int
     seed: int
     basis: np.ndarray = field(repr=False)  # ambient_dim x dim_s, orthonormal columns
 
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
+    def dim_s(self) -> int:
+        return self.basis.shape[1]
+
     def __post_init__(self):
-        if self.basis.shape != (self.ambient_dim, self.dim_s):
-            raise ValueError("basis shape does not match the declared dimensions")
         gram = self.basis.conj().T @ self.basis
         if not np.allclose(gram, np.eye(self.dim_s), atol=1e-10):
             raise ValueError("basis columns are not orthonormal")
@@ -177,24 +185,18 @@ def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
     if not 1 <= dim_s <= ws.k:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
     basis = haar_unitary(ws.k, seed)[:, :dim_s]
-    return SubspaceSample(ambient_dim=ws.k, dim_s=dim_s, seed=int(seed), basis=basis)
+    return SubspaceSample(seed=int(seed), basis=basis)
 
 
 # ---------------------------------------------------------------------------
 # covering nets and certified maxima
 # ---------------------------------------------------------------------------
 
-def build_eps_net(
-    dim_s: int,
-    epsilon: float,
-    seed: int,
-    stop_rejections: int = 3000,
-    certify_probes: int = 10_000,
-) -> EpsNet:
+def build_eps_net(dim_s: int, epsilon: float, seed: int) -> EpsNet:
     """Greedy epsilon/2-separated net on the unit sphere of C^dim_s.
 
     Candidates are accepted while farther than epsilon/2 from every kept
-    point; after ``stop_rejections`` consecutive rejections the net is probed
+    point; after NET_STOP_REJECTIONS consecutive rejections the net is probed
     with fresh samples, any probe found uncovered is added, and probing
     repeats until a full clean round certifies the covering radius.
     """
@@ -225,7 +227,7 @@ def build_eps_net(
 
     rejections = 0
     batch = 512
-    while rejections < stop_rejections:
+    while rejections < NET_STOP_REJECTIONS:
         cands = random_pure_state(dim_s, cand_rng, size=batch)
         first_new = count
         if count:
@@ -233,7 +235,7 @@ def build_eps_net(
         else:
             screen = np.full(batch, -1.0)
         for i in range(batch):
-            if rejections >= stop_rejections:
+            if rejections >= NET_STOP_REJECTIONS:
                 break
             worst = screen[i]
             if worst < accept_thresh and count > first_new:
@@ -246,10 +248,10 @@ def build_eps_net(
 
     max_probe = 0.0
     while True:
-        probes = random_pure_state(dim_s, probe_rng, size=certify_probes)
+        probes = random_pure_state(dim_s, probe_rng, size=NET_PROBES)
         worst_dist = 0.0
         bad: list[np.ndarray] = []
-        for lo in range(0, certify_probes, 1024):
+        for lo in range(0, NET_PROBES, 1024):
             chunk = probes[lo : lo + 1024]
             overlap = (buf[:count].conj() @ chunk.T).real.max(axis=0)
             dist = np.sqrt(np.maximum(2.0 - 2.0 * overlap, 0.0))
@@ -282,7 +284,7 @@ class MaxFEstimate(NamedTuple):
     certified_upper_bound: float | None
 
 
-def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace, iters: int = 80, tol: float = 1e-12) -> tuple[float, np.ndarray]:
+def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace) -> tuple[float, np.ndarray]:
     """Alternating maximization of f over the unit sphere of span(basis).
 
     f(phi) = max over Hermitian W with ||W||_inf <= 1 of tr[W (F(phi) - ref)],
@@ -293,10 +295,10 @@ def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace, iters: int = 80
     c = c0 / np.linalg.norm(c0)
     best = -np.inf
     basis_blocks = ws.blocks(basis.T)  # (dim_s, |Y|, D, D_alpha)
-    for _ in range(iters):
+    for _ in range(ASCENT_ITERS):
         evals, evecs = np.linalg.eigh(_centred_blocks(basis @ c, ws))
         val = _trace_norm_total(evals)
-        if val <= best + tol:
+        if val <= best + ASCENT_TOL:
             best = max(best, val)
             break
         best = val
@@ -316,12 +318,11 @@ def estimate_max_f(
     budget: int,
     seed: int,
     net_epsilon: float = 0.3,
-    ascent_restarts: int = 4,
 ) -> MaxFEstimate:
     """Estimate max of f over the unit sphere of the sampled subspace.
 
     The lower bound comes from ``budget`` random probes refined by alternating
-    ascent from the best few.  For dim_s = 1, f is phase invariant and the
+    ascent from the best ASCENT_RESTARTS of them.  For dim_s = 1, f is phase invariant and the
     single value is exact; for dim_s = 2 a covering net plus the Lipschitz
     constant yields a certified upper bound as well.
     """
@@ -338,7 +339,7 @@ def estimate_max_f(
     vals = np.array([f_eval(basis @ c, ws) for c in probes])
     lower = float(vals.max())
 
-    order = np.argsort(vals)[::-1][: max(1, ascent_restarts)]
+    order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
     for idx in order:
         val, _ = _ascend(probes[idx], basis, ws)
         lower = max(lower, val)
@@ -477,7 +478,7 @@ def haar_fourth_moment(k: int, i: int, j: int, kk: int, l: int, m: int, n: int, 
     return (term_plus - term_minus / k) / (k**2 - 1)
 
 
-def haar_moment_check(k: int, n_samples: int, seed: int, chunk: int = 5000) -> dict:
+def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
     """Monte Carlo fourth moments of Haar unitaries against the closed form.
 
     Checks E|U00|^4, E|U00|^2|U01|^2 and the cross term
@@ -488,7 +489,7 @@ def haar_moment_check(k: int, n_samples: int, seed: int, chunk: int = 5000) -> d
         raise ValueError("need dimension k >= 2")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    stack_bytes = min(chunk, n_samples) * k * k * np.dtype(complex).itemsize
+    stack_bytes = min(HAAR_CHUNK, n_samples) * k * k * np.dtype(complex).itemsize
     if stack_bytes > HAAR_STACK_LIMIT:
         raise ValueError(
             f"k={k} needs {stack_bytes} bytes per stack of unitaries, over the limit of {HAAR_STACK_LIMIT}"
@@ -499,7 +500,7 @@ def haar_moment_check(k: int, n_samples: int, seed: int, chunk: int = 5000) -> d
     done = 0
     block_idx = 0
     while done < n_samples:
-        take = min(chunk, n_samples - done)
+        take = min(HAAR_CHUNK, n_samples - done)
         us = haar_unitary(k, derived_rng(seed, block_idx), size=take)
         row_norm = np.abs(us[:, 0, :]) ** 2
         if np.max(np.abs(row_norm.sum(axis=1) - 1.0)) > 1e-10:
@@ -539,18 +540,11 @@ def haar_moment_check(k: int, n_samples: int, seed: int, chunk: int = 5000) -> d
 # the headline experiment
 # ---------------------------------------------------------------------------
 
-def theorem1_experiment(
-    n: int,
-    delta: float,
-    params: PrivacyParams,
-    n_subspaces: int,
-    seed: int,
-    budget: int = 200,
-) -> dict:
+def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: int) -> dict:
     """Sample subspaces at the dimension the privacy bound permits.
 
     Uses the canonical parameter choices alpha = 36/delta^2 and net
-    resolution delta/3; the subspace dimension is 2^(3 log2 n
+    resolution delta/3 (``params.delta``, ``params.net_epsilon``); the subspace dimension is 2^(3 log2 n
     + 3.5 log2 delta + c_prime).  Desk-scale parameters are often
     infeasible (the multiplicity slice truncates to zero, or the dimension
     is below one state or beyond the whole working space); those runs return
@@ -560,6 +554,7 @@ def theorem1_experiment(
 
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
+    delta = params.delta
     alpha = 36.0 / delta**2
     bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + params.c_prime
     base = {
@@ -592,11 +587,11 @@ def theorem1_experiment(
     for s in range(n_subspaces):
         sub_seed = int(derived_rng(seed, s).integers(2**63))
         sub = sample_subspace(ws, dim_s, sub_seed)
-        est = estimate_max_f(sub, ws, budget=budget, seed=sub_seed, net_epsilon=min(params.net_epsilon, 1.0))
+        est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
         probe_vals = np.array(
             [
                 f_eval(sub.basis @ random_pure_state(dim_s, derived_rng(sub_seed, 7, i)), ws)
-                for i in range(min(budget, 100))
+                for i in range(min(THEOREM1_BUDGET, 100))
             ]
         )
         probes_over += int(np.sum(probe_vals > delta))

@@ -212,11 +212,11 @@ def _couple_down(mat: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def schur_transform(n: int, max_qubits: int = DENSE_QUBIT_LIMIT) -> SchurTransform:
+def schur_transform(n: int) -> SchurTransform:
     """Build the full 2^n x 2^n change of basis by sequential coupling."""
     _require_even(n)
-    if n > max_qubits:
-        raise ValueError(f"n={n} exceeds the dense-transform limit of {max_qubits} qubits")
+    if n > DENSE_QUBIT_LIMIT:
+        raise ValueError(f"n={n} exceeds the dense-transform limit of {DENSE_QUBIT_LIMIT} qubits")
 
     # sectors: (two_j, matrix of |j, m> columns), kept in path-lex order
     sectors: list[tuple[int, np.ndarray]] = [(1, np.eye(2, dtype=complex))]

@@ -19,13 +19,15 @@ import numpy as np
 
 from framecrypt.repkit import (
     CoupledIndex,
-    SchurTransform,
     block_layout,
     dim_irrep,
     dim_multiplicity,
     irrep_labels,
     schur_transform,
 )
+
+# squared norm a coupled-basis vector may carry outside the working space
+LEAK_TOL = 1e-10
 
 
 def default_two_j_min(n: int) -> int:
@@ -141,16 +143,11 @@ def asymptotic_k(n: int, alpha: float) -> float:
     return 2.0 * n**3 / (27.0 * alpha)
 
 
-def embed_state(
-    v: np.ndarray,
-    ws: WorkingSpace,
-    target: str = "coupled",
-    transform: SchurTransform | None = None,
-) -> np.ndarray:
+def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.ndarray:
     """Isometrically place a working-space vector into the full register.
 
-    ``target`` selects the coupled basis (default) or, with a transform, the
-    computational basis.
+    ``target`` selects the coupled basis (default) or, through
+    ``schur_transform(ws.n)``, the computational basis.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (ws.k,):
@@ -162,18 +159,15 @@ def embed_state(
     if target == "coupled":
         return out
     if target == "computational":
-        t = transform if transform is not None else schur_transform(ws.n)
-        return t.matrix @ out
+        return schur_transform(ws.n).matrix @ out
     raise ValueError("target must be 'coupled' or 'computational'")
 
 
-def restrict_state(
-    vec: np.ndarray, ws: WorkingSpace, leak_tol: float = 1e-10
-) -> np.ndarray:
+def restrict_state(vec: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     """Inverse of :func:`embed_state` on its image (coupled-basis input).
 
-    Raises if the vector has more than ``leak_tol`` of its squared norm
-    outside the working space.
+    Raises if the vector has more than LEAK_TOL of its squared norm outside
+    the working space.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (2**ws.n,):
@@ -182,18 +176,18 @@ def restrict_state(
         raise ValueError(f"register of 2^{ws.n} amplitudes is too large to restrict densely")
     v = vec[ws.embed_positions]
     leak = float(np.linalg.norm(vec) ** 2 - np.linalg.norm(v) ** 2)
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         raise ValueError(f"vector leaks {leak} squared norm outside the working space")
     return v
 
 
-def workspace_vector(phi: np.ndarray, ws: WorkingSpace, leak_tol: float = 1e-10) -> np.ndarray:
+def workspace_vector(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     """Accept either a K-vector or a coupled-basis vector supported on H'."""
     phi = np.asarray(phi, dtype=complex)
     if phi.shape == (ws.k,):
         return phi
     if phi.shape == (2**ws.n,):
-        return restrict_state(phi, ws, leak_tol)
+        return restrict_state(phi, ws)
     raise ValueError(
         f"state must have length {ws.k} (working-space coordinates) or {2**ws.n} (coupled basis)"
     )

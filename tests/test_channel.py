@@ -332,7 +332,7 @@ def test_twirl_working_state_matches_full_pipeline():
 
     for s in range(4):
         v = random_pure_state(ws.k, s)
-        psi = embed_state(v, ws, target="computational", transform=t)
+        psi = embed_state(v, ws, target="computational")
         exact = t.matrix.conj().T @ twirl(np.outer(psi, psi.conj()), t) @ t.matrix
         np.testing.assert_allclose(twirl_working_state(v, ws).assemble(), exact, atol=1e-12)
 

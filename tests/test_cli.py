@@ -2,8 +2,11 @@
 
 import json
 import math
+import re
+import shlex
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,10 +21,21 @@ from framecrypt.cli import (
 )
 
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def readme_commands() -> list[list[str]]:
+    """argv of every command in the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("framecrypt ")]
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +179,42 @@ def test_canonical_json_is_sorted_and_newline_terminated():
 
 
 def test_wall_clock_stays_out_of_the_document():
-    result = run(parse_config(["--command", "capacity", "--n", "4"]))
-    assert result.wall_clock_seconds >= 0.0
-    assert "wall_clock" not in canonical_json(result.document())
+    doc = run(parse_config(["--command", "capacity", "--n", "4"]))
+    assert set(doc) == {"config", "tool_version", "payload", "workspace_descriptor"}
+    assert "wall_clock" not in canonical_json(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*readme_commands(), ["--command", "twirl-check", "--n", "4", "--quadrature", "3,2,3", "--samples", "2"]],
+    ids=lambda argv: " ".join(argv[1:]),
+)
+def test_documented_commands_keep_the_output_contract(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would reach stderr outside pytest
+        code, out, err = run_main(capsys, *argv)
+    assert code == 0
+    assert out == canonical_json(json.loads(out))
+    assert re.fullmatch(r"wall_clock_seconds=\d+\.\d{3}\n", err)
+
+
+def test_readme_command_block_is_found():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("capacity_n16_delta0.25.json", ["--command", "capacity", "--n", "16", "--delta", "0.25"]),
+        ("decompose_n6.json", ["--command", "decompose", "--n", "6"]),
+        ("workspace_n12_alpha2.json", ["--command", "workspace", "--n", "12", "--alpha", "2"]),
+    ],
+)
+def test_exact_commands_match_their_pinned_output(capsys, name, argv):
+    """Integer and closed-form commands, byte for byte, echoed defaults included."""
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_csv_projection(capsys):
@@ -242,8 +289,11 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "twirl-check", "--n", "2", "--samples", "1",
          "--quadrature", "100000,100000,100000"],
         ["--command", "haar-moments", "--n", "100000", "--samples", "100"],
+        ["--command", "haar-moments", "--n", "2", "--samples", "100000000000"],
+        ["--command", "mean-f", "--n", "12", "--samples", "100000000000"],
     ],
-    ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments"],
+    ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments",
+         "haar-moments-samples", "mean-f-samples"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()

@@ -193,9 +193,6 @@ def test_random_density_matrix_is_a_state():
         assert is_hermitian(rho)
         assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.linalg.eigvalsh(rho)[0] > -1e-10
-    low = random_density_matrix(5, 0, rank=1)
-    evals = np.linalg.eigvalsh(low)
-    assert np.sum(evals > 1e-12) == 1
 
 
 # ---------------------------------------------------------------------------

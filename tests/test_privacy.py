@@ -333,7 +333,7 @@ def test_haar_moment_check_runs_clean():
 
 def test_theorem1_infeasible_parameters_are_reported():
     params = PrivacyParams(delta=0.125)
-    report = theorem1_experiment(8, 0.125, params, n_subspaces=1, seed=0)
+    report = theorem1_experiment(8, params, n_subspaces=1, seed=0)
     assert report["feasible"] is False
     assert "reason" in report
     assert report["alpha"] == pytest.approx(36.0 / 0.125**2)
@@ -342,7 +342,7 @@ def test_theorem1_infeasible_parameters_are_reported():
 def test_theorem1_dimension_bound_value():
     # the n = 1024, delta = 1/8 arithmetic: 3*10 + 3.5*(-3) = 19.5 bits
     params = PrivacyParams(delta=0.125)
-    report = theorem1_experiment(1024, 0.125, params, n_subspaces=1, seed=0)
+    report = theorem1_experiment(1024, params, n_subspaces=1, seed=0)
     assert report["dim_bits"] == pytest.approx(19.5)
     # alpha = 36/delta^2 = 2304 truncates the multiplicity slice to zero here,
     # so the bound's value is reported but nothing is sampled
@@ -352,7 +352,7 @@ def test_theorem1_dimension_bound_value():
 
 def test_theorem1_feasible_run_records_fractions():
     params = PrivacyParams(delta=2.0, c_prime=-14.0)
-    report = theorem1_experiment(12, 2.0, params, n_subspaces=2, seed=1)
+    report = theorem1_experiment(12, params, n_subspaces=2, seed=1)
     assert report["feasible"] is True
     assert report["dim_s"] == 1
     assert len(report["subspaces"]) == 2
@@ -362,7 +362,7 @@ def test_theorem1_feasible_run_records_fractions():
     assert 0.0 <= report["fraction_violating"] <= 1.0
     assert 0.0 <= report["fraction_probe_states_over_delta"] <= 1.0
     with pytest.raises(ValueError):
-        theorem1_experiment(12, 2.0, params, n_subspaces=0, seed=0)
+        theorem1_experiment(12, params, n_subspaces=0, seed=0)
 
 
 def test_privacy_params_validation():
@@ -370,8 +370,5 @@ def test_privacy_params_validation():
         PrivacyParams(delta=0.0)
     with pytest.raises(ValueError):
         PrivacyParams(delta=2.5)
-    with pytest.raises(ValueError):
-        PrivacyParams(delta=1.0, epsilon=1.5)
     p = PrivacyParams(delta=0.9)
     assert p.net_epsilon == pytest.approx(0.3)
-    assert PrivacyParams(delta=0.9, epsilon=0.2).net_epsilon == pytest.approx(0.2)

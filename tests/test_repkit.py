@@ -149,8 +149,6 @@ def test_schur_limits_and_validation():
         schur_transform(3)
     with pytest.raises(ValueError):
         schur_transform(14)  # above the dense limit
-    with pytest.raises(ValueError):
-        schur_transform(8, max_qubits=6)
 
 
 def test_ordering_matches_block_layout():

@@ -149,7 +149,7 @@ def test_embed_computational_is_isometric():
     t = schur_transform(4)
     e0 = np.zeros(ws.k)
     e0[0] = 1.0
-    comp = embed_state(e0, ws, target="computational", transform=t)
+    comp = embed_state(e0, ws, target="computational")
     # the embedded basis state is the corresponding transform column
     np.testing.assert_allclose(comp, t.matrix[:, ws.embed_positions[0]], atol=1e-14)
     with pytest.raises(ValueError):
