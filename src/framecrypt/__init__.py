@@ -25,7 +25,6 @@ from framecrypt.repkit import (
     dim_irrep,
     dim_multiplicity,
     enumerate_paths,
-    projector,
     schur_transform,
     wigner_d,
 )

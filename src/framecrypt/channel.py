@@ -96,9 +96,6 @@ class BlockState:
     n: int
     blocks: dict[int, np.ndarray]
 
-    def trace(self) -> complex:
-        return sum(np.trace(b) for b in self.blocks.values())
-
     def assemble(self) -> np.ndarray:
         dim = 2**self.n
         out = np.zeros((dim, dim), dtype=complex)
@@ -109,8 +106,8 @@ class BlockState:
         return out
 
 
-def twirl_block(rho: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Exact channel action on a coupled-basis operator.
+def twirl_block(rho: np.ndarray) -> np.ndarray:
+    """Exact channel action on a coupled-basis operator of shape (2^n, 2^n).
 
     Every cross-block coherence is erased and each block's rotation factor is
     replaced by the maximally mixed state; linear, trace preserving.
@@ -118,9 +115,8 @@ def twirl_block(rho: np.ndarray, n: int | None = None) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    n = _infer_qubits(rho.shape[0]) if n is None else n
     out = np.zeros_like(rho)
-    for b in block_layout(n):
+    for b in block_layout(_infer_qubits(rho.shape[0])):
         s = b.span
         t = partial_trace(rho[s, s], b.dim_r, b.dim_p, "left")
         out[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
@@ -130,7 +126,7 @@ def twirl_block(rho: np.ndarray, n: int | None = None) -> np.ndarray:
 def twirl(rho: np.ndarray, transform) -> np.ndarray:
     """Channel action on a computational-basis operator, via the coupled basis."""
     v = transform.matrix
-    return v @ twirl_block(v.conj().T @ rho @ v, transform.n) @ v.conj().T
+    return v @ twirl_block(v.conj().T @ rho @ v) @ v.conj().T
 
 
 def _z_average_mask(rotations: list[np.ndarray], n: int) -> np.ndarray:
@@ -144,7 +140,7 @@ def _z_average_mask(rotations: list[np.ndarray], n: int) -> np.ndarray:
     return z.T @ z.conj() / len(rotations)
 
 
-def twirl_oracle(rho: np.ndarray, n_qubits: int | None = None, quad: QuadratureSpec | None = None) -> np.ndarray:
+def twirl_oracle(rho: np.ndarray, quad: QuadratureSpec | None = None) -> np.ndarray:
     """The defining average of the channel, by quadrature (computational basis).
 
     Evaluates the product rule over the nodes and weights of
@@ -164,7 +160,7 @@ def twirl_oracle(rho: np.ndarray, n_qubits: int | None = None, quad: QuadratureS
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected square operator(s), got shape {rho.shape}")
-    n = _infer_qubits(rho.shape[-1]) if n_qubits is None else n_qubits
+    n = _infer_qubits(rho.shape[-1])
     if quad is None:
         quad = QuadratureSpec.for_qubits(n)
     if not quad.is_sufficient(n):
@@ -213,14 +209,13 @@ def reduced_map_f(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     return out.reshape(ws.d_p, ws.d_p)
 
 
-def reference_states(ws: WorkingSpace) -> tuple[BlockState, np.ndarray]:
-    """The channel's reference output and its multiplicity-space reduction.
+def reference_states(ws: WorkingSpace) -> BlockState:
+    """The channel's reference output, block form.
 
-    The first element is the full-register state (as a BlockState over the
-    kept blocks): in each block j of Y, maximally mixed on the whole rotation
-    factor tensored with maximally mixed on the kept paths, weighted 1/|Y| so
-    the total trace is one.  The second is its reduction, the maximally mixed
-    state on the kept multiplicity space.
+    The full-register state over the kept blocks: in each block j of Y,
+    maximally mixed on the whole rotation factor tensored with maximally
+    mixed on the kept paths, weighted 1/|Y| so the total trace is one.  Its
+    multiplicity-space reduction is the maximally mixed state I/d_p.
     """
     layout = {b.two_j: b for b in block_layout(ws.n)}
     blocks: dict[int, np.ndarray] = {}
@@ -229,8 +224,7 @@ def reference_states(ws: WorkingSpace) -> tuple[BlockState, np.ndarray]:
         p = np.zeros((b.dim_p, b.dim_p))
         p[np.diag_indices(ws.d_alpha)] = 1.0 / ws.d_p  # the kept paths come first
         blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p).astype(complex)
-    varrho = np.eye(ws.d_p, dtype=complex) / ws.d_p
-    return BlockState(n=ws.n, blocks=blocks), varrho
+    return BlockState(n=ws.n, blocks=blocks)
 
 
 def twirl_working_state(phi: np.ndarray, ws: WorkingSpace) -> BlockState:

@@ -143,7 +143,7 @@ def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
         for i in range(samples):
             rho = random_density_matrix(2**n, derived_rng(config.seed, i))
             exact = channel.twirl(rho, t)
-            quadr = channel.twirl_oracle(rho, n, quad)
+            quadr = channel.twirl_oracle(rho, quad)
             worst = max(worst, framecrypt.trace_norm(exact - quadr))
     return {
         "n": n,
@@ -292,18 +292,26 @@ def canonical_json(data: dict) -> str:
 
 
 def _lookup_field(doc: dict, field: str):
+    """The value at a dotted path, looked up in the payload, then the echoed
+    config, then the whole document.
+
+    At each level the rest of the path is first tried as one key and only
+    then split at its first dot, so keys that hold a dot stay reachable:
+    ``tail.0.2`` is ``payload["tail"]["0.2"]``.
+    """
+
+    def walk(node, path: str) -> list:  # [value] when found, [] otherwise; a value may be None
+        if not isinstance(node, dict):
+            return []
+        if path in node:
+            return [node[path]]
+        head, dot, rest = path.partition(".")
+        return walk(node[head], rest) if dot and head in node else []
+
     for root in (doc.get("payload", {}), doc.get("config", {}), doc):
-        cur = root
-        ok = True
-        for part in field.split("."):
-            if isinstance(cur, dict) and part in cur:
-                cur = cur[part]
-            else:
-                ok = False
-                break
-        if ok:
-            return cur
-    raise KeyError(f"field {field!r} not found in result document")
+        for value in walk(root, field):
+            return value
+    raise ValueError(f"field {field!r} not found in result document")
 
 
 def emit_curve(results: list[dict], x_field: str, y_field: str) -> str:
@@ -370,7 +378,7 @@ def main(argv=None) -> int:
                 with open(path, "r", encoding="utf-8") as fh:
                     docs.append(json.load(fh))
             text = emit_curve(docs, _need(config.x_field, "--x-field"), _need(config.y_field, "--y-field"))
-        except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+        except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
             return _fail("domain", exc, 1)
         _write(text, config.out)
         return 0

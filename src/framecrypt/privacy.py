@@ -29,7 +29,7 @@ import numpy as np
 
 from framecrypt.linalg import dagger, derived_rng, haar_unitary, random_pure_state, trace_norm
 from framecrypt.channel import reduced_blocks, reference_states, twirl_working_state
-from framecrypt.workspace import WorkingSpace, workspace_vector
+from framecrypt.workspace import WorkingSpace, build_working_space, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
 NET_SIZE_LIMIT = 200_000  # largest packing bound a net may be built for
@@ -39,7 +39,7 @@ ASCENT_ITERS = 80  # alternating-ascent rounds at most
 ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
-HAAR_STACK_LIMIT = 2**26  # bytes of one stack of unitaries drawn at once (64 MiB)
+HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 _ASSERT_SLACK = 1e-9
 
@@ -165,7 +165,7 @@ def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
     """f via the full channel output: materialize E(|phi><phi|) - rho_0 block
     by block on the complete (2j+1) x multiplicity spaces and sum trace norms."""
     out = twirl_working_state(phi, ws)
-    ref, _ = reference_states(ws)
+    ref = reference_states(ws)
     total = 0.0
     for tj in ws.y:
         total += trace_norm(out.blocks[tj] - ref.blocks[tj])
@@ -181,9 +181,15 @@ def helstrom_distinguish(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
-    """Subspace of the working space drawn from the invariant measure."""
+    """Subspace of the working space drawn from the invariant measure: the first
+    dim_s columns of a K x K Haar unitary, refused above HAAR_STACK_LIMIT bytes."""
     if not 1 <= dim_s <= ws.k:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
+    unitary_bytes = ws.k * ws.k * np.dtype(complex).itemsize
+    if unitary_bytes > HAAR_STACK_LIMIT:
+        raise ValueError(
+            f"a subspace of K={ws.k} needs a {unitary_bytes}-byte unitary, over the limit of {HAAR_STACK_LIMIT}"
+        )
     basis = haar_unitary(ws.k, seed)[:, :dim_s]
     return SubspaceSample(seed=int(seed), basis=basis)
 
@@ -550,8 +556,6 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     is below one state or beyond the whole working space); those runs return
     a structured report with ``feasible = False`` rather than raising.
     """
-    from framecrypt.workspace import build_working_space
-
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
     delta = params.delta

@@ -167,10 +167,6 @@ class SchurTransform:
 
     n: int
     matrix: np.ndarray
-    blocks: dict[int, BlockInfo]
-
-    def block_columns(self, two_j: int) -> np.ndarray:
-        return self.matrix[:, self.blocks[two_j].span]
 
 
 def _couple_up(mat: np.ndarray, two_j: int) -> np.ndarray:
@@ -233,16 +229,14 @@ def schur_transform(n: int) -> SchurTransform:
         by_j.setdefault(two_j, []).append(mat)
 
     matrix = np.zeros((2**n, 2**n), dtype=complex)
-    blocks: dict[int, BlockInfo] = {}
     for b in block_layout(n):
-        blocks[b.two_j] = b
         members = by_j.get(b.two_j, [])
         if len(members) != b.dim_p:
             raise ValueError(f"{len(members)} coupling paths reach two_j={b.two_j}, expected {b.dim_p}")
         cols = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
         for p_idx, mat in enumerate(members):
             cols[:, :, p_idx] = mat
-    return SchurTransform(n=n, matrix=matrix, blocks=blocks)
+    return SchurTransform(n=n, matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +292,7 @@ def rotation_su2(angles) -> np.ndarray:
     )
 
 
-def euler_from_su2(u: np.ndarray, tol: float = 1e-12) -> EulerAngles:
+def euler_from_su2(u: np.ndarray) -> EulerAngles:
     """Angles in the restricted ranges whose rotation equals u up to sign.
 
     The restricted ranges parameterize rotations of the sphere; u and -u map
@@ -310,6 +304,7 @@ def euler_from_su2(u: np.ndarray, tol: float = 1e-12) -> EulerAngles:
         raise ValueError("expected a 2x2 special unitary")
     a, b = u[0, 0], u[1, 0]
     beta = 2.0 * math.atan2(abs(b), abs(a))
+    tol = 1e-12  # an entry this small counts as zero
     if abs(b) <= tol:  # no middle rotation: only a+g is defined
         return EulerAngles((-2.0 * np.angle(a)) % (2 * math.pi), 0.0, 0.0)
     if abs(a) <= tol:  # half turn: only a-g is defined
@@ -334,10 +329,3 @@ def random_euler(seed) -> EulerAngles:
         math.acos(rng.uniform(-1.0, 1.0)),
         rng.uniform(0.0, 2 * math.pi),
     )
-
-
-def projector(n: int, two_j: int, transform: SchurTransform | None = None) -> np.ndarray:
-    """Orthogonal projector onto the spin-(two_j/2) block, computational basis."""
-    t = transform if transform is not None else schur_transform(n)
-    cols = t.block_columns(two_j)
-    return cols @ cols.conj().T

@@ -93,7 +93,7 @@ def test_criterion_03_twirl_oracle_equivalence():
             states = np.stack(
                 [random_density_matrix(2**n, derived_rng(3, n, i)) for i in range(50)]
             )
-            averaged = twirl_oracle(states, n)
+            averaged = twirl_oracle(states)
             for i in range(50):
                 gap = trace_norm(averaged[i] - twirl(states[i], t))
                 assert gap < 1e-8
@@ -105,8 +105,8 @@ def test_criterion_04_channel_laws():
             t = schur_transform(n)
             rho = random_density_matrix(2**n, derived_rng(4, n))
             # idempotence
-            once = twirl_block(rho, n)
-            assert trace_norm(twirl_block(once, n) - once) < 1e-9
+            once = twirl_block(rho)
+            assert trace_norm(twirl_block(once) - once) < 1e-9
             # covariance under rotations
             for trial in range(5):
                 r = kron_power(rotation_su2(random_euler(derived_rng(4, n, trial))), n)
@@ -120,7 +120,7 @@ def test_criterion_04_channel_laws():
                 sigma = random_density_matrix(b.dim_p, derived_rng(4, n, b.two_j))
                 s = slice(b.offset, b.offset + b.dim_r * b.dim_p)
                 fixed[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, sigma) / len(layout)
-            assert trace_norm(twirl_block(fixed, n) - fixed) < 1e-9
+            assert trace_norm(twirl_block(fixed) - fixed) < 1e-9
 
 
 def test_criterion_05_reduction_identity():

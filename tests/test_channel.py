@@ -23,6 +23,7 @@ from framecrypt.channel import (
 from framecrypt.linalg import (
     derived_rng,
     kron_power,
+    partial_trace,
     random_density_matrix,
     trace_norm,
 )
@@ -89,18 +90,18 @@ def test_twirl_block_stretched_state():
 def test_twirl_block_fixes_maximally_mixed():
     for n in (2, 4):
         rho = np.eye(2**n, dtype=complex) / 2**n
-        np.testing.assert_allclose(twirl_block(rho, n), rho, atol=1e-14)
+        np.testing.assert_allclose(twirl_block(rho), rho, atol=1e-14)
 
 
 def test_twirl_block_is_a_channel():
     rng = np.random.default_rng(7)
     for n in (2, 4):
         rho = random_density_matrix(2**n, rng)
-        out = twirl_block(rho, n)
+        out = twirl_block(rho)
         assert np.trace(out) == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(out).min() > -1e-12
         # idempotence
-        np.testing.assert_allclose(twirl_block(out, n), out, atol=1e-13)
+        np.testing.assert_allclose(twirl_block(out), out, atol=1e-13)
     with pytest.raises(ValueError):
         twirl_block(np.eye(3))
 
@@ -115,7 +116,7 @@ def test_twirl_block_fixes_multiplicity_operators():
         sigma = random_density_matrix(b.dim_p, rng)
         s = b.span
         rho[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, sigma) / len(block_layout(n))
-    np.testing.assert_allclose(twirl_block(rho, n), rho, atol=1e-13)
+    np.testing.assert_allclose(twirl_block(rho), rho, atol=1e-13)
 
 
 def test_twirl_covariance():
@@ -209,7 +210,7 @@ def test_oracle_matches_the_triple_loop(n, grid, stacked):
     rho = np.stack(states) if stacked else states[0]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the undersized grid warns; its answer is still compared
-        got = twirl_oracle(rho, n, quad)
+        got = twirl_oracle(rho, quad)
     assert got.shape == rho.shape
     assert np.abs(got - oracle_triple_loop(rho.astype(complex), n, quad)).max() <= 1e-14
 
@@ -239,7 +240,7 @@ def test_oracle_makes_one_kronecker_power_per_axis_node(monkeypatch):
     monkeypatch.setattr(channel_module, "rotation_su2", counted("rotation_su2", rotation_su2))
     n = 6
     quad = QuadratureSpec.for_qubits(n)
-    twirl_oracle(random_density_matrix(2**n, 0), n)
+    twirl_oracle(random_density_matrix(2**n, 0))
     assert calls["kron_power"] == quad.n_alpha + quad.n_beta + quad.n_gamma == 36
     assert calls["rotation_su2"] == 36
 
@@ -316,11 +317,17 @@ def test_reduced_map_is_a_state():
 
 def test_reference_states_shapes_and_fixed_point():
     ws = build_working_space(4, 2.0)
-    rho0, varrho0 = reference_states(ws)
-    np.testing.assert_allclose(varrho0, np.eye(ws.d_p) / ws.d_p, atol=1e-15)
-    assert complex(rho0.trace()).real == pytest.approx(1.0, abs=1e-12)
+    rho0 = reference_states(ws)
+    layout = {b.two_j: b for b in block_layout(ws.n)}
+    for tj, blk in rho0.blocks.items():  # the reduction is I/d_p on the kept paths
+        b = layout[tj]
+        reduced = partial_trace(blk, b.dim_r, b.dim_p, "left")
+        np.testing.assert_allclose(
+            reduced[: ws.d_alpha, : ws.d_alpha], np.eye(ws.d_alpha) / ws.d_p, atol=1e-15
+        )
+    assert sum(np.trace(b) for b in rho0.blocks.values()).real == pytest.approx(1.0, abs=1e-12)
     full = rho0.assemble()
-    np.testing.assert_allclose(twirl_block(full, ws.n), full, atol=1e-13)
+    np.testing.assert_allclose(twirl_block(full), full, atol=1e-13)
 
 
 def test_twirl_working_state_matches_full_pipeline():
@@ -343,4 +350,4 @@ def test_twirl_working_state_traces():
 
     bs = twirl_working_state(random_pure_state(ws.k, 9), ws)
     assert set(bs.blocks) == set(ws.y)
-    assert complex(bs.trace()).real == pytest.approx(1.0, abs=1e-12)
+    assert sum(np.trace(b) for b in bs.blocks.values()).real == pytest.approx(1.0, abs=1e-12)

@@ -12,6 +12,7 @@ import pytest
 
 from framecrypt.cli import (
     DEFAULT_GAMMA_GRID,
+    HANDLERS,
     canonical_json,
     emit_curve,
     main,
@@ -31,10 +32,10 @@ def run_main(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def readme_commands() -> list[list[str]]:
-    """argv of every command in the README's "Command line" block."""
+def readme_commands(section: str = "Command line") -> list[list[str]]:
+    """argv of every command in the first sh block of a README section."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = text.split(f"## {section}", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("framecrypt ")]
 
 
@@ -202,6 +203,24 @@ def test_readme_command_block_is_found():
     assert readme_commands()
 
 
+def test_every_command_is_documented():
+    assert set(HANDLERS) <= {argv[1] for argv in readme_commands()}
+
+
+def test_readme_scans_and_curves_run(tmp_path, monkeypatch, capsys):
+    commands = readme_commands("Scans and curves")
+    assert any(argv[1] == "emit-curve" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        code, out, _ = run_main(capsys, *argv)
+        assert code == 0, argv
+        if argv[1] == "emit-curve":
+            inputs = argv[argv.index("--inputs") + 1 : argv.index("--x-field")]
+            lines = out.split("\r\n")
+            assert lines[0] == f"{argv[argv.index('--x-field') + 1]},{argv[argv.index('--y-field') + 1]}"
+            assert len([ln for ln in lines[1:] if ln]) == len(inputs)
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [
@@ -291,9 +310,10 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "haar-moments", "--n", "100000", "--samples", "100"],
         ["--command", "haar-moments", "--n", "2", "--samples", "100000000000"],
         ["--command", "mean-f", "--n", "12", "--samples", "100000000000"],
+        ["--command", "theorem1", "--n", "200", "--delta", "2", "--c-prime", "-20"],
     ],
     ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments",
-         "haar-moments-samples", "mean-f-samples"],
+         "haar-moments-samples", "mean-f-samples", "theorem1-subspace"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -374,7 +394,10 @@ def test_emit_curve_missing_field_fails(tmp_path, capsys):
         "--y-field", "no_such_field",
     )
     assert code == 1
-    assert "no_such_field" in json.loads(err)["error"]["message"]
+    assert json.loads(err)["error"] == {
+        "kind": "domain",
+        "message": "field 'no_such_field' not found in result document",
+    }
 
 
 def test_emit_curve_rejects_a_non_object_input(tmp_path, capsys):
@@ -414,6 +437,24 @@ def test_emit_curve_dotted_lookup(tmp_path, capsys):
     assert code == 0
     rows = [ln.split(",") for ln in out.split("\r\n") if ln][1:]
     assert rows[0] == ["4", "15"]
+
+
+def test_emit_curve_reads_keys_that_hold_a_dot(tmp_path, capsys):
+    paths, tails = [], []
+    for n in (8, 12):
+        p = tmp_path / f"concentration{n}.json"
+        argv = ["--command", "concentration", "--n", str(n), "--samples", "120", "--out", str(p)]
+        assert main(argv) == 0
+        paths.append(str(p))
+        tails.append(json.loads(p.read_text())["payload"]["tail"]["0.2"])
+    capsys.readouterr()
+    code, out, _ = run_main(
+        capsys, "--command", "emit-curve", "--inputs", *paths, "--x-field", "n", "--y-field", "tail.0.2"
+    )
+    assert code == 0
+    rows = [ln.split(",") for ln in out.split("\r\n") if ln]
+    assert rows[0] == ["n", "tail.0.2"]
+    assert [(int(x), float(y)) for x, y in rows[1:]] == [(8, tails[0]), (12, tails[1])]
 
 
 def test_emit_curve_unit_helpers():

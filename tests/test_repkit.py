@@ -19,7 +19,6 @@ from framecrypt.repkit import (
     enumerate_paths,
     euler_from_su2,
     irrep_labels,
-    projector,
     random_euler,
     rotation_su2,
     schur_transform,
@@ -188,16 +187,19 @@ def test_transform_block_diagonalizes_rotations():
 
 
 def test_projector_properties():
-    t = schur_transform(2)
-    p0 = projector(2, 0, t)
+    # the projector onto a block is V_b V_b^dagger over its coupled-basis columns
+    singlet_cols = schur_transform(2).matrix[:, block_layout(2)[-1].span]  # two_j = 0 comes last
+    p0 = singlet_cols @ singlet_cols.conj().T
     assert np.linalg.matrix_rank(p0) == 1
     singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
     np.testing.assert_allclose(p0 @ singlet, singlet, atol=1e-12)
     np.testing.assert_allclose(p0, np.outer(singlet, singlet.conj()), atol=1e-12)
 
     total = np.zeros((16, 16), dtype=complex)
-    for tj in irrep_labels(4):
-        p = projector(4, tj)
+    t4 = schur_transform(4)
+    for b in block_layout(4):
+        cols = t4.matrix[:, b.span]
+        p = cols @ cols.conj().T
         np.testing.assert_allclose(p @ p, p, atol=1e-12)
         total += p
     np.testing.assert_allclose(total, np.eye(16), atol=1e-12)
