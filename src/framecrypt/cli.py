@@ -26,10 +26,13 @@ import numpy as np
 import framecrypt
 from framecrypt import capacity as cap
 from framecrypt import channel, privacy, repkit, workspace
+from framecrypt.linalg import derived_rng, random_density_matrix
 
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 # largest --samples any command accepts; the README's largest count is 100,000
 SAMPLES_LIMIT = 1_000_000
+# most state coordinates (states drawn x K) mean-f, concentration or lipschitz may draw
+WORK_LIMIT = 10**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,6 +89,13 @@ def _ws_from(config: argparse.Namespace) -> workspace.WorkingSpace:
     return workspace.build_working_space(n, config.alpha, two_j_min)
 
 
+def _check_work(n_states: int, ws: workspace.WorkingSpace) -> None:
+    if n_states * ws.k > WORK_LIMIT:
+        raise ValueError(
+            f"{n_states} states of K={ws.k} coordinates exceed the work limit of {WORK_LIMIT}"
+        )
+
+
 def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
@@ -134,8 +144,6 @@ def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
         else channel.QuadratureSpec.for_qubits(n)
     )
     t = repkit.schur_transform(n)
-    from framecrypt.linalg import random_density_matrix, derived_rng
-
     worst = 0.0
     with warnings.catch_warnings():
         # the band-limit warning repeats quadrature_sufficient in the payload
@@ -167,16 +175,18 @@ def _run_workspace(config: argparse.Namespace) -> tuple[dict, dict | None]:
 
 def _run_mean_f(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
-    report = privacy.mean_f_experiment(ws, _or_default(config.samples, 2000), config.seed)
+    samples = _or_default(config.samples, 2000)
+    _check_work(samples, ws)
+    report = privacy.mean_f_experiment(ws, samples, config.seed)
     return dataclasses.asdict(report), ws.descriptor()
 
 
 def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     params = privacy.PrivacyParams(delta=_or_default(config.delta, 1.0), levy_c=config.levy_c)
-    report = privacy.concentration_experiment(
-        ws, _or_default(config.samples, 2000), DEFAULT_GAMMA_GRID, params, config.seed
-    )
+    samples = _or_default(config.samples, 2000)
+    _check_work(samples, ws)
+    report = privacy.concentration_experiment(ws, samples, DEFAULT_GAMMA_GRID, params, config.seed)
     d = dataclasses.asdict(report)
     d["tail"] = {f"{g:g}": v for g, v in report.tail.items()}
     d["levy_bound"] = {f"{g:g}": v for g, v in report.levy_bound.items()}
@@ -186,8 +196,10 @@ def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
 def _run_lipschitz(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     n_pairs = _or_default(config.samples, 2000)
+    n_near = max(n_pairs // 10, 1)
+    _check_work(2 * (n_pairs + n_near), ws)  # two states per pair
     worst = privacy.lipschitz_check(ws, n_pairs, config.seed)
-    worst_near = privacy.lipschitz_check(ws, max(n_pairs // 10, 1), config.seed + 1, perturbation=1e-4)
+    worst_near = privacy.lipschitz_check(ws, n_near, config.seed + 1, perturbation=1e-4)
     return (
         {
             "n_pairs": n_pairs,
@@ -244,9 +256,7 @@ def _run_net(config: argparse.Namespace) -> tuple[dict, dict | None]:
         "dim_s": dim_s,
         "epsilon": epsilon,
         "n_points": net.n_points,
-        "size_bound": net.size_bound,
-        "max_probe_distance": net.max_probe_distance,
-        "covering_radius_target": epsilon / 2.0,
+        "covering_radius": net.covering_radius,
     }, None
 
 

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from framecrypt.linalg import as_rng
+
 DENSE_QUBIT_LIMIT = 12  # full 2^N transforms above this are refused
 # exact binomials for every block: about 0.6 s at this size, 4 s at twice it
 QUBIT_LIMIT = 4096
@@ -321,8 +323,6 @@ def random_euler(seed) -> EulerAngles:
     Uniform alpha and gamma, uniform cos(beta); this is the right measure for
     averaging conjugation actions, where the overall sign of u is irrelevant.
     """
-    from framecrypt.linalg import as_rng
-
     rng = as_rng(seed)
     return EulerAngles(
         rng.uniform(0.0, 2 * math.pi),

@@ -115,12 +115,13 @@ def test_haar_moments_payload(capsys):
 
 def test_net_payload(capsys):
     code, out, _ = run_main(
-        capsys, "--command", "net", "--dim-s", "1", "--epsilon", "0.5", "--seed", "2"
+        capsys, "--command", "net", "--dim-s", "2", "--epsilon", "0.6", "--seed", "2"
     )
     doc = json.loads(out)
     assert code == 0
-    assert doc["payload"]["n_points"] <= doc["payload"]["size_bound"] == 100
-    assert doc["payload"]["max_probe_distance"] <= 0.25 + 1e-12
+    assert doc["payload"]["n_points"] == 150  # 6 faces of a 5 x 5 grid
+    assert doc["payload"]["covering_radius"] == pytest.approx(math.sqrt(2.0) / 5.0)
+    assert doc["payload"]["covering_radius"] <= 0.3
 
 
 def test_theorem1_infeasible_is_a_result_not_an_error(capsys):
@@ -301,7 +302,7 @@ def test_capacity_rejects_negative_delta(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--command", "net", "--dim-s", "2", "--epsilon", "0.05"],
+        ["--command", "net", "--dim-s", "3", "--epsilon", "0.25"],
         ["--command", "workspace", "--n", "20000", "--alpha", "2"],
         ["--command", "decompose", "--n", "100000"],
         ["--command", "capacity", "--n", "100000"],
@@ -310,10 +311,11 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "haar-moments", "--n", "100000", "--samples", "100"],
         ["--command", "haar-moments", "--n", "2", "--samples", "100000000000"],
         ["--command", "mean-f", "--n", "12", "--samples", "100000000000"],
+        ["--command", "mean-f", "--n", "200", "--samples", "1000000"],
         ["--command", "theorem1", "--n", "200", "--delta", "2", "--c-prime", "-20"],
     ],
     ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments",
-         "haar-moments-samples", "mean-f-samples", "theorem1-subspace"],
+         "haar-moments-samples", "mean-f-samples", "mean-f-work", "theorem1-subspace"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()

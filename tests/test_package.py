@@ -18,3 +18,14 @@ def test_no_assert_statements():
     ]
     assert len(SOURCES) >= 8
     assert found == []
+
+
+def test_no_unbounded_while_loops():
+    # every loop must end on its own data: a `while True` runs without limit
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value
+    ]
+    assert found == []

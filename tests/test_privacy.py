@@ -139,35 +139,41 @@ def test_sample_subspace_basics():
 # ---------------------------------------------------------------------------
 
 def test_net_dim1_at_unit_resolution():
+    # D = 1: each face of [-1, 1] is one point, so the net is the two real rays
     net = build_eps_net(1, 1.0, 0)
-    assert net.n_points <= 25  # (5/eps)^(2 dim) at eps = 1
-    assert net.max_probe_distance <= 0.5 + 1e-12
-    assert net.size_bound == 25
+    np.testing.assert_array_equal(net.points, [[1.0], [-1.0]])
+    assert net.covering_radius == 0.0
 
 
-def test_net_points_are_separated():
-    net = build_eps_net(2, 0.6, 3)
-    pts = net.points
-    gram = (pts.conj() @ pts.T).real
-    np.fill_diagonal(gram, -1.0)
-    # pairwise distance > eps/2 <=> Re overlap < 1 - eps^2/8
-    assert gram.max() < 1.0 - 0.6**2 / 8.0 + 1e-12
-    assert net.n_points <= net.size_bound
+@pytest.mark.parametrize("dim_s, epsilon", [(1, 0.5), (2, 0.6), (2, 0.25), (3, 0.9)])
+def test_net_covers_every_probe_ray(dim_s, epsilon):
+    net = build_eps_net(dim_s, epsilon, 0)
+    assert net.covering_radius <= epsilon / 2.0
+    probes = random_pure_state(dim_s, derived_rng(606, dim_s), size=4000)
+    overlap = np.abs(probes.conj() @ net.points.T).max(axis=1)
+    # distance from c to the nearest phase of p is sqrt(2 - 2 |<c, p>|);
+    # compared squared, where roundoff in the overlap stays at 1e-16
+    assert (2.0 - 2.0 * overlap).max() <= net.covering_radius**2 + 1e-12
 
 
-def test_net_grows_as_resolution_shrinks():
-    sizes = [build_eps_net(1, eps, 11).n_points for eps in (1.0, 0.5, 0.25)]
-    assert sizes[0] < sizes[1] < sizes[2]
+def test_net_point_count_is_exact():
+    # 2D m^(D-1) points, D = 2 dim_s - 1, m = ceil(2 sqrt(D-1) / epsilon)
+    counts = {(1, 0.25): 2, (2, 1.0): 54, (2, 0.6): 150, (2, 0.25): 864, (3, 1.0): 2560, (3, 0.5): 40960}
+    for (dim_s, epsilon), count in counts.items():
+        assert build_eps_net(dim_s, epsilon, 0).n_points == count
 
 
 def test_net_determinism_and_validation():
-    a = build_eps_net(1, 0.5, 42)
-    b = build_eps_net(1, 0.5, 42)
+    a = build_eps_net(2, 0.5, 42)
+    b = build_eps_net(2, 0.5, 7)  # the seed is not used
     np.testing.assert_array_equal(a.points, b.points)
+    np.testing.assert_allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-15)
     with pytest.raises(ValueError):
         build_eps_net(4, 0.5, 0)
     with pytest.raises(ValueError):
         build_eps_net(2, 1.5, 0)
+    with pytest.raises(ValueError, match="655360 points"):
+        build_eps_net(3, 0.25, 0)
 
 
 # ---------------------------------------------------------------------------
