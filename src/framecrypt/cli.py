@@ -31,8 +31,6 @@ from framecrypt.linalg import derived_rng, random_density_matrix
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 # largest --samples any command accepts; the README's largest count is 100,000
 SAMPLES_LIMIT = 1_000_000
-# most state coordinates (states drawn x K) mean-f, concentration or lipschitz may draw
-WORK_LIMIT = 10**9
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,9 +88,9 @@ def _ws_from(config: argparse.Namespace) -> workspace.WorkingSpace:
 
 
 def _check_work(n_states: int, ws: workspace.WorkingSpace) -> None:
-    if n_states * ws.k > WORK_LIMIT:
+    if n_states * ws.k > privacy.WORK_LIMIT:
         raise ValueError(
-            f"{n_states} states of K={ws.k} coordinates exceed the work limit of {WORK_LIMIT}"
+            f"{n_states} states of K={ws.k} coordinates exceed the work limit of {privacy.WORK_LIMIT}"
         )
 
 

@@ -40,6 +40,9 @@ ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
+# most state coordinates (states handled x K) one run may touch: the cap
+# theorem1_experiment and the CLI's f-sampling commands check before any draw
+WORK_LIMIT = 10**9
 _ASSERT_SLACK = 1e-9
 
 
@@ -502,7 +505,9 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     + 3.5 log2 delta + c_prime).  Desk-scale parameters are often
     infeasible (the multiplicity slice truncates to zero, or the dimension
     is below one state or beyond the whole working space); those runs return
-    a structured report with ``feasible = False`` rather than raising.
+    a structured report with ``feasible = False`` rather than raising.  A
+    feasible run whose state coordinates exceed WORK_LIMIT is refused before
+    the first draw.
     """
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
@@ -531,6 +536,17 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     if dim_s > ws.k:
         base["reason"] = f"dimension bound {dim_s} exceeds the working space (K={ws.k})"
         return base
+    # states of K coordinates per subspace: its K x K unitary, the random
+    # probes, the dim_s basis columns every ascent round lifts, and the net
+    n_probes = min(THEOREM1_BUDGET, 100)
+    per_subspace = ws.k + THEOREM1_BUDGET + n_probes + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
+    if dim_s == 2:
+        per_subspace += build_eps_net(2, params.net_epsilon, seed).n_points
+    if n_subspaces * per_subspace * ws.k > WORK_LIMIT:
+        raise ValueError(
+            f"{n_subspaces} subspaces of {per_subspace} states of K={ws.k} coordinates"
+            f" exceed the work limit of {WORK_LIMIT}"
+        )
 
     subspaces = []
     n_violating = 0
@@ -543,7 +559,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         probe_vals = np.array(
             [
                 f_eval(sub.basis @ random_pure_state(dim_s, derived_rng(sub_seed, 7, i)), ws)
-                for i in range(min(THEOREM1_BUDGET, 100))
+                for i in range(n_probes)
             ]
         )
         probes_over += int(np.sum(probe_vals > delta))

@@ -24,7 +24,7 @@ import numpy as np
 
 from framecrypt.linalg import as_rng
 
-DENSE_QUBIT_LIMIT = 12  # full 2^N transforms above this are refused
+DENSE_QUBIT_LIMIT = 12  # full 2^N transforms and computational embeddings above this are refused
 # exact binomials for every block: about 0.6 s at this size, 4 s at twice it
 QUBIT_LIMIT = 4096
 
@@ -124,6 +124,12 @@ def coupled_position(n: int, index: CoupledIndex) -> int:
     raise ValueError(f"two_j={index.two_j} not present for n={n}")
 
 
+def _can_reach(height: int, steps_left: int, two_j: int) -> bool:
+    """Whether a history at ``height`` with ``steps_left`` steps to go can
+    still end at two_j: it stays >= 0, is close enough, and has the right parity."""
+    return height >= 0 and abs(two_j - height) <= steps_left and (two_j - height - steps_left) % 2 == 0
+
+
 def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
     """All coupling histories ending at two_j, in lexicographic order (+1 < -1).
 
@@ -142,14 +148,11 @@ def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
             if cur == two_j:
                 paths.append(tuple(prefix))
             return
-        rem = n - k - 1  # steps remaining after the one about to be taken
         for step in (1, -1):
-            nxt = cur + step
-            if nxt < 0 or abs(two_j - nxt) > rem or (two_j - nxt - rem) % 2:
-                continue
-            prefix.append(step)
-            extend(nxt)
-            prefix.pop()
+            if _can_reach(cur + step, n - k - 1, two_j):
+                prefix.append(step)
+                extend(cur + step)
+                prefix.pop()
 
     extend(0)
     return paths
@@ -210,34 +213,43 @@ def _couple_down(mat: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
+def couple_paths(n: int, two_j: int, out: np.ndarray) -> None:
+    """Write the |j, m> columns of the first coupling paths to two_j into ``out``.
+
+    ``out`` has shape (2^n, two_j + 1, count): computational basis, then
+    two_m descending from two_j, then the paths in the order of
+    :func:`enumerate_paths`.  The walk is depth-first, so every prefix is
+    coupled once and shared by all the paths below it, and it stops after
+    ``count`` paths.
+    """
+    count = out.shape[2]
+    done = 0
+
+    def descend(mat: np.ndarray, t: int, k: int) -> None:  # mat: spin t/2 on k qubits
+        nonlocal done
+        if k == n:
+            out[:, :, done] = mat
+            done += 1
+            return
+        for step, couple in ((1, _couple_up), (-1, _couple_down)):
+            if done < count and _can_reach(t + step, n - k - 1, two_j):
+                descend(couple(mat, t), t + step, k + 1)
+
+    descend(np.eye(2, dtype=complex), 1, 1)
+    if done != count:
+        raise ValueError(f"{done} coupling paths reach two_j={two_j}, expected {count}")
+
+
 def schur_transform(n: int) -> SchurTransform:
     """Build the full 2^n x 2^n change of basis by sequential coupling."""
     _require_even(n)
     if n > DENSE_QUBIT_LIMIT:
         raise ValueError(f"n={n} exceeds the dense-transform limit of {DENSE_QUBIT_LIMIT} qubits")
-
-    # sectors: (two_j, matrix of |j, m> columns), kept in path-lex order
-    sectors: list[tuple[int, np.ndarray]] = [(1, np.eye(2, dtype=complex))]
-    for _ in range(n - 1):
-        grown: list[tuple[int, np.ndarray]] = []
-        for two_j, mat in sectors:
-            grown.append((two_j + 1, _couple_up(mat, two_j)))
-            if two_j >= 1:
-                grown.append((two_j - 1, _couple_down(mat, two_j)))
-        sectors = grown
-
-    by_j: dict[int, list[np.ndarray]] = {}
-    for two_j, mat in sectors:
-        by_j.setdefault(two_j, []).append(mat)
-
     matrix = np.zeros((2**n, 2**n), dtype=complex)
+    # couple_paths raises when a block has fewer paths than dim_p; no block can
+    # have more, since block_layout checks that the dim_r * dim_p sum to 2^n
     for b in block_layout(n):
-        members = by_j.get(b.two_j, [])
-        if len(members) != b.dim_p:
-            raise ValueError(f"{len(members)} coupling paths reach two_j={b.two_j}, expected {b.dim_p}")
-        cols = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
-        for p_idx, mat in enumerate(members):
-            cols[:, :, p_idx] = mat
+        couple_paths(n, b.two_j, matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p))
     return SchurTransform(n=n, matrix=matrix)
 
 

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from framecrypt.repkit import (
+    DENSE_QUBIT_LIMIT,
     CoupledIndex,
     block_layout,
+    couple_paths,
     dim_irrep,
     dim_multiplicity,
     irrep_labels,
-    schur_transform,
 )
 
 # squared norm a coupled-basis vector may carry outside the working space
@@ -146,21 +147,29 @@ def asymptotic_k(n: int, alpha: float) -> float:
 def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.ndarray:
     """Isometrically place a working-space vector into the full register.
 
-    ``target`` selects the coupled basis (default) or, through
-    ``schur_transform(ws.n)``, the computational basis.
+    ``target`` selects the coupled basis (default) or the computational
+    basis; the latter couples only the D_alpha kept paths of each kept block
+    and is refused above DENSE_QUBIT_LIMIT qubits.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (ws.k,):
         raise ValueError(f"expected a length-{ws.k} coordinate vector, got shape {v.shape}")
+    if target == "computational":
+        if ws.n > DENSE_QUBIT_LIMIT:
+            raise ValueError(f"n={ws.n} exceeds the dense-embedding limit of {DENSE_QUBIT_LIMIT} qubits")
+        out = np.zeros(2**ws.n, dtype=complex)
+        for two_j, coords in zip(ws.y, ws.blocks(v)):
+            cols = np.empty((2**ws.n, two_j + 1, ws.d_alpha), dtype=complex)
+            couple_paths(ws.n, two_j, cols)
+            out += np.tensordot(cols[:, : ws.d], coords, axes=2)
+        return out
+    if target != "coupled":
+        raise ValueError("target must be 'coupled' or 'computational'")
     if ws.embed_positions is None:
         raise ValueError(f"register of 2^{ws.n} amplitudes is too large to embed densely")
     out = np.zeros(2**ws.n, dtype=complex)
     out[ws.embed_positions] = v
-    if target == "coupled":
-        return out
-    if target == "computational":
-        return schur_transform(ws.n).matrix @ out
-    raise ValueError("target must be 'coupled' or 'computational'")
+    return out
 
 
 def restrict_state(vec: np.ndarray, ws: WorkingSpace) -> np.ndarray:

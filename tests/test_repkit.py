@@ -13,6 +13,7 @@ from framecrypt.repkit import (
     EulerAngles,
     block_layout,
     check_angles,
+    couple_paths,
     coupled_position,
     dim_irrep,
     dim_multiplicity,
@@ -148,6 +149,16 @@ def test_schur_limits_and_validation():
         schur_transform(3)
     with pytest.raises(ValueError):
         schur_transform(14)  # above the dense limit
+
+
+def test_couple_paths_stops_after_the_requested_paths():
+    b = block_layout(6)[1]  # two_j = 4: 5 paths
+    full = schur_transform(6).matrix[:, b.span].reshape(2**6, b.dim_r, b.dim_p)
+    first = np.empty((2**6, b.dim_r, 2), dtype=complex)
+    couple_paths(6, b.two_j, first)
+    np.testing.assert_array_equal(first, full[:, :, :2])
+    with pytest.raises(ValueError, match="1 coupling paths"):
+        couple_paths(6, 6, np.empty((2**6, 7, 2), dtype=complex))  # only one path reaches j = 3
 
 
 def test_ordering_matches_block_layout():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framecrypt.repkit as repkit_module
+import framecrypt.workspace as workspace_module
 from framecrypt.repkit import CoupledIndex, coupled_position, dim_multiplicity, schur_transform
 from framecrypt.workspace import (
     asymptotic_k,
@@ -145,17 +147,39 @@ def test_embed_restrict_roundtrip_coupled():
 
 
 def test_embed_computational_is_isometric():
-    ws = build_working_space(4, 2.0)
-    t = schur_transform(4)
-    e0 = np.zeros(ws.k)
-    e0[0] = 1.0
-    comp = embed_state(e0, ws, target="computational")
-    # the embedded basis state is the corresponding transform column
-    np.testing.assert_allclose(comp, t.matrix[:, ws.embed_positions[0]], atol=1e-14)
+    # the embedding is the dense transform's kept columns applied to v
+    for n in (4, 6, 8, 10):
+        t = schur_transform(n)
+        for alpha in (2.0, 3.0):
+            ws = build_working_space(n, alpha)
+            rng = np.random.default_rng(n)
+            v = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
+            np.testing.assert_allclose(
+                embed_state(v, ws, target="computational"),
+                t.matrix[:, ws.embed_positions] @ v,
+                rtol=0,
+                atol=1e-13,
+            )
     with pytest.raises(ValueError):
-        embed_state(e0, ws, target="other")
+        embed_state(v, ws, target="other")
     with pytest.raises(ValueError):
         embed_state(np.zeros(ws.k + 1), ws)
+
+
+def test_embed_computational_never_builds_the_transform(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the embedding built the dense transform")
+
+    monkeypatch.setattr(repkit_module, "schur_transform", refuse)
+    monkeypatch.setattr(workspace_module, "schur_transform", refuse, raising=False)
+    ws = build_working_space(12, 2.0)
+    v = np.zeros(ws.k)
+    v[-1] = 1.0
+    assert np.linalg.norm(embed_state(v, ws, "computational")) == pytest.approx(1.0, abs=1e-12)
+    # above the dense limit the embedding refuses by itself
+    ws14 = build_working_space(14, 2.0)
+    with pytest.raises(ValueError, match="limit"):
+        embed_state(np.ones(ws14.k), ws14, "computational")
 
 
 def test_restrict_rejects_leakage():
