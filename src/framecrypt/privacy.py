@@ -7,7 +7,10 @@ The central quantity is, for a unit vector phi in the working space,
 the trace distance between the channel output and the fixed reference
 output.  Small f over a whole subspace S means states encoded in S are
 nearly indistinguishable to anyone watching the channel output, while the
-dimensions of the working space leave room for many such subspaces.  The
+dimensions of the working space leave room for many such subspaces.  One
+kernel, ``f_evals``, evaluates f on a stack of states a chunk at a time with
+stacked eigensolves; ``f_eval`` is its one-state case, and every sampling
+loop here draws its states a chunk at a time and hands them to it.  The
 helpers here evaluate f two independent ways, estimate its maximum over a
 subspace (with a proved upper bound on 2-dimensional subspaces from a fixed
 covering net and the Lipschitz constant of f), and run the mean /
@@ -39,6 +42,7 @@ ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
+F_CHUNK_BYTES = 2**16  # bytes of the states f_evals handles at once (64 KiB)
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 # most state coordinates (states handled x K) one run may touch: the cap
 # theorem1_experiment and the CLI's f-sampling commands check before any draw
@@ -143,16 +147,44 @@ def _centred_blocks(v: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     return t
 
 
-def _trace_norm_total(evals: np.ndarray) -> float:
-    """Sum of |eigenvalues| over a (|Y|, D_alpha) stack, block by block.
+def _trace_norm_total(evals: np.ndarray) -> np.ndarray:
+    """Sum of |eigenvalues| over the last two axes of a (..., |Y|, D_alpha)
+    stack, block by block; the result has the leading shape.
 
     The block totals are added one after another in block order: ndarray.sum
     pairs them up once there are eight or more, which moves the last bits.
     """
-    total = 0.0
-    for block_total in np.abs(evals).sum(axis=-1):
-        total += float(block_total)
+    block_totals = np.abs(evals).sum(axis=-1)
+    total = np.zeros(block_totals.shape[:-1])
+    for i in range(block_totals.shape[-1]):
+        total += block_totals[..., i]
     return total
+
+
+def f_chunk(k: int) -> int:
+    """States per chunk of f_evals for K = k: as many as F_CHUNK_BYTES holds,
+    and never fewer than one."""
+    return max(1, F_CHUNK_BYTES // (k * np.dtype(complex).itemsize))
+
+
+def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
+    """f on every row of an (m, K) stack of working-space coordinates.
+
+    The one kernel behind every f value here.  It works through the stack
+    f_chunk(K) rows at a time: one stacked eigenvalue problem over
+    (chunk, |Y|, D_alpha, D_alpha) per chunk, then each row's block totals
+    added in block order, so a row's value does not depend on the rows next
+    to it.  An empty (0, K) stack gives an empty array.
+    """
+    phis = np.asarray(phis, dtype=complex)
+    if phis.ndim != 2 or phis.shape[1] != ws.k:
+        raise ValueError(f"states must form an (m, {ws.k}) stack, got shape {phis.shape}")
+    out = np.empty(len(phis))
+    chunk = f_chunk(ws.k)
+    for start in range(0, len(phis), chunk):
+        evals = np.linalg.eigvalsh(_centred_blocks(phis[start : start + chunk], ws))
+        out[start : start + chunk] = _trace_norm_total(evals)
+    return out
 
 
 def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -160,10 +192,26 @@ def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
 
     Computed on the multiplicity space, where both operators live after the
     rotation factors are traced away; block-diagonal structure makes this
-    one stacked eigenvalue problem over the kept blocks.
+    one stacked eigenvalue problem over the kept blocks.  The one-state case
+    of f_evals; phi may also be a coupled-basis vector supported on H'.
     """
-    v = workspace_vector(phi, ws)
-    return _trace_norm_total(np.linalg.eigvalsh(_centred_blocks(v, ws)))
+    return float(f_evals(workspace_vector(phi, ws)[None, :], ws)[0])
+
+
+def _f_on_draws(count: int, draw, ws: WorkingSpace) -> np.ndarray:
+    """f on the states draw(0), ..., draw(count - 1), in that order.
+
+    The states are drawn a chunk at a time into one reused (chunk, K)
+    buffer, so the whole stack never exists at once.
+    """
+    fs = np.empty(count)
+    buf = np.empty((min(f_chunk(ws.k), count), ws.k), dtype=complex)
+    for start in range(0, count, len(buf)):
+        rows = buf[: min(len(buf), count - start)]
+        for r in range(len(rows)):
+            rows[r] = draw(start + r)
+        fs[start : start + len(rows)] = f_evals(rows, ws)
+    return fs
 
 
 def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -253,7 +301,7 @@ def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace) -> tuple[float,
     basis_blocks = ws.blocks(basis.T)  # (dim_s, |Y|, D, D_alpha)
     for _ in range(ASCENT_ITERS):
         evals, evecs = np.linalg.eigh(_centred_blocks(basis @ c, ws))
-        val = _trace_norm_total(evals)
+        val = float(_trace_norm_total(evals))
         if val <= best + ASCENT_TOL:
             best = max(best, val)
             break
@@ -292,7 +340,9 @@ def estimate_max_f(
         return MaxFEstimate(val, val)
 
     probes = random_pure_state(sample.dim_s, derived_rng(seed, 0), size=budget)
-    vals = np.array([f_eval(basis @ c, ws) for c in probes])
+    # each state formed as basis @ c, one row at a time: a stacked product
+    # may round differently and move the seeded theorem1 output
+    vals = _f_on_draws(budget, lambda i: basis @ probes[i], ws)
     lower = float(vals.max())
 
     order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
@@ -303,7 +353,7 @@ def estimate_max_f(
     certified = None
     if sample.dim_s == 2:
         net = build_eps_net(2, net_epsilon, seed)
-        net_vals = np.array([f_eval(basis @ c, ws) for c in net.points])
+        net_vals = _f_on_draws(net.n_points, lambda i: basis @ net.points[i], ws)
         lower = max(lower, float(net_vals.max()))
         # f is phase invariant and 2-Lipschitz, and every state lies within
         # covering_radius <= eps/2 of a net point: max f <= net max + eps
@@ -317,12 +367,14 @@ def estimate_max_f(
 
 def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, ConcentrationReport]:
     """f on n_samples random states (one derived generator each) and the
-    statistics both experiments report; the tail fields are left empty."""
+    statistics both experiments report; the tail fields are left empty.
+
+    The states are drawn a chunk at a time and f comes from the f_evals
+    kernel, one stacked eigensolve per chunk.
+    """
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    fs = np.array(
-        [f_eval(random_pure_state(ws.k, derived_rng(seed, i)), ws) for i in range(n_samples)]
-    )
+    fs = _f_on_draws(n_samples, lambda i: random_pure_state(ws.k, derived_rng(seed, i)), ws)
     std = float(fs.std(ddof=1))
     return fs, ConcentrationReport(
         n_samples=n_samples,
@@ -399,20 +451,29 @@ def lipschitz_check(
     if n_pairs < 1:
         raise ValueError("need at least one pair")
     worst = 0.0
-    for i in range(n_pairs):
-        rng = derived_rng(seed, i)
-        phi = random_pure_state(ws.k, rng)
-        if perturbation is None:
-            psi = random_pure_state(ws.k, rng)
-        else:
-            noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
-            psi = phi + perturbation * noise
-            psi = psi / np.linalg.norm(psi)
-        gap = np.linalg.norm(phi - psi)
-        if gap < 1e-13:
-            continue
-        ratio = abs(f_eval(phi, ws) - f_eval(psi, ws)) / gap
-        worst = max(worst, float(ratio))
+    chunk = min(f_chunk(ws.k), n_pairs)
+    phis = np.empty((chunk, ws.k), dtype=complex)
+    psis = np.empty((chunk, ws.k), dtype=complex)
+    gaps = np.empty(chunk)
+    for start in range(0, n_pairs, chunk):
+        kept = 0
+        for i in range(start, min(start + chunk, n_pairs)):
+            rng = derived_rng(seed, i)
+            phi = random_pure_state(ws.k, rng)
+            if perturbation is None:
+                psi = random_pure_state(ws.k, rng)
+            else:
+                noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
+                psi = phi + perturbation * noise
+                psi = psi / np.linalg.norm(psi)
+            gap = np.linalg.norm(phi - psi)
+            if gap < 1e-13:
+                continue
+            phis[kept], psis[kept], gaps[kept] = phi, psi, gap
+            kept += 1
+        if kept:
+            ratios = np.abs(f_evals(phis[:kept], ws) - f_evals(psis[:kept], ws)) / gaps[:kept]
+            worst = max(worst, float(ratios.max()))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:
         raise AssertionError(f"observed Lipschitz ratio {worst} exceeds 2")
     return worst
@@ -556,11 +617,8 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         sub_seed = int(derived_rng(seed, s).integers(2**63))
         sub = sample_subspace(ws, dim_s, sub_seed)
         est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
-        probe_vals = np.array(
-            [
-                f_eval(sub.basis @ random_pure_state(dim_s, derived_rng(sub_seed, 7, i)), ws)
-                for i in range(n_probes)
-            ]
+        probe_vals = _f_on_draws(
+            n_probes, lambda i: sub.basis @ random_pure_state(dim_s, derived_rng(sub_seed, 7, i)), ws
         )
         probes_over += int(np.sum(probe_vals > delta))
         probes_total += probe_vals.size

@@ -228,10 +228,25 @@ def test_readme_scans_and_curves_run(tmp_path, monkeypatch, capsys):
         ("capacity_n16_delta0.25.json", ["--command", "capacity", "--n", "16", "--delta", "0.25"]),
         ("decompose_n6.json", ["--command", "decompose", "--n", "6"]),
         ("workspace_n12_alpha2.json", ["--command", "workspace", "--n", "12", "--alpha", "2"]),
+        (
+            "concentration_n12_samples500_seed3.json",
+            ["--command", "concentration", "--n", "12", "--samples", "500", "--seed", "3"],
+        ),
+        ("lipschitz_n12_samples300_seed3.json", ["--command", "lipschitz", "--n", "12", "--samples", "300", "--seed", "3"]),
+        (
+            "mean-f_n24_alpha2_samples200_seed3.json",
+            ["--command", "mean-f", "--n", "24", "--alpha", "2", "--samples", "200", "--seed", "3"],
+        ),
+        # dim_s = 2: reaches the probes, the ascent and the net of estimate_max_f
+        (
+            "theorem1_n12_delta2_cprime-13_seed3.json",
+            ["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"],
+        ),
     ],
 )
 def test_exact_commands_match_their_pinned_output(capsys, name, argv):
-    """Integer and closed-form commands, byte for byte, echoed defaults included."""
+    """Integer and closed-form commands, and seeded sampling commands, byte
+    for byte, echoed defaults included."""
     code, out, _ = run_main(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")

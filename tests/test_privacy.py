@@ -9,12 +9,15 @@ from framecrypt.linalg import derived_rng, random_pure_state
 from framecrypt.privacy import (
     LIPSCHITZ_BOUND,
     _ascend,
+    F_CHUNK_BYTES,
     PrivacyParams,
     build_eps_net,
     concentration_experiment,
     estimate_max_f,
+    f_chunk,
     f_eval,
     f_eval_direct,
+    f_evals,
     haar_fourth_moment,
     haar_moment_check,
     helstrom_distinguish,
@@ -70,22 +73,60 @@ def test_f_two_routes_agree():
             )
 
 
+def per_block_f(phi, ws):
+    """f by one eigensolve per block on coordinate slices, block totals added
+    in block order; n = 128 has 22 blocks, enough for a pairwise sum over
+    blocks to round differently."""
+    width = ws.d * ws.d_alpha
+    total = 0.0
+    for i in range(len(ws.y)):
+        a = phi[i * width : (i + 1) * width].reshape(ws.d, ws.d_alpha)
+        t = a.T @ a.conj()
+        t[np.diag_indices(ws.d_alpha)] -= 1.0 / ws.d_p
+        total += float(np.abs(np.linalg.eigvalsh(t)).sum())
+    return total
+
+
 @pytest.mark.parametrize("n", [12, 128])
 def test_f_matches_the_per_block_loop_exactly(n):
-    # reference: one eigensolve per block on coordinate slices, block totals
-    # added in block order; n = 128 has 22 blocks, enough for a pairwise sum
-    # over blocks to round differently
     ws = build_working_space(n, 2.0)
-    width = ws.d * ws.d_alpha
     for s in range(8):
         phi = random_pure_state(ws.k, derived_rng(303, n, s))
-        total = 0.0
-        for i in range(len(ws.y)):
-            a = phi[i * width : (i + 1) * width].reshape(ws.d, ws.d_alpha)
-            t = a.T @ a.conj()
-            t[np.diag_indices(ws.d_alpha)] -= 1.0 / ws.d_p
-            total += float(np.abs(np.linalg.eigvalsh(t)).sum())
-        assert f_eval(phi, ws) == total
+        assert f_eval(phi, ws) == per_block_f(phi, ws)
+
+
+@pytest.mark.parametrize("n", [12, 24, 128])
+def test_f_evals_matches_f_eval_bit_for_bit(n):
+    # stacks one short of, exactly and one past a chunk, and at least eight
+    # states: a value must not depend on its neighbours in the stacked
+    # eigensolve or on where a chunk ends
+    ws = build_working_space(n, 2.0)
+    chunk = f_chunk(ws.k)
+    states = random_pure_state(ws.k, derived_rng(404, n), size=max(chunk + 1, 8))
+    for m in (1, chunk - 1, chunk, chunk + 1, len(states)):
+        stack = states[:m]
+        got = f_evals(stack, ws)
+        assert got.shape == (m,)
+        assert np.array_equal(got, np.array([f_eval(p, ws) for p in stack]))
+        assert np.array_equal(got, np.array([per_block_f(p, ws) for p in stack]))
+
+
+def test_f_evals_on_an_empty_stack_is_empty():
+    assert f_evals(np.empty((0, WS12.k), dtype=complex), WS12).shape == (0,)
+    with pytest.raises(ValueError):
+        f_evals(np.zeros(WS12.k), WS12)  # one state, not a stack
+    with pytest.raises(ValueError):
+        f_evals(np.zeros((3, WS12.k + 1)), WS12)
+
+
+@pytest.mark.parametrize("n, chunk", [(12, 56), (24, 7), (60, 1), (128, 1)])
+def test_f_chunk_holds_one_state_on_large_spaces_and_fits_the_budget(n, chunk):
+    k = build_working_space(n, 2.0).k
+    state_bytes = k * np.dtype(complex).itemsize
+    assert f_chunk(k) == chunk
+    # a chunk of several states stays within the budget, and one more state would not fit
+    assert chunk == 1 or chunk * state_bytes <= F_CHUNK_BYTES
+    assert (chunk + 1) * state_bytes > F_CHUNK_BYTES
 
 
 def test_f_rejects_leaky_input():
@@ -296,6 +337,33 @@ def test_lipschitz_small_batches():
     assert lipschitz_check(WS12, 50, 10, perturbation=1e-4) <= LIPSCHITZ_BOUND + 1e-9
     with pytest.raises(ValueError):
         lipschitz_check(WS12, 0, 0)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-15])
+def test_lipschitz_skips_pairs_closer_than_roundoff(perturbation):
+    # every pair is within 1e-13 of its partner, so none is measured
+    assert lipschitz_check(WS12, 50, 3, perturbation=perturbation) == 0.0
+
+
+def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
+    # at this scale the gaps straddle the 1e-13 skip threshold, so every chunk
+    # of 56 pairs holds both kinds; checked against a per-pair loop
+    n_pairs, perturbation = 120, 8.5e-15
+    worst, skipped = 0.0, []
+    for i in range(n_pairs):
+        rng = derived_rng(3, i)
+        phi = random_pure_state(WS12.k, rng)
+        noise = rng.standard_normal(WS12.k) + 1j * rng.standard_normal(WS12.k)
+        psi = phi + perturbation * noise
+        psi = psi / np.linalg.norm(psi)
+        gap = np.linalg.norm(phi - psi)
+        skipped.append(gap < 1e-13)
+        if not skipped[-1]:
+            worst = max(worst, abs(f_eval(phi, WS12) - f_eval(psi, WS12)) / gap)
+    chunk = f_chunk(WS12.k)
+    for start in range(0, n_pairs, chunk):
+        assert 0 < sum(skipped[start : start + chunk]) < len(skipped[start : start + chunk])
+    assert lipschitz_check(WS12, n_pairs, 3, perturbation=perturbation) == worst
 
 
 # ---------------------------------------------------------------------------
