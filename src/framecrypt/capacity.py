@@ -70,6 +70,7 @@ def rank_pi_prime_chain(n: int) -> tuple[int, int, int]:
 
 def min_delta_for_advantage(n: int, c_prime: float) -> float:
     """Smallest delta at which the delta-private subspace dimension beats the
-    zero-error quantum rate; scales like n^(-4/7)."""
+    zero-error quantum rate; scales like n^(-4/7), and inf past the float range."""
     _require_even(n)
-    return 2.0 ** ((math.log2(n + 1) - 3.0 * math.log2(n) - c_prime) / 3.5)
+    bits = (math.log2(n + 1) - 3.0 * math.log2(n) - c_prime) / 3.5
+    return 2.0**bits if bits < 1024 else math.inf  # 2.0**1024 overflows

@@ -59,8 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> argparse.Namespace:
-    """The parsed flags, with ``quadrature`` as a list of three sizes or None."""
+    """The parsed flags, with ``quadrature`` as a list of three sizes or None;
+    nan or an infinity in a float flag is a usage error."""
     config = build_parser().parse_args(argv)
+    for name in ("alpha", "delta", "c_prime", "levy_c", "epsilon"):
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
     sizes = None
     if config.quadrature:
         sizes = [int(x) for x in config.quadrature.split(",")]

@@ -8,9 +8,10 @@ the trace distance between the channel output and the fixed reference
 output.  Small f over a whole subspace S means states encoded in S are
 nearly indistinguishable to anyone watching the channel output, while the
 dimensions of the working space leave room for many such subspaces.  One
-kernel, ``f_evals``, evaluates f on a stack of states a chunk at a time with
-stacked eigensolves; ``f_eval`` is its one-state case, and every sampling
-loop here draws its states a chunk at a time and hands them to it.  The
+kernel, ``f_evals``, evaluates f on a stack of states with one stacked
+eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
+Lipschitz pair included, goes through one sampler, ``_f_on_draws``, which
+draws the states a chunk at a time and hands each chunk to the kernel.  The
 helpers here evaluate f two independent ways, estimate its maximum over a
 subspace (with a proved upper bound on 2-dimensional subspaces from a fixed
 covering net and the Lipschitz constant of f), and run the mean /
@@ -42,7 +43,7 @@ ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
-F_CHUNK_BYTES = 2**16  # bytes of the states f_evals handles at once (64 KiB)
+F_CHUNK_BYTES = 2**16  # bytes of the states (not draws) _f_on_draws holds at once (64 KiB)
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 # most state coordinates (states handled x K) one run may touch: the cap
 # theorem1_experiment and the CLI's f-sampling commands check before any draw
@@ -161,30 +162,27 @@ def _trace_norm_total(evals: np.ndarray) -> np.ndarray:
     return total
 
 
-def f_chunk(k: int) -> int:
-    """States per chunk of f_evals for K = k: as many as F_CHUNK_BYTES holds,
-    and never fewer than one."""
-    return max(1, F_CHUNK_BYTES // (k * np.dtype(complex).itemsize))
+def f_chunk(k: int, states_per_draw: int = 1) -> int:
+    """Draws per chunk of _f_on_draws when each draw holds states_per_draw
+    states of K = k coordinates: as many as F_CHUNK_BYTES of states holds,
+    and never fewer than one draw."""
+    return max(1, F_CHUNK_BYTES // (states_per_draw * k * np.dtype(complex).itemsize))
 
 
 def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
-    """f on every row of an (m, K) stack of working-space coordinates.
+    """f on every state of an (m, ..., K) stack of working-space coordinates.
 
-    The one kernel behind every f value here.  It works through the stack
-    f_chunk(K) rows at a time: one stacked eigenvalue problem over
-    (chunk, |Y|, D_alpha, D_alpha) per chunk, then each row's block totals
-    added in block order, so a row's value does not depend on the rows next
-    to it.  An empty (0, K) stack gives an empty array.
+    The one kernel behind every f value here: one stacked eigenvalue problem
+    over (m, ..., |Y|, D_alpha, D_alpha), then each state's block totals
+    added in block order, so a state's value does not depend on the states
+    next to it.  The result has the stack's leading shape; an empty (0, K)
+    stack gives an empty array.  It does not chunk: _f_on_draws hands it at
+    most one chunk of states.
     """
     phis = np.asarray(phis, dtype=complex)
-    if phis.ndim != 2 or phis.shape[1] != ws.k:
-        raise ValueError(f"states must form an (m, {ws.k}) stack, got shape {phis.shape}")
-    out = np.empty(len(phis))
-    chunk = f_chunk(ws.k)
-    for start in range(0, len(phis), chunk):
-        evals = np.linalg.eigvalsh(_centred_blocks(phis[start : start + chunk], ws))
-        out[start : start + chunk] = _trace_norm_total(evals)
-    return out
+    if phis.ndim < 2 or phis.shape[-1] != ws.k:
+        raise ValueError(f"states must form an (m, ..., {ws.k}) stack, got shape {phis.shape}")
+    return _trace_norm_total(np.linalg.eigvalsh(_centred_blocks(phis, ws)))
 
 
 def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -199,17 +197,23 @@ def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
 
 
 def _f_on_draws(count: int, draw, ws: WorkingSpace) -> np.ndarray:
-    """f on the states draw(0), ..., draw(count - 1), in that order.
+    """f on the states draw(0), ..., draw(count - 1), drawn in that order.
 
-    The states are drawn a chunk at a time into one reused (chunk, K)
-    buffer, so the whole stack never exists at once.
+    The one loop here that chunks states.  A draw is one state (K,) or a
+    fixed stack of r states (r, K), and the result has shape (count,) or
+    (count, r).  The draws are copied f_chunk(K, r) at a time into one
+    reused buffer that goes to f_evals whole, so the states of all draws
+    never exist at once.  count must be positive.
     """
-    fs = np.empty(count)
-    buf = np.empty((min(f_chunk(ws.k), count), ws.k), dtype=complex)
+    draws = map(draw, range(count))
+    first = np.asarray(next(draws))
+    fs = np.empty((count, *first.shape[:-1]))
+    buf = np.empty((min(f_chunk(ws.k, first.size // ws.k), count), *first.shape), dtype=complex)
+    draws = itertools.chain([first], draws)
     for start in range(0, count, len(buf)):
         rows = buf[: min(len(buf), count - start)]
         for r in range(len(rows)):
-            rows[r] = draw(start + r)
+            rows[r] = next(draws)
         fs[start : start + len(rows)] = f_evals(rows, ws)
     return fs
 
@@ -263,7 +267,8 @@ def build_eps_net(dim_s: int, epsilon: float, seed: int) -> EpsNet:
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
     d = 2 * dim_s - 1
-    m = max(1, math.ceil(2.0 * math.sqrt(d - 1) / epsilon))
+    cells = 2.0 * math.sqrt(d - 1) / epsilon  # inf once epsilon is subnormal
+    m = max(1, math.ceil(cells)) if cells < math.inf else math.inf
     n_points = 2 * d * m ** (d - 1)
     if n_points > NET_SIZE_LIMIT:
         raise ValueError(
@@ -367,11 +372,7 @@ def estimate_max_f(
 
 def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, ConcentrationReport]:
     """f on n_samples random states (one derived generator each) and the
-    statistics both experiments report; the tail fields are left empty.
-
-    The states are drawn a chunk at a time and f comes from the f_evals
-    kernel, one stacked eigensolve per chunk.
-    """
+    statistics both experiments report; the tail fields are left empty."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
     fs = _f_on_draws(n_samples, lambda i: random_pure_state(ws.k, derived_rng(seed, i)), ws)
@@ -445,35 +446,30 @@ def lipschitz_check(
     """Largest |f(phi) - f(psi)| / ||phi - psi|| over sampled pairs.
 
     With ``perturbation`` set, psi is phi plus Gaussian noise of that scale
-    (renormalized), stressing the bound where it is tightest.  Asserts the
-    ratio never exceeds 2 (plus roundoff slack); returns the maximum ratio.
+    (renormalized), stressing the bound where it is tightest.  Pairs closer
+    than 1e-13 are left out of the ratio, and the result is 0.0 when every
+    pair is.  Asserts the ratio never exceeds 2 (plus roundoff slack);
+    returns the maximum ratio.
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    worst = 0.0
-    chunk = min(f_chunk(ws.k), n_pairs)
-    phis = np.empty((chunk, ws.k), dtype=complex)
-    psis = np.empty((chunk, ws.k), dtype=complex)
-    gaps = np.empty(chunk)
-    for start in range(0, n_pairs, chunk):
-        kept = 0
-        for i in range(start, min(start + chunk, n_pairs)):
-            rng = derived_rng(seed, i)
-            phi = random_pure_state(ws.k, rng)
-            if perturbation is None:
-                psi = random_pure_state(ws.k, rng)
-            else:
-                noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
-                psi = phi + perturbation * noise
-                psi = psi / np.linalg.norm(psi)
-            gap = np.linalg.norm(phi - psi)
-            if gap < 1e-13:
-                continue
-            phis[kept], psis[kept], gaps[kept] = phi, psi, gap
-            kept += 1
-        if kept:
-            ratios = np.abs(f_evals(phis[:kept], ws) - f_evals(psis[:kept], ws)) / gaps[:kept]
-            worst = max(worst, float(ratios.max()))
+    gaps = np.empty(n_pairs)
+
+    def pair(i: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = derived_rng(seed, i)
+        phi = random_pure_state(ws.k, rng)
+        if perturbation is None:
+            psi = random_pure_state(ws.k, rng)
+        else:
+            noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
+            psi = phi + perturbation * noise
+            psi = psi / np.linalg.norm(psi)
+        gaps[i] = np.linalg.norm(phi - psi)
+        return phi, psi
+
+    fs = _f_on_draws(n_pairs, pair, ws)
+    kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
+    worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:
         raise AssertionError(f"observed Lipschitz ratio {worst} exceeds 2")
     return worst
@@ -515,21 +511,16 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
     m_abs4 = np.empty(n_samples)
     m_cross2 = np.empty(n_samples)
     m_loop = np.empty(n_samples, dtype=complex)
-    done = 0
-    block_idx = 0
-    while done < n_samples:
-        take = min(HAAR_CHUNK, n_samples - done)
-        us = haar_unitary(k, derived_rng(seed, block_idx), size=take)
+    for block_idx, start in enumerate(range(0, n_samples, HAAR_CHUNK)):
+        us = haar_unitary(k, derived_rng(seed, block_idx), size=min(HAAR_CHUNK, n_samples - start))
         row_norm = np.abs(us[:, 0, :]) ** 2
         if np.max(np.abs(row_norm.sum(axis=1) - 1.0)) > 1e-10:
             raise AssertionError("sampled unitaries have non-normalized rows")
         u00, u01 = us[:, 0, 0], us[:, 0, 1]
         u10, u11 = us[:, 1, 0], us[:, 1, 1]
-        m_abs4[done : done + take] = np.abs(u00) ** 4
-        m_cross2[done : done + take] = (np.abs(u00) * np.abs(u01)) ** 2
-        m_loop[done : done + take] = u00 * u01.conj() * u11 * u10.conj()
-        done += take
-        block_idx += 1
+        m_abs4[start : start + len(us)] = np.abs(u00) ** 4
+        m_cross2[start : start + len(us)] = (np.abs(u00) * np.abs(u01)) ** 2
+        m_loop[start : start + len(us)] = u00 * u01.conj() * u11 * u10.conj()
 
     exact = {
         "abs4": haar_fourth_moment(k, 0, 0, 0, 0, 0, 0, 0, 0),
@@ -573,7 +564,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
     delta = params.delta
-    alpha = 36.0 / delta**2
+    alpha = 36.0 / delta**2 if delta**2 > 0.0 else math.inf  # delta**2 underflows below 1e-162
     bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + params.c_prime
     base = {
         "n": n,
@@ -588,9 +579,11 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     except ValueError as exc:
         base["reason"] = str(exc)
         return base
+    base["workspace"] = ws.descriptor()
+    if bits >= 1024:  # 2.0**bits overflows, and no working space comes near it
+        return {**base, "dim_s": None, "reason": f"dimension bound 2^{bits} exceeds the working space (K={ws.k})"}
     dim_s = math.floor(2.0**bits)
     base["dim_s"] = dim_s
-    base["workspace"] = ws.descriptor()
     if dim_s < 1:
         base["reason"] = "dimension bound is below a single state"
         return base

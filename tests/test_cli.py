@@ -1,5 +1,7 @@
 """Tests for the command-line driver: payloads, determinism, error surfaces."""
 
+import contextlib
+import io
 import json
 import math
 import re
@@ -9,6 +11,8 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecrypt.cli import (
     DEFAULT_GAMMA_GRID,
@@ -318,6 +322,7 @@ def test_capacity_rejects_negative_delta(capsys):
     "argv",
     [
         ["--command", "net", "--dim-s", "3", "--epsilon", "0.25"],
+        ["--command", "net", "--dim-s", "2", "--epsilon", "5e-324"],
         ["--command", "workspace", "--n", "20000", "--alpha", "2"],
         ["--command", "decompose", "--n", "100000"],
         ["--command", "capacity", "--n", "100000"],
@@ -331,9 +336,9 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "theorem1", "--n", "24", "--delta", "2", "--c-prime", "-12",
          "--samples", "1000000"],
     ],
-    ids=["net", "workspace", "decompose", "capacity", "twirl-check", "haar-moments",
-         "haar-moments-samples", "mean-f-samples", "mean-f-work", "theorem1-subspace",
-         "theorem1-work"],
+    ids=["net", "net-subnormal-epsilon", "workspace", "decompose", "capacity", "twirl-check",
+         "haar-moments", "haar-moments-samples", "mean-f-samples", "mean-f-work",
+         "theorem1-subspace", "theorem1-work"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -363,6 +368,108 @@ def test_missing_required_flag(capsys):
     code, _, err = run_main(capsys, "--command", "capacity")
     assert code == 1
     assert "--n" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "decompose", "--n", "6", "--alpha", "nan"],
+        ["--command", "capacity", "--n", "16", "--levy-c", "inf"],
+        ["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime=-inf"],
+        ["--command", "mean-f", "--n", "12", "--samples", "10", "--delta", "nan"],
+        ["--command", "net", "--dim-s", "2", "--epsilon", "nan"],
+    ],
+    ids=["alpha", "levy-c", "c-prime", "delta", "epsilon"],
+)
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    assert "finite" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, field, reason",
+    [
+        # 2^bits overflows a float
+        (["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "2000"], "dim_s", "exceeds"),
+        # delta**2 underflows to zero
+        (["--command", "theorem1", "--n", "12", "--delta", "1e-200"], "alpha", "truncates"),
+    ],
+)
+def test_theorem1_out_of_range_arithmetic_is_infeasible(capsys, argv, field, reason):
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["feasible"] is False
+    assert payload[field] is None
+    assert reason in payload["reason"]
+
+
+def test_capacity_advantage_threshold_past_float_range_is_null(capsys):
+    code, out, _ = run_main(capsys, "--command", "capacity", "--n", "16", "--c-prime=-1e308")
+    assert code == 0
+    assert json.loads(out)["payload"]["min_delta_for_advantage"] is None
+
+
+FUZZ_VALUES = {
+    "--n": st.integers(-2, 12),
+    "--samples": st.integers(-1, 4) | st.just(100),
+    "--seed": st.integers(-(2**63), 2**63),
+    "--dim-s": st.integers(-1, 4),
+    "--j-min": st.integers(-1, 6),
+    **dict.fromkeys(
+        ("--alpha", "--delta", "--c-prime", "--levy-c", "--epsilon"),
+        st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e-200, 1e308, -1e308]) | st.floats(),
+    ),
+}
+# a run that succeeds per command, and the other flags it reads; each case
+# replaces some of them.  These commands stay well under a second at
+# --n <= 12 and --samples <= 100.
+FUZZ_BASES = {
+    "decompose": ({"--n": 6}, ()),
+    "workspace": ({"--n": 12, "--alpha": 2.0}, ("--j-min",)),
+    "capacity": ({"--n": 16, "--delta": 0.25, "--c-prime": 0.0}, ()),
+    "net": ({"--dim-s": 2, "--epsilon": 0.5}, ()),
+    "theorem1": ({"--n": 12, "--delta": 2.0, "--c-prime": -13.0, "--samples": 1}, ("--levy-c", "--seed")),
+    "mean-f": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--seed",)),
+    "concentration": ({"--n": 12, "--alpha": 2.0, "--delta": 1.0, "--samples": 4}, ("--levy-c", "--seed")),
+    "lipschitz": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--seed",)),
+    "haar-moments": ({"--n": 4, "--samples": 100}, ("--seed",)),
+}
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(
+            st.just(command),
+            st.fixed_dictionaries({}, optional={flag: FUZZ_VALUES[flag] for flag in (*base, *others)}).map(
+                lambda changed, base=base: {**base, **changed}
+            ),
+        )
+        for command, (base, others) in FUZZ_BASES.items()
+    )
+)
+def test_fuzzed_flags_keep_the_output_contract(case):
+    """Any numeric flag values, nan, infinities, subnormals and huge values
+    included: exit 0 with canonical JSON, or exit 1/2 with one error object."""
+    command, flags = case
+    argv = ["--command", command, *(f"{flag}={value!r}" for flag, value in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert out == canonical_json(json.loads(out))
+        assert re.fullmatch(r"wall_clock_seconds=\d+\.\d{3}\n", err)
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        assert err == canonical_json(json.loads(err))
+        assert set(json.loads(err)) == {"error"}
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_f_matches_the_per_block_loop_exactly(n):
 def test_f_evals_matches_f_eval_bit_for_bit(n):
     # stacks one short of, exactly and one past a chunk, and at least eight
     # states: a value must not depend on its neighbours in the stacked
-    # eigensolve or on where a chunk ends
+    # eigensolve or on the size of the stack
     ws = build_working_space(n, 2.0)
     chunk = f_chunk(ws.k)
     states = random_pure_state(ws.k, derived_rng(404, n), size=max(chunk + 1, 8))
@@ -109,6 +109,11 @@ def test_f_evals_matches_f_eval_bit_for_bit(n):
         assert got.shape == (m,)
         assert np.array_equal(got, np.array([f_eval(p, ws) for p in stack]))
         assert np.array_equal(got, np.array([per_block_f(p, ws) for p in stack]))
+    # an (m, 2, K) stack of pairs, as the Lipschitz sampler hands it over
+    pairs = states[: len(states) // 2 * 2].reshape(-1, 2, ws.k)
+    got = f_evals(pairs, ws)
+    assert got.shape == pairs.shape[:2]
+    assert np.array_equal(got, np.array([[f_eval(p, ws) for p in pair] for pair in pairs]))
 
 
 def test_f_evals_on_an_empty_stack_is_empty():
@@ -124,9 +129,13 @@ def test_f_chunk_holds_one_state_on_large_spaces_and_fits_the_budget(n, chunk):
     k = build_working_space(n, 2.0).k
     state_bytes = k * np.dtype(complex).itemsize
     assert f_chunk(k) == chunk
-    # a chunk of several states stays within the budget, and one more state would not fit
-    assert chunk == 1 or chunk * state_bytes <= F_CHUNK_BYTES
-    assert (chunk + 1) * state_bytes > F_CHUNK_BYTES
+    pair_chunk = f_chunk(k, 2)
+    assert pair_chunk == max(1, chunk // 2)  # 28 pairs at n = 12, 3 at n = 24
+    # a chunk counts states: a chunk of several draws stays within the
+    # budget, and one more draw would not fit
+    for per_draw, draws in ((1, chunk), (2, pair_chunk)):
+        assert draws == 1 or draws * per_draw * state_bytes <= F_CHUNK_BYTES
+        assert (draws + 1) * per_draw * state_bytes > F_CHUNK_BYTES
 
 
 def test_f_rejects_leaky_input():
@@ -347,7 +356,8 @@ def test_lipschitz_skips_pairs_closer_than_roundoff(perturbation):
 
 def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
     # at this scale the gaps straddle the 1e-13 skip threshold, so every chunk
-    # of 56 pairs holds both kinds; checked against a per-pair loop
+    # of the pair sampler (28 pairs) holds both kinds; checked against a
+    # per-pair loop
     n_pairs, perturbation = 120, 8.5e-15
     worst, skipped = 0.0, []
     for i in range(n_pairs):
@@ -360,7 +370,7 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
         skipped.append(gap < 1e-13)
         if not skipped[-1]:
             worst = max(worst, abs(f_eval(phi, WS12) - f_eval(psi, WS12)) / gap)
-    chunk = f_chunk(WS12.k)
+    chunk = f_chunk(WS12.k, 2)
     for start in range(0, n_pairs, chunk):
         assert 0 < sum(skipped[start : start + chunk]) < len(skipped[start : start + chunk])
     assert lipschitz_check(WS12, n_pairs, 3, perturbation=perturbation) == worst
