@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from framecrypt.linalg import kron_power, partial_trace
+from framecrypt.linalg import check_limit, kron_power, partial_trace
 from framecrypt.repkit import block_layout, rotation_su2
 from framecrypt.workspace import WorkingSpace, workspace_vector
 
@@ -52,10 +52,7 @@ class QuadratureSpec:
         for name, size in asdict(self).items():
             if size < 1:
                 raise ValueError(f"quadrature size {name}={size} must be positive")
-            if size > QUADRATURE_LIMIT:
-                raise ValueError(
-                    f"quadrature size {name}={size} exceeds the limit of {QUADRATURE_LIMIT} nodes"
-                )
+            check_limit(size, QUADRATURE_LIMIT, f"quadrature size {name}", "nodes")
 
     @classmethod
     def for_qubits(cls, n: int) -> "QuadratureSpec":

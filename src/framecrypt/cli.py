@@ -26,11 +26,15 @@ import numpy as np
 import framecrypt
 from framecrypt import capacity as cap
 from framecrypt import channel, privacy, repkit, workspace
-from framecrypt.linalg import derived_rng, random_density_matrix
+from framecrypt.linalg import check_limit, derived_rng, random_density_matrix
 
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 # largest --samples any command accepts; the README's largest count is 100,000
 SAMPLES_LIMIT = 1_000_000
+
+
+def _usage_error(message: str):  # argparse's error(): main reports it as one usage error object
+    raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="framecrypt",
         description="rotation-twirl channel toolkit: decompositions, twirl checks, privacy experiments, capacity bounds",
     )
+    p.error = _usage_error
     p.add_argument("--command", required=True, choices=COMMANDS)
     p.add_argument("--n", type=int, help="qubit count (or matrix dimension for haar-moments)")
     p.add_argument("--alpha", type=float, default=2.0, help="working-space truncation parameter")
@@ -62,6 +67,9 @@ def parse_config(argv) -> argparse.Namespace:
     """The parsed flags, with ``quadrature`` as a list of three sizes or None;
     nan or an infinity in a float flag is a usage error."""
     config = build_parser().parse_args(argv)
+    # Python 3.11's argparse reads --flag=-- as an empty list, skipping type and choices
+    if any(isinstance(value, list) for name, value in vars(config).items() if name != "inputs"):
+        raise ValueError("a flag written as --flag=-- has no value")
     for name in ("alpha", "delta", "c_prime", "levy_c", "epsilon"):
         value = getattr(config, name)
         if value is not None and not math.isfinite(value):
@@ -90,13 +98,6 @@ def _ws_from(config: argparse.Namespace) -> workspace.WorkingSpace:
     n = _need(config.n, "--n")
     two_j_min = None if config.j_min is None else 2 * config.j_min
     return workspace.build_working_space(n, config.alpha, two_j_min)
-
-
-def _check_work(n_states: int, ws: workspace.WorkingSpace) -> None:
-    if n_states * ws.k > privacy.WORK_LIMIT:
-        raise ValueError(
-            f"{n_states} states of K={ws.k} coordinates exceed the work limit of {privacy.WORK_LIMIT}"
-        )
 
 
 def _jsonable(x):
@@ -136,8 +137,7 @@ def _run_decompose(config: argparse.Namespace) -> tuple[dict, dict | None]:
 
 def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
-    if n > 8:
-        raise ValueError("twirl-check builds dense 2^n operators; use n <= 8")
+    check_limit(n, 8, "twirl-check", "qubits")  # dense 2^n x 2^n operators
     samples = _or_default(config.samples, 10)
     if samples < 1:
         raise ValueError(f"twirl-check needs --samples >= 1, got {samples}")
@@ -146,6 +146,8 @@ def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
         if config.quadrature
         else channel.QuadratureSpec.for_qubits(n)
     )
+    # per sample the oracle forms n_beta dense 2^n x 2^n rotations and two 2^n x 2^n phase masks
+    check_limit(samples * (quad.n_beta + 2) * 4**n, privacy.WORK_LIMIT, "twirl-check", "operator entries")
     t = repkit.schur_transform(n)
     worst = 0.0
     with warnings.catch_warnings():
@@ -179,7 +181,7 @@ def _run_workspace(config: argparse.Namespace) -> tuple[dict, dict | None]:
 def _run_mean_f(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     samples = _or_default(config.samples, 2000)
-    _check_work(samples, ws)
+    check_limit(samples * ws.k, privacy.WORK_LIMIT, "mean-f", "state coordinates")
     report = privacy.mean_f_experiment(ws, samples, config.seed)
     return dataclasses.asdict(report), ws.descriptor()
 
@@ -188,7 +190,7 @@ def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     params = privacy.PrivacyParams(delta=_or_default(config.delta, 1.0), levy_c=config.levy_c)
     samples = _or_default(config.samples, 2000)
-    _check_work(samples, ws)
+    check_limit(samples * ws.k, privacy.WORK_LIMIT, "concentration", "state coordinates")
     report = privacy.concentration_experiment(ws, samples, DEFAULT_GAMMA_GRID, params, config.seed)
     d = dataclasses.asdict(report)
     d["tail"] = {f"{g:g}": v for g, v in report.tail.items()}
@@ -200,7 +202,8 @@ def _run_lipschitz(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     n_pairs = _or_default(config.samples, 2000)
     n_near = max(n_pairs // 10, 1)
-    _check_work(2 * (n_pairs + n_near), ws)  # two states per pair
+    # two states per pair, nearby pairs included
+    check_limit(2 * (n_pairs + n_near) * ws.k, privacy.WORK_LIMIT, "lipschitz", "state coordinates")
     worst = privacy.lipschitz_check(ws, n_pairs, config.seed)
     worst_near = privacy.lipschitz_check(ws, n_near, config.seed + 1, perturbation=1e-4)
     return (
@@ -284,8 +287,8 @@ def run(config: argparse.Namespace) -> dict:
     handler = HANDLERS.get(config.command)
     if handler is None:
         raise ValueError(f"unknown command {config.command!r}")
-    if config.samples is not None and config.samples > SAMPLES_LIMIT:
-        raise ValueError(f"--samples {config.samples} exceeds the limit of {SAMPLES_LIMIT}")
+    if config.samples is not None:
+        check_limit(config.samples, SAMPLES_LIMIT, config.command, "samples")
     payload, ws_descriptor = handler(config)
     return {
         "config": vars(config),

@@ -13,6 +13,13 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 
 
+def check_limit(amount, limit, what: str, unit: str) -> None:
+    """The one refusal before work starts: ValueError "<what> needs <amount>
+    <unit>, over the limit of <limit>" unless amount <= limit (nan is refused)."""
+    if not amount <= limit:
+        raise ValueError(f"{what} needs {amount} {unit}, over the limit of {limit}")
+
+
 def as_rng(seed) -> np.random.Generator:
     """Coerce an int / SeedSequence / Generator into a Generator."""
     if isinstance(seed, np.random.Generator):

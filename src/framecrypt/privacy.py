@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from framecrypt.linalg import dagger, derived_rng, haar_unitary, random_pure_state, trace_norm
+from framecrypt.linalg import check_limit, dagger, derived_rng, haar_unitary, random_pure_state, trace_norm
 from framecrypt.channel import reduced_blocks, reference_states, twirl_working_state
 from framecrypt.workspace import WorkingSpace, build_working_space, workspace_vector
 
@@ -45,8 +45,8 @@ HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
 F_CHUNK_BYTES = 2**16  # bytes of the states (not draws) _f_on_draws holds at once (64 KiB)
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
-# most state coordinates (states handled x K) one run may touch: the cap
-# theorem1_experiment and the CLI's f-sampling commands check before any draw
+# most state coordinates (states handled x K; twirl-check: operator entries) one
+# run may touch: the cap theorem1_experiment and the CLI check before any draw
 WORK_LIMIT = 10**9
 _ASSERT_SLACK = 1e-9
 
@@ -61,15 +61,14 @@ class PrivacyParams:
     """
 
     delta: float
-    gamma: float = 0.2
     levy_c: float = 1.0
     c_prime: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 2.0:
             raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
-        if self.gamma <= 0.0 or self.levy_c <= 0.0:
-            raise ValueError("gamma and levy_c must be positive")
+        if self.levy_c <= 0.0:
+            raise ValueError("levy_c must be positive")
 
     @property
     def net_epsilon(self) -> float:
@@ -242,11 +241,7 @@ def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
     dim_s columns of a K x K Haar unitary, refused above HAAR_STACK_LIMIT bytes."""
     if not 1 <= dim_s <= ws.k:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
-    unitary_bytes = ws.k * ws.k * np.dtype(complex).itemsize
-    if unitary_bytes > HAAR_STACK_LIMIT:
-        raise ValueError(
-            f"a subspace of K={ws.k} needs a {unitary_bytes}-byte unitary, over the limit of {HAAR_STACK_LIMIT}"
-        )
+    check_limit(ws.k**2 * np.dtype(complex).itemsize, HAAR_STACK_LIMIT, f"a subspace of K={ws.k}", "unitary bytes")
     basis = haar_unitary(ws.k, seed)[:, :dim_s]
     return SubspaceSample(seed=int(seed), basis=basis)
 
@@ -255,26 +250,31 @@ def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
 # covering nets and certified maxima
 # ---------------------------------------------------------------------------
 
+def _net_grid(dim_s: int, epsilon: float) -> tuple[int, int | float]:
+    """D = 2 dim_s - 1 and EpsNet's cells m per face edge (inf for a subnormal epsilon), both checked."""
+    if not (1 <= dim_s <= 3 and 0.0 < epsilon <= 1.0):
+        raise ValueError(f"a net needs dim_s in {{1, 2, 3}} and epsilon in (0, 1], got {dim_s} and {epsilon}")
+    d = 2 * dim_s - 1
+    cells = 2.0 * math.sqrt(d - 1) / epsilon
+    return d, max(1, math.ceil(cells)) if cells < math.inf else math.inf
+
+
+def net_size(dim_s: int, epsilon: float) -> int:
+    """build_eps_net's exact point count 2 D m^(D-1), refused over NET_SIZE_LIMIT; it builds nothing."""
+    d, m = _net_grid(dim_s, epsilon)
+    n_points = 2 * d * m ** (d - 1)
+    check_limit(n_points, NET_SIZE_LIMIT, f"a net with epsilon={epsilon} on dim_s={dim_s}", "points")
+    return n_points
+
+
 def build_eps_net(dim_s: int, epsilon: float, seed: int) -> EpsNet:
-    """The cube-surface net of ``EpsNet`` at resolution epsilon.
+    """The cube-surface net of ``EpsNet``, counted and refused by net_size first.
 
     It draws no random numbers: ``seed`` is unused and stays in the signature
-    only because perfbench calls build_eps_net with three arguments.  The
-    exact point count is checked against NET_SIZE_LIMIT before any work.
+    only because perfbench calls build_eps_net with three arguments.
     """
-    if not 1 <= dim_s <= 3:
-        raise ValueError("net construction is limited to dim_s in {1, 2, 3}")
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    d = 2 * dim_s - 1
-    cells = 2.0 * math.sqrt(d - 1) / epsilon  # inf once epsilon is subnormal
-    m = max(1, math.ceil(cells)) if cells < math.inf else math.inf
-    n_points = 2 * d * m ** (d - 1)
-    if n_points > NET_SIZE_LIMIT:
-        raise ValueError(
-            f"a net with epsilon={epsilon} on dim_s={dim_s} needs {n_points} points,"
-            f" above the limit of {NET_SIZE_LIMIT}"
-        )
+    n_points = net_size(dim_s, epsilon)
+    d, m = _net_grid(dim_s, epsilon)
     centres = (2.0 * np.arange(m) + 1.0) / m - 1.0
     face = np.array(list(itertools.product(centres, repeat=d - 1))).reshape(m ** (d - 1), d - 1)
     x = np.concatenate([np.insert(face, axis, sign, axis=1) for axis in range(d) for sign in (1.0, -1.0)])
@@ -503,11 +503,9 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
         raise ValueError("need dimension k >= 2")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    stack_bytes = min(HAAR_CHUNK, n_samples) * k * k * np.dtype(complex).itemsize
-    if stack_bytes > HAAR_STACK_LIMIT:
-        raise ValueError(
-            f"k={k} needs {stack_bytes} bytes per stack of unitaries, over the limit of {HAAR_STACK_LIMIT}"
-        )
+    chunk = min(HAAR_CHUNK, n_samples)
+    stack_bytes = chunk * k * k * np.dtype(complex).itemsize
+    check_limit(stack_bytes, HAAR_STACK_LIMIT, f"a stack of {chunk} unitaries of k={k}", "bytes")
     m_abs4 = np.empty(n_samples)
     m_cross2 = np.empty(n_samples)
     m_loop = np.empty(n_samples, dtype=complex)
@@ -565,7 +563,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         raise ValueError("need at least one subspace")
     delta = params.delta
     alpha = 36.0 / delta**2 if delta**2 > 0.0 else math.inf  # delta**2 underflows below 1e-162
-    bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + params.c_prime
+    bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + params.c_prime if n > 0 else None  # n <= 0: no log
     base = {
         "n": n,
         "delta": delta,
@@ -595,12 +593,9 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     n_probes = min(THEOREM1_BUDGET, 100)
     per_subspace = ws.k + THEOREM1_BUDGET + n_probes + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
     if dim_s == 2:
-        per_subspace += build_eps_net(2, params.net_epsilon, seed).n_points
-    if n_subspaces * per_subspace * ws.k > WORK_LIMIT:
-        raise ValueError(
-            f"{n_subspaces} subspaces of {per_subspace} states of K={ws.k} coordinates"
-            f" exceed the work limit of {WORK_LIMIT}"
-        )
+        per_subspace += net_size(2, params.net_epsilon)
+    what = f"theorem1 with {n_subspaces} subspaces of {per_subspace} states of K={ws.k}"
+    check_limit(n_subspaces * per_subspace * ws.k, WORK_LIMIT, what, "state coordinates")
 
     subspaces = []
     n_violating = 0

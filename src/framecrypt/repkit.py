@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from framecrypt.linalg import as_rng
+from framecrypt.linalg import as_rng, check_limit
 
 DENSE_QUBIT_LIMIT = 12  # full 2^N transforms and computational embeddings above this are refused
 # exact binomials for every block: about 0.6 s at this size, 4 s at twice it
@@ -71,8 +71,7 @@ def irrep_labels(n: int) -> list[int]:
     QUBIT_LIMIT are refused, before any exact binomial is computed.
     """
     _require_even(n)
-    if n > QUBIT_LIMIT:
-        raise ValueError(f"n={n} exceeds the working-space limit of {QUBIT_LIMIT} qubits")
+    check_limit(n, QUBIT_LIMIT, "exact block arithmetic", "qubits")
     return list(range(n, -1, -2))
 
 
@@ -243,8 +242,7 @@ def couple_paths(n: int, two_j: int, out: np.ndarray) -> None:
 def schur_transform(n: int) -> SchurTransform:
     """Build the full 2^n x 2^n change of basis by sequential coupling."""
     _require_even(n)
-    if n > DENSE_QUBIT_LIMIT:
-        raise ValueError(f"n={n} exceeds the dense-transform limit of {DENSE_QUBIT_LIMIT} qubits")
+    check_limit(n, DENSE_QUBIT_LIMIT, "a dense 2^n transform", "qubits")
     matrix = np.zeros((2**n, 2**n), dtype=complex)
     # couple_paths raises when a block has fewer paths than dim_p; no block can
     # have more, since block_layout checks that the dim_r * dim_p sum to 2^n

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from framecrypt.linalg import check_limit
 from framecrypt.repkit import (
     DENSE_QUBIT_LIMIT,
     CoupledIndex,
@@ -155,8 +156,7 @@ def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.
     if v.shape != (ws.k,):
         raise ValueError(f"expected a length-{ws.k} coordinate vector, got shape {v.shape}")
     if target == "computational":
-        if ws.n > DENSE_QUBIT_LIMIT:
-            raise ValueError(f"n={ws.n} exceeds the dense-embedding limit of {DENSE_QUBIT_LIMIT} qubits")
+        check_limit(ws.n, DENSE_QUBIT_LIMIT, "a dense computational embedding", "qubits")
         out = np.zeros(2**ws.n, dtype=complex)
         for two_j, coords in zip(ws.y, ws.blocks(v)):
             cols = np.empty((2**ws.n, two_j + 1, ws.d_alpha), dtype=complex)

@@ -156,7 +156,7 @@ def test_criterion_08_haar_fourth_moment():
 
 def test_criterion_09_concentration_trend():
     with criterion(9, "concentration trend"):
-        params = PrivacyParams(delta=1.0, gamma=0.2)
+        params = PrivacyParams(delta=1.0)
         grid = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
         tails = {}
         for n in (10, 14):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -10,10 +11,12 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framecrypt import channel, cli, privacy
 from framecrypt.cli import (
     DEFAULT_GAMMA_GRID,
     HANDLERS,
@@ -24,6 +27,7 @@ from framecrypt.cli import (
     payload_to_csv,
     run,
 )
+from framecrypt.linalg import check_limit
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -279,6 +283,25 @@ def test_usage_error_exit_2(capsys):
     assert json.loads(err)["error"]["kind"] == "usage"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "decompose", "--n", "abc"],
+        # argparse reads -1e308 as an option: write it --c-prime=-1e308
+        ["--command", "capacity", "--n", "16", "--c-prime", "-1e308"],
+        # Python 3.11's argparse reads this as an empty list, not as a string
+        ["--command", "decompose", "--n=--"],
+    ],
+    ids=["non-numeric", "exponent-without-equals", "double-dash"],
+)
+def test_malformed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == canonical_json(json.loads(err))
+    assert json.loads(err)["error"]["kind"] == "usage"
+
+
 def test_domain_error_exit_1(capsys):
     # odd qubit count: rejected by the workspace validation inside the run
     code, out, err = run_main(capsys, "--command", "twirl-check", "--n", "3")
@@ -335,10 +358,11 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "theorem1", "--n", "200", "--delta", "2", "--c-prime", "-20"],
         ["--command", "theorem1", "--n", "24", "--delta", "2", "--c-prime", "-12",
          "--samples", "1000000"],
+        ["--command", "twirl-check", "--n", "8", "--samples", "1000000"],
     ],
     ids=["net", "net-subnormal-epsilon", "workspace", "decompose", "capacity", "twirl-check",
          "haar-moments", "haar-moments-samples", "mean-f-samples", "mean-f-work",
-         "theorem1-subspace", "theorem1-work"],
+         "theorem1-subspace", "theorem1-work", "twirl-check-work"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -349,6 +373,62 @@ def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     error = json.loads(err)["error"]
     assert error["kind"] == "domain"
     assert "limit" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "mean-f", "--n", "12", "--samples", "200", "--seed", "3"],
+        ["--command", "concentration", "--n", "12", "--samples", "200", "--seed", "3"],
+        ["--command", "lipschitz", "--n", "12", "--samples", "300", "--seed", "3"],
+        ["--command", "twirl-check", "--n", "4", "--samples", "3"],
+        ["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"],
+    ],
+    ids=["mean-f", "concentration", "lipschitz", "twirl-check", "theorem1"],
+)
+def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, argv):
+    """The count checked against WORK_LIMIT before the run, against the work
+    the run then does: states through f_evals x K, ascent rounds x dim_s x K,
+    and oracle calls x (n_beta + 2) x 4^n operator entries."""
+    declared, measured = [], []
+    f_evals, ascend, oracle, eigh = privacy.f_evals, privacy._ascend, channel.twirl_oracle, np.linalg.eigh
+
+    def recording_check_limit(amount, limit, what, unit):
+        if limit == privacy.WORK_LIMIT:
+            declared.append(amount)
+        check_limit(amount, limit, what, unit)
+
+    def counting_f_evals(phis, ws):
+        measured.append(np.asarray(phis).size)
+        return f_evals(phis, ws)
+
+    def counting_ascend(c0, basis, ws):
+        rounds = []
+
+        def counting_eigh(a):  # one stacked block eigensolve starts every round
+            rounds.append(np.ndim(a) > 2)
+            return eigh(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting_eigh)
+            result = ascend(c0, basis, ws)
+        measured.append(sum(rounds) * basis.shape[1] * ws.k)
+        return result
+
+    def counting_oracle(rho, spec):
+        measured.append((spec.n_beta + 2) * np.asarray(rho).size)
+        return oracle(rho, spec)
+
+    for module in (cli, privacy):
+        monkeypatch.setattr(module, "check_limit", recording_check_limit)
+    monkeypatch.setattr(privacy, "f_evals", counting_f_evals)
+    monkeypatch.setattr(privacy, "_ascend", counting_ascend)
+    monkeypatch.setattr(channel, "twirl_oracle", counting_oracle)
+    code, _, _ = run_main(capsys, *argv)
+    assert code == 0
+    assert len(declared) == 1
+    assert 0 < sum(measured) <= declared[0]
+    print(f"{argv[1]}: measured / declared = {sum(measured) / declared[0]:.4f}")
 
 
 def test_zero_quadrature_size_is_refused_before_the_band_limit_warning(capsys):
@@ -397,6 +477,8 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
         (["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "2000"], "dim_s", "exceeds"),
         # delta**2 underflows to zero
         (["--command", "theorem1", "--n", "12", "--delta", "1e-200"], "alpha", "truncates"),
+        # log2(n) has no value: refused as a qubit count, like odd n
+        (["--command", "theorem1", "--n", "0", "--delta", "2"], "dim_bits", "qubit count"),
     ],
 )
 def test_theorem1_out_of_range_arithmetic_is_infeasible(capsys, argv, field, reason):
@@ -425,6 +507,8 @@ FUZZ_VALUES = {
         st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e-200, 1e308, -1e308]) | st.floats(),
     ),
 }
+# no string over this alphabet parses as an int or a float
+NON_NUMERIC = st.text(alphabet="abcxyz.,+-_ ", max_size=4)
 # a run that succeeds per command, and the other flags it reads; each case
 # replaces some of them.  These commands stay well under a second at
 # --n <= 12 and --samples <= 100.
@@ -441,7 +525,7 @@ FUZZ_BASES = {
 }
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+@settings(derandomize=True, max_examples=1000, deadline=None)
 @given(
     st.one_of(
         st.tuples(
@@ -449,15 +533,21 @@ FUZZ_BASES = {
             st.fixed_dictionaries({}, optional={flag: FUZZ_VALUES[flag] for flag in (*base, *others)}).map(
                 lambda changed, base=base: {**base, **changed}
             ),
+            # about half the cases also garble one flag with a non-numeric string
+            st.just({}) | st.tuples(st.sampled_from((*base, *others)), NON_NUMERIC).map(lambda kv: dict([kv])),
         )
         for command, (base, others) in FUZZ_BASES.items()
-    )
+    ),
+    st.booleans(),
 )
-def test_fuzzed_flags_keep_the_output_contract(case):
-    """Any numeric flag values, nan, infinities, subnormals and huge values
-    included: exit 0 with canonical JSON, or exit 1/2 with one error object."""
-    command, flags = case
-    argv = ["--command", command, *(f"{flag}={value!r}" for flag, value in flags.items())]
+def test_fuzzed_flags_keep_the_output_contract(case, joined):
+    """Any flag values, nan, infinities, subnormals, huge values and
+    non-numeric strings included, written as --flag=value or as --flag value:
+    exit 0 with canonical JSON, or exit 1/2 with one error object."""
+    command, flags, garbled = case
+    flags = {**flags, **garbled}
+    words = ([f"{flag}={value}"] if joined else [flag, str(value)] for flag, value in flags.items())
+    argv = ["--command", command, *itertools.chain.from_iterable(words)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

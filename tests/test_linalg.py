@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecrypt.linalg import (
+    check_limit,
     dagger,
     derived_rng,
     haar_unitary,
@@ -227,3 +228,12 @@ def test_kron_power():
     np.testing.assert_array_equal(kron_power(m, 3), np.kron(np.kron(m, m), m))
     with pytest.raises(ValueError):
         kron_power(m, 0)
+
+
+def test_check_limit_refuses_over_the_limit_and_not_a_number():
+    check_limit(10, 10, "a run", "units")  # the limit itself is allowed
+    with pytest.raises(ValueError, match=r"^a run needs 11 units, over the limit of 10$"):
+        check_limit(11, 10, "a run", "units")
+    for amount in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="over the limit"):
+            check_limit(amount, 10, "a run", "units")

@@ -1,7 +1,12 @@
 """Package-wide source checks."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import framecrypt
 
@@ -29,3 +34,23 @@ def test_no_unbounded_while_loops():
         if isinstance(node, ast.While) and isinstance(node.test, ast.Constant) and node.test.value
     ]
     assert found == []
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--command", "lipschitz", "--n", "12", "--samples", "50", "--seed", "3"], 0),
+        (["--command", "twirl-check", "--n", "8", "--samples", "1000000"], 1),
+    ],
+    ids=["lipschitz", "over-the-limit"],
+)
+def test_cli_behaves_the_same_under_python_O(argv, code):
+    # python -O strips asserts: no check, limit or result may rest on one
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "framecrypt.cli", *argv], capture_output=True, timeout=60)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == code
+    assert optimized.stdout == plain.stdout
+    if code:
+        assert json.loads(optimized.stderr) == json.loads(plain.stderr)

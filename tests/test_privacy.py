@@ -13,6 +13,7 @@ from framecrypt.privacy import (
     PrivacyParams,
     build_eps_net,
     concentration_experiment,
+    net_size,
     estimate_max_f,
     f_chunk,
     f_eval,
@@ -211,6 +212,7 @@ def test_net_point_count_is_exact():
     counts = {(1, 0.25): 2, (2, 1.0): 54, (2, 0.6): 150, (2, 0.25): 864, (3, 1.0): 2560, (3, 0.5): 40960}
     for (dim_s, epsilon), count in counts.items():
         assert build_eps_net(dim_s, epsilon, 0).n_points == count
+        assert net_size(dim_s, epsilon) == count
 
 
 def test_net_determinism_and_validation():
