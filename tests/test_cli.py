@@ -1,12 +1,16 @@
 """Tests for the command-line driver: payloads, determinism, error surfaces."""
 
 import contextlib
+import csv
 import io
 import itertools
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -250,6 +254,11 @@ def test_readme_scans_and_curves_run(tmp_path, monkeypatch, capsys):
             "theorem1_n12_delta2_cprime-13_seed3.json",
             ["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"],
         ),
+        # K = 33,280: the sampler spreads the draws over the CPUs
+        (
+            "concentration_n96_samples100_seed3.json",
+            ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"],
+        ),
     ],
 )
 def test_exact_commands_match_their_pinned_output(capsys, name, argv):
@@ -258,6 +267,22 @@ def test_exact_commands_match_their_pinned_output(capsys, name, argv):
     code, out, _ = run_main(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="this platform has no CPU affinity")
+def test_one_cpu_prints_the_same_bytes():
+    """A process pinned to one CPU samples serially (no pool is made) and
+    prints the pinned output of the run that spreads its draws."""
+    script = (
+        "import os, sys\n"
+        f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+        "from framecrypt import cli, privacy\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "sys.exit(code or (privacy._pool is not None))\n"
+    )
+    argv = ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, check=True)
+    assert proc.stdout.decode() == (GOLDEN / "concentration_n96_samples100_seed3.json").read_text(encoding="utf-8")
 
 
 def test_csv_projection(capsys):
@@ -359,10 +384,12 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "theorem1", "--n", "24", "--delta", "2", "--c-prime", "-12",
          "--samples", "1000000"],
         ["--command", "twirl-check", "--n", "8", "--samples", "1000000"],
+        # 0.33 s per sample at n = 2: the quadrature nodes, not the 4 x 4 operators, take the time
+        ["--command", "twirl-check", "--n", "2", "--samples", "1000", "--quadrature", "1024,1024,1024"],
     ],
     ids=["net", "net-subnormal-epsilon", "workspace", "decompose", "capacity", "twirl-check",
          "haar-moments", "haar-moments-samples", "mean-f-samples", "mean-f-work",
-         "theorem1-subspace", "theorem1-work", "twirl-check-work"],
+         "theorem1-subspace", "theorem1-work", "twirl-check-work", "twirl-check-nodes"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()
@@ -496,6 +523,12 @@ def test_capacity_advantage_threshold_past_float_range_is_null(capsys):
     assert json.loads(out)["payload"]["min_delta_for_advantage"] is None
 
 
+# the files the fuzzed emit-curve cases read, written by curve_files: two
+# result documents, an array, an object without a payload, text that is not
+# JSON, bytes that are not UTF-8, a directory and a name with no file
+CURVE_FILES = ("cap4.json", "cap8.json", "list.json", "bare.json", "text.json", "bytes.json", "dir.json", "none.json")
+FIELDS = ("n", "q_perfect", "rank_chain.tight", "config.n", "payload", "x.y", "tool_version", "none", "")
+
 FUZZ_VALUES = {
     "--n": st.integers(-2, 12),
     "--samples": st.integers(-1, 4) | st.just(100),
@@ -506,7 +539,13 @@ FUZZ_VALUES = {
         ("--alpha", "--delta", "--c-prime", "--levy-c", "--epsilon"),
         st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e-200, 1e308, -1e308]) | st.floats(),
     ),
+    "--quadrature": st.lists(st.integers(-1, 12), max_size=4).map(lambda sizes: ",".join(map(str, sizes))),
+    "--inputs": st.lists(st.sampled_from(CURVE_FILES), max_size=3),
+    **dict.fromkeys(("--x-field", "--y-field"), st.sampled_from(FIELDS)),
 }
+# per command, flags drawn from a narrower range than FUZZ_VALUES gives:
+# twirl-check forms dense 2^n x 2^n operators, and n <= 6 keeps its cases cheap
+FUZZ_NARROWED = {"twirl-check": {"--n": st.integers(-2, 6)}}
 # no string over this alphabet parses as an int or a float
 NON_NUMERIC = st.text(alphabet="abcxyz.,+-_ ", max_size=4)
 # a run that succeeds per command, and the other flags it reads; each case
@@ -522,7 +561,34 @@ FUZZ_BASES = {
     "concentration": ({"--n": 12, "--alpha": 2.0, "--delta": 1.0, "--samples": 4}, ("--levy-c", "--seed")),
     "lipschitz": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--seed",)),
     "haar-moments": ({"--n": 4, "--samples": 100}, ("--seed",)),
+    "twirl-check": ({"--n": 2, "--samples": 1}, ("--quadrature", "--seed")),
+    "emit-curve": ({"--inputs": ["cap4.json", "cap8.json"], "--x-field": "n", "--y-field": "q_perfect"}, ()),
 }
+
+
+@pytest.fixture(scope="module")
+def curve_files(tmp_path_factory):
+    """The directory holding CURVE_FILES (none.json excepted)."""
+    root = tmp_path_factory.mktemp("curves")
+    for n in (4, 8):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--command", "capacity", "--n", str(n), "--out", str(root / f"cap{n}.json")]) == 0
+    (root / "list.json").write_text("[1, 2]", encoding="utf-8")
+    (root / "bare.json").write_text('{"n": null, "x": {"y": [1]}}', encoding="utf-8")
+    (root / "text.json").write_text("not json", encoding="utf-8")
+    (root / "bytes.json").write_bytes(b"\xff\xfe{")
+    (root / "dir.json").mkdir()
+    return root
+
+
+def fuzz_words(flag: str, value, joined: bool, curve_dir: Path) -> list[str]:
+    """argv words for one flag; --inputs names become paths in curve_dir."""
+    if flag != "--inputs" or not isinstance(value, list):
+        return [f"{flag}={value}"] if joined else [flag, str(value)]
+    paths = [str(curve_dir / name) for name in value]
+    if joined and paths:  # --inputs=first takes one value, and argparse refuses the rest
+        return [f"{flag}={paths[0]}", *paths[1:]]
+    return [flag, *paths]
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
@@ -530,9 +596,12 @@ FUZZ_BASES = {
     st.one_of(
         st.tuples(
             st.just(command),
-            st.fixed_dictionaries({}, optional={flag: FUZZ_VALUES[flag] for flag in (*base, *others)}).map(
-                lambda changed, base=base: {**base, **changed}
-            ),
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    flag: FUZZ_NARROWED.get(command, {}).get(flag, FUZZ_VALUES[flag]) for flag in (*base, *others)
+                },
+            ).map(lambda changed, base=base: {**base, **changed}),
             # about half the cases also garble one flag with a non-numeric string
             st.just({}) | st.tuples(st.sampled_from((*base, *others)), NON_NUMERIC).map(lambda kv: dict([kv])),
         )
@@ -540,19 +609,25 @@ FUZZ_BASES = {
     ),
     st.booleans(),
 )
-def test_fuzzed_flags_keep_the_output_contract(case, joined):
+def test_fuzzed_flags_keep_the_output_contract(curve_files, case, joined):
     """Any flag values, nan, infinities, subnormals, huge values and
     non-numeric strings included, written as --flag=value or as --flag value:
-    exit 0 with canonical JSON, or exit 1/2 with one error object."""
+    exit 0 with canonical JSON (emit-curve: its CSV, and nothing on stderr),
+    or exit 1/2 with one error object."""
     command, flags, garbled = case
     flags = {**flags, **garbled}
-    words = ([f"{flag}={value}"] if joined else [flag, str(value)] for flag, value in flags.items())
+    words = (fuzz_words(flag, value, joined, curve_files) for flag, value in flags.items())
     argv = ["--command", command, *itertools.chain.from_iterable(words)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    if code == 0:
+    if code == 0 and command == "emit-curve":
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert rows[0] == [flags["--x-field"], flags["--y-field"]]
+        assert len(rows) == 1 + len(flags["--inputs"])
+        assert err == ""
+    elif code == 0:
         assert out == canonical_json(json.loads(out))
         assert re.fullmatch(r"wall_clock_seconds=\d+\.\d{3}\n", err)
     else:

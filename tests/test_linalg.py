@@ -1,11 +1,14 @@
 """Tests for the dense linear-algebra helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecrypt.linalg import (
+    HERMITIAN_TOL,
     check_limit,
     dagger,
     derived_rng,
@@ -220,6 +223,66 @@ def test_dagger_on_stacks():
 def test_is_hermitian_and_validators():
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def dense_is_hermitian(x):
+    """The definition on the whole matrix at once."""
+    return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 607])
+def test_is_hermitian_agrees_with_the_dense_formula(dim):
+    # sizes on both sides of a 64 x 64 tile; an off-diagonal entry just
+    # inside, at and just outside the tolerance, in the upper and the lower
+    # triangle; nan and inf anywhere
+    rng = derived_rng(505, dim)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = g + g.conj().T
+    cases = [h, h.real.copy(), h + 0.5 * HERMITIAN_TOL * 1j * np.eye(dim)]
+    i, j = dim - 1, dim // 3
+    for step in (0.5, 1.0, 1.0 + 1e-6, 2.0):
+        for a, b in ((i, j), (j, i)):
+            x = h.copy()
+            x[a, b] += step * HERMITIAN_TOL
+            cases.append(x)
+            x = h.copy()
+            x[a, b] += step * HERMITIAN_TOL * 1j
+            cases.append(x)
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        for a, b in ((i, j), (j, i), (i, i)):
+            x = h.copy()
+            x[a, b] = bad
+            cases.append(x)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in the dense formula
+        results = [is_hermitian(x) for x in cases]
+        assert results == [dense_is_hermitian(x) for x in cases]
+    assert results[:3] == [True, True, True]
+    if dim > 1:  # a 1 x 1 matrix cannot break symmetry off the diagonal
+        assert not all(results[3:])
+    assert not any(results[-12:])  # nan and inf are never within the tolerance
+
+
+def test_is_hermitian_keeps_stacks_and_non_square_input():
+    stack = np.stack([np.eye(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])])
+    assert is_hermitian(stack[:1])
+    assert not is_hermitian(stack)
+    assert is_hermitian(np.zeros((0, 0)))
+    with pytest.raises(ValueError):
+        is_hermitian(np.zeros((2, 3)))
+
+
+def test_is_hermitian_temporaries_stay_small():
+    # the dense formula's three 607 x 607 temporaries take 11.9 MB; the tiled
+    # comparison needs about a quarter of a megabyte
+    x = random_density_matrix(607, 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert is_hermitian(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_kron_power():

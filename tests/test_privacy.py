@@ -1,15 +1,25 @@
 """Tests for the privacy experiments: f, nets, concentration, moments."""
 
 import math
+import multiprocessing
+import os
+import queue
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from framecrypt import privacy
 from framecrypt.linalg import derived_rng, random_pure_state
 from framecrypt.privacy import (
     LIPSCHITZ_BOUND,
     _ascend,
+    _f_on_draws,
     F_CHUNK_BYTES,
+    FAN_OUT_BYTES,
     PrivacyParams,
     build_eps_net,
     concentration_experiment,
@@ -376,6 +386,157 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
     for start in range(0, n_pairs, chunk):
         assert 0 < sum(skipped[start : start + chunk]) < len(skipped[start : start + chunk])
     assert lipschitz_check(WS12, n_pairs, 3, perturbation=perturbation) == worst
+
+
+# ---------------------------------------------------------------------------
+# large draws spread over the CPUs
+# ---------------------------------------------------------------------------
+
+WS84 = build_working_space(84, 2.0)  # K = 22,344: one state takes 357,504 bytes
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(c): the sampler sees c CPUs and makes its pool afresh, shut down after the test."""
+
+    def use(count):
+        monkeypatch.setattr(privacy, "_cpus", lambda: count)
+        monkeypatch.setattr(privacy, "_pool", None)
+
+    yield use
+    if privacy._pool is not None:
+        privacy._pool.shutdown()
+
+
+def test_draws_spread_only_where_a_chunk_is_one_draw():
+    # from the threshold on, the serial loop hands f_evals one draw at a
+    # time: the call each spread draw makes
+    state_bytes = np.dtype(complex).itemsize
+    assert FAN_OUT_BYTES > F_CHUNK_BYTES
+    assert f_chunk(FAN_OUT_BYTES // state_bytes) == f_chunk(FAN_OUT_BYTES // state_bytes // 2, 2) == 1
+    assert WS84.k * state_bytes >= FAN_OUT_BYTES
+    assert build_working_space(60, 2.0).k * state_bytes < FAN_OUT_BYTES  # mean-f --n 60 stays serial
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
+    cpus(count)  # 5: more shares than this machine may have cores
+    threads = set()
+
+    def draw(i):
+        threads.add(threading.current_thread().name)
+        return random_pure_state(WS84.k, derived_rng(606, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch as often as they can
+    try:
+        got = _f_on_draws(11, draw, WS84)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1  # pool threads drew too
+    assert np.array_equal(got, [f_evals(draw(i)[None], WS84)[0] for i in range(11)])
+
+
+@pytest.mark.parametrize("perturbation", [None, 1e-4])
+def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, perturbation):
+    def pairs(count):
+        cpus(count)
+        gaps = np.full(5, np.nan)
+
+        def pair(i):
+            rng = derived_rng(8, i)
+            phi = random_pure_state(WS84.k, rng)
+            psi = random_pure_state(WS84.k, rng) if perturbation is None else phi + perturbation * (
+                rng.standard_normal(WS84.k) + 1j * rng.standard_normal(WS84.k)
+            )
+            psi = psi / np.linalg.norm(psi)
+            gaps[i] = np.linalg.norm(phi - psi)
+            return np.stack([phi, psi])
+
+        return _f_on_draws(5, pair, WS84), gaps, lipschitz_check(WS84, 5, 8, perturbation)
+
+    serial, spread = pairs(1), pairs(3)
+    assert spread[0].shape == (5, 2)
+    for a, b in zip(serial, spread):
+        assert np.array_equal(a, b)
+
+
+class DrawFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("bad", [0, 3, 4, 5])  # the first draw, then shares 0 (the caller), 1 and 2 of three
+def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
+    cpus(3)
+    lock = threading.Lock()
+    busy, drawn = [0], []
+
+    def slow(fn):  # counts the calls in progress
+        def counted(*args):
+            with lock:
+                busy[0] += 1
+            try:
+                time.sleep(0.01)
+                return fn(*args)
+            finally:
+                with lock:
+                    busy[0] -= 1
+
+        return counted
+
+    @slow
+    def draw(i):
+        drawn.append(i)
+        if i == bad:
+            raise DrawFailed(i)
+        return random_pure_state(WS84.k, derived_rng(1, i))
+
+    monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
+    with pytest.raises(DrawFailed):
+        _f_on_draws(60, draw, WS84)
+    assert busy[0] == 0  # no share is still drawing or evaluating
+    made = len(drawn)
+    assert made < 20  # each share stopped before its next draw
+    time.sleep(0.05)
+    assert len(drawn) == made
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
+def test_a_forked_child_makes_its_own_pool(cpus):
+    # the child's copy of the parent's pool has no threads to run a share
+    cpus(2)
+    draw = lambda i: random_pure_state(WS84.k, derived_rng(12, i))  # noqa: E731
+    want = _f_on_draws(4, draw, WS84)
+    assert privacy._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.Queue()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
+        child = ctx.Process(target=lambda: results.put(_f_on_draws(4, draw, WS84)))
+        child.start()
+    try:
+        got = results.get(timeout=60)
+    except queue.Empty:
+        got = None
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert got is not None, "the forked child's sampler did not finish"
+    assert np.array_equal(got, want)
+
+
+def test_small_draws_start_no_pool_thread(monkeypatch, cpus):
+    def no_fan_out(*args):
+        raise AssertionError("small draws were spread over threads")
+
+    cpus(4)
+    monkeypatch.setattr(privacy, "_fan_out", no_fan_out)
+    before = threading.active_count()
+    ws60 = build_working_space(60, 2.0)
+    mean_f_experiment(ws60, 20, 3)
+    assert _f_on_draws(3, lambda i: random_pure_state(WS12.k, derived_rng(2, i), size=2), WS12).shape == (3, 2)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------
