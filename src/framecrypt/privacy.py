@@ -10,13 +10,15 @@ nearly indistinguishable to anyone watching the channel output, while the
 dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
 eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
-Lipschitz pair included, goes through one sampler, ``_f_on_draws``, which
-draws the states a chunk at a time and hands each chunk to the kernel; on
-large working spaces it spreads the draws over the process's CPUs.  The
-helpers here evaluate f two independent ways, estimate its maximum over a
-subspace (with a proved upper bound on 2-dimensional subspaces from a fixed
-covering net and the Lipschitz constant of f), and run the mean /
-concentration / smoothness experiments that the theory predicts:
+Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
+the per-sample generators (``derived_rngs``), draws plain random states
+itself a chunk at a time, normalizes each chunk at once and hands it to the
+kernel; on large working spaces it spreads the draws over the process's
+CPUs, with bit-identical values.  The helpers here evaluate f two
+independent ways, estimate its maximum over a subspace (with a proved upper
+bound on 2-dimensional subspaces from a fixed covering net and the Lipschitz
+constant of f), and run the mean / concentration / smoothness experiments
+that the theory predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -36,7 +38,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from framecrypt.linalg import check_limit, dagger, derived_rng, haar_unitary, random_pure_state, trace_norm
+from framecrypt.linalg import (
+    check_limit,
+    dagger,
+    derived_rng,
+    derived_rngs,
+    haar_unitary,
+    normalize_rows,
+    random_pure_state,
+    trace_norm,
+)
 from framecrypt.channel import reduced_blocks, reference_states, twirl_working_state
 from framecrypt.workspace import WorkingSpace, build_working_space, workspace_vector
 
@@ -228,12 +239,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _fan_out(fs: np.ndarray, first: np.ndarray, draw, ws: WorkingSpace, workers: int) -> None:
-    """fs[i] = f of draw(i) on its own, share w taking every i = w mod workers.
+def _fan_out(run, count: int, workers: int) -> None:
+    """run(range(w, count, workers), stop) for every share w at once.
 
     The calling thread takes share 0 and pool threads the others.  A share
-    that raises stops every share before its next draw; the call returns, or
-    re-raises the first exception, only once every share has ended.
+    that raises sets ``stop``, which run checks before every draw; the call
+    returns, or re-raises the first exception, only once every share has
+    ended.
     """
     global _pool
     if _pool is None:
@@ -241,14 +253,11 @@ def _fan_out(fs: np.ndarray, first: np.ndarray, draw, ws: WorkingSpace, workers:
     stop = threading.Event()
 
     def share(w: int) -> None:
-        for i in range(w, len(fs), workers):
-            if stop.is_set():
-                return
-            try:
-                fs[i] = f_evals(np.asarray(first if i == 0 else draw(i))[None], ws)[0]
-            except BaseException:
-                stop.set()
-                raise
+        try:
+            run(range(w, count, workers), stop)
+        except BaseException:
+            stop.set()
+            raise
 
     futures = [_pool.submit(share, w) for w in range(1, workers)]
     try:
@@ -259,33 +268,66 @@ def _fan_out(fs: np.ndarray, first: np.ndarray, draw, ws: WorkingSpace, workers:
         future.result()
 
 
-def _f_on_draws(count: int, draw, ws: WorkingSpace) -> np.ndarray:
-    """f on the states draw(0), ..., draw(count - 1).
+def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), seen=None) -> np.ndarray:
+    """f on the states of draws 0, ..., count - 1, with result shape (count, *shape).
 
-    The one loop here that chunks states.  A draw is one state (K,) or a
-    fixed stack of r states (r, K), and the result has shape (count,) or
-    (count, r).  A draw must depend only on its index: draws of at least
-    FAN_OUT_BYTES of states run concurrently, spread over the CPUs of the
-    process's affinity mask, one draw per kernel call as on the serial path,
-    so the values are the same bit for bit.  Smaller draws are copied
-    f_chunk(K, r) at a time into one reused buffer that goes to f_evals
-    whole, so the states of all draws never exist at once.  count must be
-    positive.
+    The one loop here that draws and chunks states.  A draw is a
+    (*shape, K) stack of states: one state for shape (), a pair for (2,).
+    With ``stream`` = (seed, *prefix) the sampler owns the generators: draw i
+    uses derived_rng(seed, *prefix, i), made by derived_rngs.  Without
+    ``draw`` it draws the states itself, one standard_normal call per draw
+    into a float chunk (each state's real parts, then its imaginary parts,
+    as random_pure_state takes them), and normalizes the whole chunk with
+    normalize_rows, so the states are random_pure_state's bit for bit.
+    Otherwise draw(i, rng) gives draw i, rng being its generator (None
+    without a stream); it must depend only on i and rng.  seen(i, states),
+    if given, sees each draw's states before f does.
+
+    Draws of at least FAN_OUT_BYTES of states run concurrently, spread over
+    the CPUs of the process's affinity mask; each share walks its own
+    derived_rngs, so no generator is shared between threads, and each draw
+    is one kernel call as on the serial path, so the values are the same bit
+    for bit.  Smaller draws are made f_chunk(K, states per draw) at a time
+    in one reused buffer that goes to f_evals whole, so the states of all
+    draws never exist at once.  count must be positive.
     """
-    draws = map(draw, range(count))
-    first = np.asarray(next(draws))
-    fs = np.empty((count, *first.shape[:-1]))
+    per_draw = math.prod(shape)
     workers = min(_cpus(), count)
-    if workers > 1 and first.size * np.dtype(complex).itemsize >= FAN_OUT_BYTES:
-        _fan_out(fs, first, draw, ws, workers)
-        return fs
-    buf = np.empty((min(f_chunk(ws.k, first.size // ws.k), count), *first.shape), dtype=complex)
-    draws = itertools.chain([first], draws)
-    for start in range(0, count, len(buf)):
-        rows = buf[: min(len(buf), count - start)]
-        for r in range(len(rows)):
-            rows[r] = next(draws)
-        fs[start : start + len(rows)] = f_evals(rows, ws)
+    spread = workers > 1 and per_draw * ws.k * np.dtype(complex).itemsize >= FAN_OUT_BYTES
+    chunk = 1 if spread else min(f_chunk(ws.k, per_draw), count)
+    fs = np.empty((count, *shape))
+
+    def run(indices: range, stop: threading.Event | None = None) -> None:
+        rngs = derived_rngs(stream[0], stream[1:], indices) if stream else itertools.repeat(None)
+        states = np.empty((chunk, *shape, ws.k), dtype=complex)
+        for start in range(0, len(indices), chunk):
+            part = indices[start : start + chunk]
+            rows = states[: len(part)]
+            if draw is None:
+                normals = np.empty((len(part), *shape, 2, ws.k))
+            for r, (i, rng) in enumerate(zip(part, rngs)):
+                if stop is not None and stop.is_set():
+                    return
+                if draw is None:
+                    rng.standard_normal(out=normals[r])
+                else:
+                    rows[r] = draw(i, rng)
+            if draw is None:
+                rows.real = normals[..., 0, :]
+                rows.imag = normals[..., 1, :]
+                # freed before normalize_rows' temporaries: at K = 78,561 a
+                # spread share then holds no more at once than random_pure_state
+                del normals
+                normalize_rows(rows)
+            if seen is not None:
+                for i, row in zip(part, rows):
+                    seen(i, row)
+            fs[part.start : part.stop : part.step] = f_evals(rows, ws)
+
+    if spread:
+        _fan_out(run, count, workers)
+    else:
+        run(range(count))
     return fs
 
 
@@ -419,7 +461,7 @@ def estimate_max_f(
     probes = random_pure_state(sample.dim_s, derived_rng(seed, 0), size=budget)
     # each state formed as basis @ c, one row at a time: a stacked product
     # may round differently and move the seeded theorem1 output
-    vals = _f_on_draws(budget, lambda i: basis @ probes[i], ws)
+    vals = _f_on_draws(budget, ws, lambda i, _: basis @ probes[i])
     lower = float(vals.max())
 
     order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
@@ -430,7 +472,7 @@ def estimate_max_f(
     certified = None
     if sample.dim_s == 2:
         net = build_eps_net(2, net_epsilon, seed)
-        net_vals = _f_on_draws(net.n_points, lambda i: basis @ net.points[i], ws)
+        net_vals = _f_on_draws(net.n_points, ws, lambda i, _: basis @ net.points[i])
         lower = max(lower, float(net_vals.max()))
         # f is phase invariant and 2-Lipschitz, and every state lies within
         # covering_radius <= eps/2 of a net point: max f <= net max + eps
@@ -447,7 +489,7 @@ def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.nda
     statistics both experiments report; the tail fields are left empty."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    fs = _f_on_draws(n_samples, lambda i: random_pure_state(ws.k, derived_rng(seed, i)), ws)
+    fs = _f_on_draws(n_samples, ws, stream=(seed,))
     std = float(fs.std(ddof=1))
     return fs, ConcentrationReport(
         n_samples=n_samples,
@@ -527,19 +569,17 @@ def lipschitz_check(
         raise ValueError("need at least one pair")
     gaps = np.empty(n_pairs)
 
-    def pair(i: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = derived_rng(seed, i)
-        phi = random_pure_state(ws.k, rng)
-        if perturbation is None:
-            psi = random_pure_state(ws.k, rng)
-        else:
-            noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
-            psi = phi + perturbation * noise
-            psi = psi / np.linalg.norm(psi)
-        gaps[i] = np.linalg.norm(phi - psi)
-        return phi, psi
+    def gap(i: int, pair: np.ndarray) -> None:
+        gaps[i] = np.linalg.norm(pair[0] - pair[1])
 
-    fs = _f_on_draws(n_pairs, pair, ws)
+    def nearby(i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        phi = random_pure_state(ws.k, rng)
+        noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
+        psi = phi + perturbation * noise
+        return phi, psi / np.linalg.norm(psi)
+
+    draw = None if perturbation is None else nearby
+    fs = _f_on_draws(n_pairs, ws, draw, stream=(seed,), shape=(2,), seen=gap)
     kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
     worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:
@@ -678,7 +718,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         sub = sample_subspace(ws, dim_s, sub_seed)
         est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
         probe_vals = _f_on_draws(
-            n_probes, lambda i: sub.basis @ random_pure_state(dim_s, derived_rng(sub_seed, 7, i)), ws
+            n_probes, ws, lambda i, rng: sub.basis @ random_pure_state(dim_s, rng), stream=(sub_seed, 7)
         )
         probes_over += int(np.sum(probe_vals > delta))
         probes_total += probe_vals.size

@@ -7,14 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framecrypt import linalg
 from framecrypt.linalg import (
+    DERIVE_BLOCK,
     HERMITIAN_TOL,
+    as_rng,
     check_limit,
     dagger,
     derived_rng,
+    derived_rngs,
     haar_unitary,
     is_hermitian,
     kron_power,
+    normalize_rows,
     partial_trace,
     random_density_matrix,
     random_pure_state,
@@ -191,6 +196,33 @@ def test_random_pure_state_norm_and_density():
         random_pure_state(0, 1)
 
 
+def reference_pure_state(dim, seed, size=None):
+    """random_pure_state as first written: a + 1j*b over np.linalg.norm."""
+    rng = as_rng(seed)
+    shape = (dim,) if size is None else (size, dim)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 72, 544, 8200])
+@pytest.mark.parametrize("size", [None, 1, 7])
+def test_random_pure_state_matches_its_reference_bit_for_bit(dim, size):
+    for seed in range(4):
+        want = reference_pure_state(dim, derived_rng(77, seed), size)
+        assert np.array_equal(random_pure_state(dim, derived_rng(77, seed), size), want)
+
+
+def test_normalize_rows_is_the_norm_formula_bit_for_bit():
+    # the same 400 draws of K = 72 normalized both ways: a different sum of
+    # squares (re*re + im*im) or a different division moves some of the bits
+    rng = derived_rng(78)
+    v = rng.standard_normal((400, 72)) + 1j * rng.standard_normal((400, 72))
+    want = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    got = v.copy()
+    assert normalize_rows(got) is got
+    assert np.array_equal(got, want)
+
+
 def test_random_density_matrix_is_a_state():
     for seed in range(5):
         rho = random_density_matrix(5, seed)
@@ -211,6 +243,44 @@ def test_derived_rng_is_stable_and_stream_separated():
     assert not np.allclose(a, c)
     d = derived_rng(3, 5).standard_normal(4)
     assert not np.allclose(a, d)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
+@pytest.mark.parametrize("prefix", [(), (7,), (0, 2**40), (3, 1, 2**32)])
+def test_derived_rngs_match_derived_rng_bit_for_bit(seed, prefix):
+    # runs across one and two block boundaries, a strided share, the largest index
+    runs = [
+        range(DERIVE_BLOCK - 3, DERIVE_BLOCK + 3),
+        range(1, 2 * DERIVE_BLOCK + 9, 37),
+        range(2, 3 * DERIVE_BLOCK, 3 * DERIVE_BLOCK // 5),
+        [2**32 - 1, 0, 5],
+    ]
+    for run in runs:
+        for i, g in zip(run, derived_rngs(seed, prefix, run), strict=True):
+            assert g.bit_generator.state == derived_rng(seed, *prefix, i).bit_generator.state
+    g = next(derived_rngs(seed, prefix, [9]))
+    assert np.array_equal(g.standard_normal(5), derived_rng(seed, *prefix, 9).standard_normal(5))
+
+
+def test_derived_rngs_refuse_what_derived_rng_cannot_make():
+    with pytest.raises(ValueError) as want:
+        derived_rng(-1, 2)
+    with pytest.raises(ValueError) as got:
+        next(derived_rngs(-1, (), [2]))
+    assert str(got.value) == str(want.value) == "expected non-negative integer"
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        next(derived_rngs(1, (-3,), [2]))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        list(derived_rngs(1, (), [0, -1]))
+    with pytest.raises(ValueError, match="over the limit of 4294967295"):
+        list(derived_rngs(1, (), [5, 2**32]))
+    assert list(derived_rngs(1, (), [])) == []
+
+
+def test_derived_rngs_check_their_seeding_against_numpy(monkeypatch):
+    monkeypatch.setattr(linalg, "_MIX_MULT_L", linalg._MIX_MULT_L ^ 1)
+    with pytest.raises(RuntimeError, match="differently"):
+        next(derived_rngs(4, (1,), range(3)))
 
 
 def test_dagger_on_stacks():

@@ -418,47 +418,98 @@ def test_draws_spread_only_where_a_chunk_is_one_draw():
     assert build_working_space(60, 2.0).k * state_bytes < FAN_OUT_BYTES  # mean-f --n 60 stays serial
 
 
-@pytest.mark.parametrize("count", [2, 3, 5])
-def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
-    cpus(count)  # 5: more shares than this machine may have cores
-    threads = set()
-
-    def draw(i):
-        threads.add(threading.current_thread().name)
-        return random_pure_state(WS84.k, derived_rng(606, i))
-
+@pytest.fixture
+def switching_often():
+    """Threads switch as often as they can while the test runs."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch as often as they can
-    try:
-        got = _f_on_draws(11, draw, WS84)
-    finally:
-        sys.setswitchinterval(interval)
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_spread_draws_match_one_state_f_evals_exactly(cpus, switching_often, count):
+    cpus(count)  # 5: more shares than this machine may have cores
+    threads, rngs = set(), {}
+
+    def seen(i, state):
+        threads.add(threading.current_thread().name)
+
+    def draw(i, rng):
+        rngs.setdefault(i % count, []).append(rng)  # keeps every generator alive, so ids stay apart
+        return random_pure_state(WS84.k, rng)
+
+    by_sampler = _f_on_draws(11, WS84, stream=(606,), seen=seen)
+    by_callback = _f_on_draws(11, WS84, draw, stream=(606,))
     assert len(threads) > 1  # pool threads drew too
-    assert np.array_equal(got, [f_evals(draw(i)[None], WS84)[0] for i in range(11)])
+    want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(11)]
+    assert np.array_equal(by_sampler, want)
+    assert np.array_equal(by_callback, want)
+    # share w draws i = w mod count from generators no other share touches
+    owner = {}
+    for share, gens in rngs.items():
+        for g in gens:
+            assert owner.setdefault(id(g), share) == share
+    assert sorted(rngs) == list(range(count))
+
+
+def nearby_pair(k, rng, perturbation):
+    """The per-pair draw of lipschitz_check, written out."""
+    phi = random_pure_state(k, rng)
+    psi = phi + perturbation * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    return phi, psi / np.linalg.norm(psi)
 
 
 @pytest.mark.parametrize("perturbation", [None, 1e-4])
-def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, perturbation):
+def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, switching_often, perturbation):
     def pairs(count):
         cpus(count)
         gaps = np.full(5, np.nan)
 
-        def pair(i):
-            rng = derived_rng(8, i)
-            phi = random_pure_state(WS84.k, rng)
-            psi = random_pure_state(WS84.k, rng) if perturbation is None else phi + perturbation * (
-                rng.standard_normal(WS84.k) + 1j * rng.standard_normal(WS84.k)
-            )
-            psi = psi / np.linalg.norm(psi)
-            gaps[i] = np.linalg.norm(phi - psi)
-            return np.stack([phi, psi])
+        def gap(i, pair):
+            gaps[i] = np.linalg.norm(pair[0] - pair[1])
 
-        return _f_on_draws(5, pair, WS84), gaps, lipschitz_check(WS84, 5, 8, perturbation)
+        draw = None if perturbation is None else (lambda i, rng: nearby_pair(WS84.k, rng, perturbation))
+        fs = _f_on_draws(5, WS84, draw, stream=(8,), shape=(2,), seen=gap)
+        return fs, gaps, lipschitz_check(WS84, 5, 8, perturbation)
 
+    want_fs, want_gaps = [], []
+    for i in range(5):
+        rng = derived_rng(8, i)
+        if perturbation is None:
+            phi, psi = random_pure_state(WS84.k, rng), random_pure_state(WS84.k, rng)
+        else:
+            phi, psi = nearby_pair(WS84.k, rng, perturbation)
+        want_fs.append(f_evals(np.stack([phi, psi])[None], WS84)[0])
+        want_gaps.append(np.linalg.norm(phi - psi))
     serial, spread = pairs(1), pairs(3)
     assert spread[0].shape == (5, 2)
     for a, b in zip(serial, spread):
         assert np.array_equal(a, b)
+    assert np.array_equal(serial[0], want_fs)
+    assert np.array_equal(serial[1], want_gaps)
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_chunk_filled_states_are_random_pure_states(pairs):
+    # two full chunks and a partial one; each draw's states are those of
+    # random_pure_state called on the draw's derived generator, bit for bit
+    shape = (2,) if pairs else ()
+    count = 2 * f_chunk(WS12.k, 2 if pairs else 1) + 3
+    got = {}
+
+    def seen(i, states):
+        got[i] = states.copy()
+
+    fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape, seen=seen)
+    assert sorted(got) == list(range(count))
+    for i in range(count):
+        rng = derived_rng(31, 4, i)
+        want = random_pure_state(WS12.k, rng)
+        if pairs:
+            want = np.stack([want, random_pure_state(WS12.k, rng)])
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(fs[i], f_evals(want[None], WS12)[0])
 
 
 class DrawFailed(Exception):
@@ -485,15 +536,15 @@ def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
         return counted
 
     @slow
-    def draw(i):
+    def draw(i, rng):
         drawn.append(i)
         if i == bad:
             raise DrawFailed(i)
-        return random_pure_state(WS84.k, derived_rng(1, i))
+        return random_pure_state(WS84.k, rng)
 
     monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
     with pytest.raises(DrawFailed):
-        _f_on_draws(60, draw, WS84)
+        _f_on_draws(60, WS84, draw, stream=(1,))
     assert busy[0] == 0  # no share is still drawing or evaluating
     made = len(drawn)
     assert made < 20  # each share stopped before its next draw
@@ -505,14 +556,13 @@ def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
 def test_a_forked_child_makes_its_own_pool(cpus):
     # the child's copy of the parent's pool has no threads to run a share
     cpus(2)
-    draw = lambda i: random_pure_state(WS84.k, derived_rng(12, i))  # noqa: E731
-    want = _f_on_draws(4, draw, WS84)
+    want = _f_on_draws(4, WS84, stream=(12,))
     assert privacy._pool is not None
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
-        child = ctx.Process(target=lambda: results.put(_f_on_draws(4, draw, WS84)))
+        child = ctx.Process(target=lambda: results.put(_f_on_draws(4, WS84, stream=(12,))))
         child.start()
     try:
         got = results.get(timeout=60)
@@ -535,7 +585,7 @@ def test_small_draws_start_no_pool_thread(monkeypatch, cpus):
     before = threading.active_count()
     ws60 = build_working_space(60, 2.0)
     mean_f_experiment(ws60, 20, 3)
-    assert _f_on_draws(3, lambda i: random_pure_state(WS12.k, derived_rng(2, i), size=2), WS12).shape == (3, 2)
+    assert _f_on_draws(3, WS12, stream=(2,), shape=(2,)).shape == (3, 2)
     assert threading.active_count() == before
 
 
