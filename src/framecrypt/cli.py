@@ -392,27 +392,26 @@ def main(argv=None) -> int:
     except ValueError as exc:
         return _fail("usage", exc, 2)
 
-    if config.command == "emit-curve":
-        try:
+    timing = None  # emit-curve reports none
+    # the run and the write fail alike: json.JSONDecodeError is a ValueError,
+    # an unreadable input or an unwritable --out an OSError
+    try:
+        if config.command == "emit-curve":
             docs = []
             for path in config.inputs:
                 with open(path, "r", encoding="utf-8") as fh:
                     docs.append(json.load(fh))
             text = emit_curve(docs, _need(config.x_field, "--x-field"), _need(config.y_field, "--y-field"))
-        except (ValueError, OSError) as exc:  # json.JSONDecodeError is a ValueError
-            return _fail("domain", exc, 1)
+        else:
+            start = time.perf_counter()
+            doc = run(config)
+            timing = f"wall_clock_seconds={time.perf_counter() - start:.3f}"
+            text = payload_to_csv(doc["payload"]) if config.fmt == "csv" else canonical_json(doc)
         _write(text, config.out)
-        return 0
-
-    start = time.perf_counter()
-    try:
-        doc = run(config)
-    except (ValueError, AssertionError) as exc:
+    except (ValueError, OSError, AssertionError) as exc:
         return _fail("assertion" if isinstance(exc, AssertionError) else "domain", exc, 1)
-    elapsed = time.perf_counter() - start
-
-    _write(payload_to_csv(doc["payload"]) if config.fmt == "csv" else canonical_json(doc), config.out)
-    print(f"wall_clock_seconds={elapsed:.3f}", file=sys.stderr)
+    if timing:
+        print(timing, file=sys.stderr)
     return 0
 
 

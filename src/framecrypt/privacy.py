@@ -14,7 +14,8 @@ Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
 the per-sample generators (``derived_rngs``), draws plain random states
 itself a chunk at a time, normalizes each chunk at once and hands it to the
 kernel; on large working spaces it spreads the draws over the process's
-CPUs, with bit-identical values.  The helpers here evaluate f two
+CPUs, on threads started for that one call and joined before it returns,
+with bit-identical values.  The helpers here evaluate f two
 independent ways, estimate its maximum over a subspace (with a proved upper
 bound on 2-dimensional subspaces from a fixed covering net and the Lipschitz
 constant of f), and run the mean / concentration / smoothness experiments
@@ -32,7 +33,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,7 +66,8 @@ F_CHUNK_BYTES = 2**16  # bytes of the states (not draws) _f_on_draws holds at on
 #   n (K)    60 (8,200)  72 (14,112)  84 (22,344)  96 (33,280)  108 (47,304)  128 (78,561)
 #   share    1.01        0.88         0.72         0.63         0.57          0.53
 # mean-f --n 60 measured 0.30 s serial and 0.35-0.38 s spread.  At or above
-# F_CHUNK_BYTES a chunk is one draw, so both paths make the same kernel call.
+# F_CHUNK_BYTES a chunk is one draw, so a draw makes the same kernel call on
+# one thread or many.
 FAN_OUT_BYTES = 2**18
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 # most state coordinates (states handled x K; twirl-check: operator entries) one
@@ -226,46 +227,36 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None  # the module's one pool, made by the first call of _fan_out
-
-
-def _forget_pool() -> None:
-    """In a forked child: its copy of the pool has no threads and would never run a share."""
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _fan_out(run, count: int, workers: int) -> None:
     """run(range(w, count, workers), stop) for every share w at once.
 
-    The calling thread takes share 0 and pool threads the others.  A share
-    that raises sets ``stop``, which run checks before every draw; the call
-    returns, or re-raises the first exception, only once every share has
-    ended.
+    The calling thread takes share 0.  Each other share gets a thread of its
+    own, named framecrypt-f-<w>, started here and joined before the call
+    returns; with one worker no thread starts.  A share that raises sets
+    ``stop``, which run checks before every draw; the call re-raises the
+    first exception only once every share has ended.
     """
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=workers - 1, thread_name_prefix="framecrypt-f")
     stop = threading.Event()
+    errors = []
 
     def share(w: int) -> None:
         try:
             run(range(w, count, workers), stop)
-        except BaseException:
+        except BaseException as exc:
             stop.set()
-            raise
+            errors.append(exc)
 
-    futures = [_pool.submit(share, w) for w in range(1, workers)]
+    threads = [threading.Thread(target=share, args=(w,), name=f"framecrypt-f-{w}") for w in range(1, workers)]
     try:
+        for thread in threads:
+            thread.start()
         share(0)
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        for thread in threads:
+            if thread.is_alive():  # join() refuses a thread whose start() failed
+                thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), seen=None) -> np.ndarray:
@@ -283,21 +274,22 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
     without a stream); it must depend only on i and rng.  seen(i, states),
     if given, sees each draw's states before f does.
 
-    Draws of at least FAN_OUT_BYTES of states run concurrently, spread over
-    the CPUs of the process's affinity mask; each share walks its own
-    derived_rngs, so no generator is shared between threads, and each draw
-    is one kernel call as on the serial path, so the values are the same bit
-    for bit.  Smaller draws are made f_chunk(K, states per draw) at a time
-    in one reused buffer that goes to f_evals whole, so the states of all
-    draws never exist at once.  count must be positive.
+    Draws are made f_chunk(K, states per draw) at a time in one reused
+    buffer per share that goes to f_evals whole, so the states of all draws
+    never exist at once.  Draws of at least FAN_OUT_BYTES of states, where a
+    chunk is one draw, are shared by _fan_out among one worker per CPU of
+    the process's affinity mask (at most count); smaller draws take one
+    worker, the calling thread.  Each share walks its own derived_rngs, so
+    no generator is shared between threads, and each draw is the same
+    kernel call whatever the share, so the values are the same bit for bit.
+    count must be positive.
     """
     per_draw = math.prod(shape)
-    workers = min(_cpus(), count)
-    spread = workers > 1 and per_draw * ws.k * np.dtype(complex).itemsize >= FAN_OUT_BYTES
-    chunk = 1 if spread else min(f_chunk(ws.k, per_draw), count)
+    chunk = min(f_chunk(ws.k, per_draw), count)
+    workers = min(_cpus(), count) if per_draw * ws.k * np.dtype(complex).itemsize >= FAN_OUT_BYTES else 1
     fs = np.empty((count, *shape))
 
-    def run(indices: range, stop: threading.Event | None = None) -> None:
+    def run(indices: range, stop: threading.Event) -> None:
         rngs = derived_rngs(stream[0], stream[1:], indices) if stream else itertools.repeat(None)
         states = np.empty((chunk, *shape, ws.k), dtype=complex)
         for start in range(0, len(indices), chunk):
@@ -306,7 +298,7 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
             if draw is None:
                 normals = np.empty((len(part), *shape, 2, ws.k))
             for r, (i, rng) in enumerate(zip(part, rngs)):
-                if stop is not None and stop.is_set():
+                if stop.is_set():
                     return
                 if draw is None:
                     rng.standard_normal(out=normals[r])
@@ -324,10 +316,7 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
                     seen(i, row)
             fs[part.start : part.stop : part.step] = f_evals(rows, ws)
 
-    if spread:
-        _fan_out(run, count, workers)
-    else:
-        run(range(count))
+    _fan_out(run, count, workers)
     return fs
 
 

@@ -185,6 +185,26 @@ def test_out_file_roundtrip(tmp_path, capsys):
     assert doc["config"]["out"] == str(target)
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--command", "decompose", "--n", "4"],
+        ["--command", "decompose", "--n", "4", "--format", "csv"],
+        ["--command", "emit-curve", "--x-field", "n", "--y-field", "q_perfect"],
+    ],
+    ids=["decompose", "decompose-csv", "emit-curve"],
+)
+def test_an_unwritable_out_is_one_domain_error(tmp_path, capsys, argv, where):
+    out = tmp_path / "no-such-dir" / "x.json" if where == "missing-dir" else tmp_path
+    code, stdout, err = run_main(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    error = json.loads(err)["error"]  # the whole of stderr: one object, no traceback
+    assert error["kind"] == "domain"
+    assert str(out) in error["message"]
+
+
 def test_canonical_json_is_sorted_and_newline_terminated():
     text = canonical_json({"b": 1, "a": {"d": 2, "c": [3, 4]}})
     assert text.endswith("\n")
@@ -271,17 +291,20 @@ def test_exact_commands_match_their_pinned_output(capsys, name, argv):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="this platform has no CPU affinity")
 def test_one_cpu_prints_the_same_bytes():
-    """A process pinned to one CPU samples serially (no pool is made) and
-    prints the pinned output of the run that spreads its draws."""
+    """A process pinned to one CPU samples serially (no sampler thread
+    starts) and prints the pinned output of the run that spreads its draws."""
     script = (
-        "import os, sys\n"
+        "import os, sys, threading\n"
         f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
-        "from framecrypt import cli, privacy\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda thread: (started.append(thread.name), start(thread))[1]\n"
+        "from framecrypt import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "sys.exit(code or (privacy._pool is not None))\n"
+        "sys.exit(code or [name for name in started if name.startswith('framecrypt-f')] or 0)\n"
     )
     argv = ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode() == (GOLDEN / "concentration_n96_samples100_seed3.json").read_text(encoding="utf-8")
 
 

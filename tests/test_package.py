@@ -54,3 +54,15 @@ def test_cli_behaves_the_same_under_python_O(argv, code):
     assert optimized.stdout == plain.stdout
     if code:
         assert json.loads(optimized.stderr) == json.loads(plain.stderr)
+
+
+def test_importing_the_cli_starts_no_thread_and_loads_no_executor():
+    # sampler threads live for one call: importing the package leaves none
+    # behind, and no executor module is paid for at every start
+    script = (
+        "import sys, threading\n"
+        "import framecrypt.cli\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False", "1"]

@@ -397,15 +397,8 @@ WS84 = build_working_space(84, 2.0)  # K = 22,344: one state takes 357,504 bytes
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(c): the sampler sees c CPUs and makes its pool afresh, shut down after the test."""
-
-    def use(count):
-        monkeypatch.setattr(privacy, "_cpus", lambda: count)
-        monkeypatch.setattr(privacy, "_pool", None)
-
-    yield use
-    if privacy._pool is not None:
-        privacy._pool.shutdown()
+    """cpus(c): the sampler sees c CPUs."""
+    return lambda count: monkeypatch.setattr(privacy, "_cpus", lambda: count)
 
 
 def test_draws_spread_only_where_a_chunk_is_one_draw():
@@ -441,7 +434,7 @@ def test_spread_draws_match_one_state_f_evals_exactly(cpus, switching_often, cou
 
     by_sampler = _f_on_draws(11, WS84, stream=(606,), seen=seen)
     by_callback = _f_on_draws(11, WS84, draw, stream=(606,))
-    assert len(threads) > 1  # pool threads drew too
+    assert len(threads) > 1  # sampler threads drew too
     want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(11)]
     assert np.array_equal(by_sampler, want)
     assert np.array_equal(by_callback, want)
@@ -552,12 +545,23 @@ def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
     assert len(drawn) == made
 
 
+def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
+    # no thread outlives a call, so a 2-share call leaves nothing that caps
+    # the next call's shares
+    cpus(4)
+    before = threading.active_count()
+    _f_on_draws(2, WS84, stream=(1,))
+    seen = set()
+    _f_on_draws(8, WS84, stream=(1,), seen=lambda i, state: seen.add(threading.current_thread().name))
+    assert seen == {threading.current_thread().name, "framecrypt-f-1", "framecrypt-f-2", "framecrypt-f-3"}
+    assert threading.active_count() == before  # every thread was joined
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
-def test_a_forked_child_makes_its_own_pool(cpus):
-    # the child's copy of the parent's pool has no threads to run a share
+def test_a_forked_child_samples_as_its_parent_did(cpus):
+    # the child of a process that has spread draws starts threads of its own
     cpus(2)
     want = _f_on_draws(4, WS84, stream=(12,))
-    assert privacy._pool is not None
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     with warnings.catch_warnings():
@@ -576,16 +580,20 @@ def test_a_forked_child_makes_its_own_pool(cpus):
     assert np.array_equal(got, want)
 
 
-def test_small_draws_start_no_pool_thread(monkeypatch, cpus):
-    def no_fan_out(*args):
-        raise AssertionError("small draws were spread over threads")
+def test_small_draws_start_no_thread(monkeypatch, cpus):
+    started, start = [], threading.Thread.start
+
+    def counted(thread):
+        started.append(thread.name)
+        start(thread)
 
     cpus(4)
-    monkeypatch.setattr(privacy, "_fan_out", no_fan_out)
+    monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     ws60 = build_working_space(60, 2.0)
     mean_f_experiment(ws60, 20, 3)
     assert _f_on_draws(3, WS12, stream=(2,), shape=(2,)).shape == (3, 2)
+    assert started == []
     assert threading.active_count() == before
 
 
