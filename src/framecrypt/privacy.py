@@ -15,11 +15,14 @@ the per-sample generators (``derived_rngs``), draws plain random states
 itself a chunk at a time, normalizes each chunk at once and hands it to the
 kernel; on large working spaces it spreads the draws over the process's
 CPUs, on threads started for that one call and joined before it returns,
-with bit-identical values.  The helpers here evaluate f two
-independent ways, estimate its maximum over a subspace (with a proved upper
-bound on 2-dimensional subspaces from a fixed covering net and the Lipschitz
-constant of f), and run the mean / concentration / smoothness experiments
-that the theory predicts:
+with bit-identical values; states on a subspace (probes, net points) it
+forms a chunk at a time by one stacked matrix-vector product.  The helpers
+here evaluate f two independent ways, estimate its maximum over a subspace
+(an alternating ascent, ``_ascend_all``, that runs all its starts as one
+stack of eigensolves per round, with a proved upper bound on 2-dimensional
+subspaces from a fixed covering net and the Lipschitz constant of f), and
+run the mean / concentration / smoothness experiments that the theory
+predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -233,8 +236,8 @@ def _fan_out(run, count: int, workers: int) -> None:
     The calling thread takes share 0.  Each other share gets a thread of its
     own, named framecrypt-f-<w>, started here and joined before the call
     returns; with one worker no thread starts.  A share that raises sets
-    ``stop``, which run checks before every draw; the call re-raises the
-    first exception only once every share has ended.
+    ``stop``, which run checks before every chunk (one draw when spread);
+    the call re-raises the first exception only once every share has ended.
     """
     stop = threading.Event()
     errors = []
@@ -259,20 +262,22 @@ def _fan_out(run, count: int, workers: int) -> None:
         raise errors[0]
 
 
-def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), seen=None) -> np.ndarray:
+def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), span=None, seen=None) -> np.ndarray:
     """f on the states of draws 0, ..., count - 1, with result shape (count, *shape).
 
     The one loop here that draws and chunks states.  A draw is a
     (*shape, K) stack of states: one state for shape (), a pair for (2,).
     With ``stream`` = (seed, *prefix) the sampler owns the generators: draw i
-    uses derived_rng(seed, *prefix, i), made by derived_rngs.  Without
-    ``draw`` it draws the states itself, one standard_normal call per draw
-    into a float chunk (each state's real parts, then its imaginary parts,
-    as random_pure_state takes them), and normalizes the whole chunk with
+    uses derived_rng(seed, *prefix, i), made by derived_rngs.  With ``span``
+    = (basis, coeffs), draw i is the state basis @ coeffs[i], and each
+    chunk's states are formed at once by _span_states.  With ``draw``,
+    draw(i, rng) gives draw i, rng being its generator (None without a
+    stream); it must depend only on i and rng.  With neither, the sampler
+    draws the states itself, one standard_normal call per draw into a float
+    chunk (each state's real parts, then its imaginary parts, as
+    random_pure_state takes them), and normalizes the whole chunk with
     normalize_rows, so the states are random_pure_state's bit for bit.
-    Otherwise draw(i, rng) gives draw i, rng being its generator (None
-    without a stream); it must depend only on i and rng.  seen(i, states),
-    if given, sees each draw's states before f does.
+    seen(i, states), if given, sees each draw's states before f does.
 
     Draws are made f_chunk(K, states per draw) at a time in one reused
     buffer per share that goes to f_evals whole, so the states of all draws
@@ -293,18 +298,19 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
         rngs = derived_rngs(stream[0], stream[1:], indices) if stream else itertools.repeat(None)
         states = np.empty((chunk, *shape, ws.k), dtype=complex)
         for start in range(0, len(indices), chunk):
+            if stop.is_set():
+                return
             part = indices[start : start + chunk]
             rows = states[: len(part)]
-            if draw is None:
-                normals = np.empty((len(part), *shape, 2, ws.k))
-            for r, (i, rng) in enumerate(zip(part, rngs)):
-                if stop.is_set():
-                    return
-                if draw is None:
-                    rng.standard_normal(out=normals[r])
-                else:
+            if span is not None:
+                rows[:] = _span_states(span[0], span[1][part.start : part.stop : part.step])
+            elif draw is not None:
+                for r, (i, rng) in enumerate(zip(part, rngs)):
                     rows[r] = draw(i, rng)
-            if draw is None:
+            else:
+                normals = np.empty((len(part), *shape, 2, ws.k))
+                for r, rng in zip(range(len(part)), rngs):
+                    rng.standard_normal(out=normals[r])
                 rows.real = normals[..., 0, :]
                 rows.imag = normals[..., 1, :]
                 # freed before normalize_rows' temporaries: at K = 78,561 a
@@ -396,32 +402,52 @@ class MaxFEstimate(NamedTuple):
     certified_upper_bound: float | None
 
 
-def _ascend(c0: np.ndarray, basis: np.ndarray, ws: WorkingSpace) -> tuple[float, np.ndarray]:
-    """Alternating maximization of f over the unit sphere of span(basis).
+def _span_states(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The states basis @ c for every row c of an (m, dim_s) stack, shape (m, K).
+
+    One stacked matrix-vector product, which gives each row the bits of its
+    own basis @ c; the matrix-matrix product coeffs @ basis.T rounds
+    differently and would move the seeded theorem1 output.
+    """
+    return np.matmul(basis, coeffs[..., None])[..., 0]
+
+
+def _ascend_all(starts: np.ndarray, basis: np.ndarray, ws: WorkingSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating maximization of f over the unit sphere of span(basis),
+    from every row of an (r, dim_s) stack of starts at once.
 
     f(phi) = max over Hermitian W with ||W||_inf <= 1 of tr[W (F(phi) - ref)],
     so alternating 'best W for phi' (the eigenvalue-sign operator) with 'best
     phi for W' (top eigenvector of the lifted quadratic form) increases f
     monotonically.
+
+    Each round makes one block eigh, one einsum, one quad product and one
+    dim_s x dim_s eigh for the starts still running, each a stack whose rows
+    have the bits of the one-start call.  A start leaves the stack in the
+    round that gains no more than ASCENT_TOL, keeping the larger of its last
+    two values, or after ASCENT_ITERS rounds, so every start runs as it
+    would alone.  Returns each start's best value and final coefficients.
     """
-    c = c0 / np.linalg.norm(c0)
-    best = -np.inf
+    # one norm per start: norm(starts, axis=1) adds the squares in another order
+    coeffs = starts / np.array([np.linalg.norm(c) for c in starts])[:, None]
+    best = np.full(len(starts), -np.inf)
+    running = np.arange(len(starts))
     basis_blocks = ws.blocks(basis.T)  # (dim_s, |Y|, D, D_alpha)
     for _ in range(ASCENT_ITERS):
-        evals, evecs = np.linalg.eigh(_centred_blocks(basis @ c, ws))
-        val = float(_trace_norm_total(evals))
-        if val <= best + ASCENT_TOL:
-            best = max(best, val)
+        evals, evecs = np.linalg.eigh(_centred_blocks(_span_states(basis, coeffs[running]), ws))
+        vals = _trace_norm_total(evals)
+        stops = vals <= best[running] + ASCENT_TOL
+        best[running] = np.maximum(best[running], vals)  # vals where the round gained
+        running, evals, evecs = running[~stops], evals[~stops], evecs[~stops]
+        if not running.size:
             break
-        best = val
         w = (evecs * np.sign(evals)[..., None, :]) @ dagger(evecs)
         # sum_j I_D (x) W_j^T on every basis column; einsum, not matmul,
         # whose different rounding would move the seeded theorem1 output
-        lifted = np.einsum("sjml,jkl->sjmk", basis_blocks, w).reshape(basis.shape[::-1]).T
-        quad = basis.conj().T @ lifted
-        evals, evecs = np.linalg.eigh((quad + quad.conj().T) / 2.0)
-        c = evecs[:, -1]
-    return best, c
+        lifted = np.einsum("sjml,rjkl->rsjmk", basis_blocks, w).reshape(len(running), *basis.shape[::-1])
+        quad = basis.conj().T @ np.swapaxes(lifted, -1, -2)
+        coeffs[running] = np.linalg.eigh((quad + dagger(quad)) / 2.0)[1][..., -1]
+    return best, coeffs
 
 
 def estimate_max_f(
@@ -434,9 +460,10 @@ def estimate_max_f(
     """Estimate max of f over the unit sphere of the sampled subspace.
 
     The lower bound comes from ``budget`` random probes refined by alternating
-    ascent from the best ASCENT_RESTARTS of them.  For dim_s = 1, f is phase invariant and the
-    single value is exact; for dim_s = 2 the net of build_eps_net plus the
-    Lipschitz constant yields a proved upper bound as well.
+    ascent from the best ASCENT_RESTARTS of them, all run at once by
+    _ascend_all.  For dim_s = 1, f is phase invariant and the single value
+    is exact; for dim_s = 2 the net of build_eps_net plus the Lipschitz
+    constant yields a proved upper bound as well.
     """
     if sample.ambient_dim != ws.k:
         raise ValueError("subspace does not belong to this working space")
@@ -448,20 +475,14 @@ def estimate_max_f(
         return MaxFEstimate(val, val)
 
     probes = random_pure_state(sample.dim_s, derived_rng(seed, 0), size=budget)
-    # each state formed as basis @ c, one row at a time: a stacked product
-    # may round differently and move the seeded theorem1 output
-    vals = _f_on_draws(budget, ws, lambda i, _: basis @ probes[i])
-    lower = float(vals.max())
-
+    vals = _f_on_draws(budget, ws, span=(basis, probes))
     order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
-    for idx in order:
-        val, _ = _ascend(probes[idx], basis, ws)
-        lower = max(lower, val)
+    lower = max(float(vals.max()), float(_ascend_all(probes[order], basis, ws)[0].max()))
 
     certified = None
     if sample.dim_s == 2:
         net = build_eps_net(2, net_epsilon, seed)
-        net_vals = _f_on_draws(net.n_points, ws, lambda i, _: basis @ net.points[i])
+        net_vals = _f_on_draws(net.n_points, ws, span=(basis, net.points))
         lower = max(lower, float(net_vals.max()))
         # f is phase invariant and 2-Lipschitz, and every state lies within
         # covering_radius <= eps/2 of a net point: max f <= net max + eps

@@ -438,10 +438,11 @@ def test_work_over_the_limit_is_refused_up_front(capsys, argv):
 )
 def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, argv):
     """The count checked against WORK_LIMIT before the run, against the work
-    the run then does: states through f_evals x K, ascent rounds x dim_s x K,
-    and oracle calls x (n_beta + 2) x 4^n operator entries."""
-    declared, measured = [], []
-    f_evals, ascend, oracle, eigh = privacy.f_evals, privacy._ascend, channel.twirl_oracle, np.linalg.eigh
+    the run then does: states through f_evals x K, rows of the ascent's block
+    eigensolves (one per running start per round) x dim_s x K, and oracle
+    calls x (n_beta + 2) x 4^n operator entries."""
+    declared, measured, ascent_rows = [], [], []
+    f_evals, oracle, eigh = privacy.f_evals, channel.twirl_oracle, np.linalg.eigh
 
     def recording_check_limit(amount, limit, what, unit):
         if limit == privacy.WORK_LIMIT:
@@ -452,18 +453,10 @@ def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, arg
         measured.append(np.asarray(phis).size)
         return f_evals(phis, ws)
 
-    def counting_ascend(c0, basis, ws):
-        rounds = []
-
-        def counting_eigh(a):  # one stacked block eigensolve starts every round
-            rounds.append(np.ndim(a) > 2)
-            return eigh(a)
-
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "eigh", counting_eigh)
-            result = ascend(c0, basis, ws)
-        measured.append(sum(rounds) * basis.shape[1] * ws.k)
-        return result
+    def counting_eigh(a):  # a (running starts, |Y|, D_alpha, D_alpha) stack starts every ascent round
+        if np.ndim(a) == 4:
+            ascent_rows.append(len(a))
+        return eigh(a)
 
     def counting_oracle(rho, spec):
         measured.append((spec.n_beta + 2) * np.asarray(rho).size)
@@ -472,10 +465,14 @@ def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, arg
     for module in (cli, privacy):
         monkeypatch.setattr(module, "check_limit", recording_check_limit)
     monkeypatch.setattr(privacy, "f_evals", counting_f_evals)
-    monkeypatch.setattr(privacy, "_ascend", counting_ascend)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(channel, "twirl_oracle", counting_oracle)
-    code, _, _ = run_main(capsys, *argv)
+    code, out, _ = run_main(capsys, *argv)
     assert code == 0
+    assert bool(ascent_rows) == (argv[1] == "theorem1")
+    if ascent_rows:
+        payload = json.loads(out)["payload"]
+        measured.append(sum(ascent_rows) * payload["dim_s"] * payload["workspace"]["k"])
     assert len(declared) == 1
     assert 0 < sum(measured) <= declared[0]
     print(f"{argv[1]}: measured / declared = {sum(measured) / declared[0]:.4f}")

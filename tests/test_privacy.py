@@ -15,9 +15,12 @@ import pytest
 from framecrypt import privacy
 from framecrypt.linalg import derived_rng, random_pure_state
 from framecrypt.privacy import (
+    ASCENT_ITERS,
+    ASCENT_RESTARTS,
     LIPSCHITZ_BOUND,
-    _ascend,
+    _ascend_all,
     _f_on_draws,
+    _span_states,
     F_CHUNK_BYTES,
     FAN_OUT_BYTES,
     PrivacyParams,
@@ -242,11 +245,13 @@ def test_net_determinism_and_validation():
 # max-f estimation
 # ---------------------------------------------------------------------------
 
-def loop_ascend(c0, basis, ws, iters=80, tol=1e-12):
-    """Reference for the ascent: per-block eigensolves and lifts on slices."""
+def loop_ascend(c0, basis, ws, iters=ASCENT_ITERS, tol=1e-12):
+    """Reference for one start of the ascent: per-block eigensolves and lifts
+    on slices.  Returns the best value, the final coefficients and the
+    number of rounds run."""
     width, da = ws.d * ws.d_alpha, ws.d_alpha
     c, best = c0 / np.linalg.norm(c0), -np.inf
-    for _ in range(iters):
+    for rounds in range(1, iters + 1):
         v = basis @ c
         val, lifted = 0.0, np.empty_like(basis)
         for i in range(len(ws.y)):
@@ -260,23 +265,72 @@ def loop_ascend(c0, basis, ws, iters=80, tol=1e-12):
             blk = basis[s].reshape(ws.d, da, -1)
             lifted[s] = np.einsum("mls,lk->mks", blk, w.T).reshape(width, -1)
         if val <= best + tol:
-            return max(best, val), c
+            return max(best, val), c, rounds
         best = val
         quad = basis.conj().T @ lifted
         c = np.linalg.eigh((quad + quad.conj().T) / 2.0)[1][:, -1]
-    return best, c
+    return best, c, iters
 
 
-@pytest.mark.parametrize("n, dim_s", [(12, 3), (24, 4)])
+@pytest.mark.parametrize("n, dim_s", [(12, 3), (24, 4), (12, 2)])  # (12, 2): 32, 45, 42 and 80 rounds
 def test_ascent_matches_the_per_block_loop_exactly(n, dim_s):
     ws = build_working_space(n, 2.0)
     sub = sample_subspace(ws, dim_s, 11)
-    for s in range(4):
-        c0 = random_pure_state(dim_s, derived_rng(404, n, s))
-        val, c = _ascend(c0, sub.basis, ws)
-        ref_val, ref_c = loop_ascend(c0, sub.basis, ws)
+    starts = np.array([random_pure_state(dim_s, derived_rng(404, n, s)) for s in range(4)])
+    vals, coeffs = _ascend_all(starts, sub.basis, ws)
+    rounds = []
+    for start, val, c in zip(starts, vals, coeffs):
+        ref_val, ref_c, ref_rounds = loop_ascend(start, sub.basis, ws)
         assert val == ref_val
         np.testing.assert_array_equal(c, ref_c)
+        rounds.append(ref_rounds)
+    assert len(set(rounds)) > 1  # the starts leave the stack in different rounds
+    if dim_s == 2:
+        assert ASCENT_ITERS in rounds  # and one never meets ASCENT_TOL
+
+
+@pytest.mark.parametrize("dim_s", [2, 3])
+@pytest.mark.parametrize("budget", [1, 2, 3, 60])
+def test_estimate_matches_one_start_at_a_time_exactly(dim_s, budget):
+    # with budget < ASCENT_RESTARTS every probe starts an ascent
+    sub = sample_subspace(WS12, dim_s, 21)
+    est = estimate_max_f(sub, WS12, budget=budget, seed=6, net_epsilon=0.6)
+    probes = random_pure_state(dim_s, derived_rng(6, 0), size=budget)
+    vals = [f_eval(sub.basis @ c, WS12) for c in probes]
+    lower = max(vals)
+    for idx in np.argsort(vals)[::-1][:ASCENT_RESTARTS]:
+        lower = max(lower, loop_ascend(probes[idx], sub.basis, WS12)[0])
+    certified = None
+    if dim_s == 2:
+        net_max = max(f_eval(sub.basis @ c, WS12) for c in build_eps_net(2, 0.6, 6).points)
+        lower, certified = max(lower, net_max), net_max + 0.6
+    assert est == (lower, certified)
+
+
+@pytest.mark.parametrize("n, alpha", [(12, 2.0), (24, 2.0), (40, 9.0), (40, 2.0)])  # K = 72, 544, 567, 2,457
+@pytest.mark.parametrize("dim_s", [2, 3, 4, 5])
+def test_span_states_are_one_row_products_bit_for_bit(n, alpha, dim_s):
+    # the stacked matrix-vector product keeps each row's bits; should numpy
+    # ever round it differently, this fails before the golden files move
+    ws = build_working_space(n, alpha)
+    if ws.k < 1000:
+        basis = sample_subspace(ws, dim_s, n + dim_s).basis
+    else:  # a K x K Haar draw is over its limit here: orthonormalize dim_s random columns
+        basis = np.linalg.qr(random_pure_state(ws.k, derived_rng(n, dim_s), size=dim_s).T)[0]
+    chunk = f_chunk(ws.k)
+    for count in sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1}):
+        coeffs = random_pure_state(dim_s, derived_rng(n, dim_s, count), size=count)
+        # the one-start ascent's coefficients were strided eigenvector columns
+        columns = np.linalg.eigh(coeffs[:, :, None] * coeffs[:, None, :].conj())[1][..., -1]
+        for cs in (coeffs, columns):
+            want = [basis @ c for c in cs]
+            np.testing.assert_array_equal(_span_states(basis, np.ascontiguousarray(cs)), want)
+        got = {}
+        fs = _f_on_draws(count, ws, span=(basis, coeffs), seen=lambda i, state: got.setdefault(i, state.copy()))
+        assert sorted(got) == list(range(count))
+        for i, c in enumerate(coeffs):
+            np.testing.assert_array_equal(got[i], basis @ c)
+            assert fs[i] == f_evals((basis @ c)[None], ws)[0]
 
 
 def test_estimate_dim1_is_exact():
