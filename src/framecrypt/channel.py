@@ -15,11 +15,13 @@ The oracle evaluates the product rule through the Euler factorization
 R(alpha, beta, gamma) = R(alpha, 0, 0) R(0, beta, 0) R(0, 0, gamma), the
 separation of variables of SO(3) FFTs (Kostelec & Rockmore, 2008).  The
 z-rotations are diagonal in the computational basis, so their averages over
-the uniform alpha and gamma grids are entrywise phase masks, and only the
-beta nodes need a dense Kronecker power: n_alpha + n_beta + n_gamma powers in
-all instead of one per node.  The identity is algebraic, so undersized grids
-give the same approximate answer as the literal triple sum.  The oracle never
-uses the coupled basis.
+the uniform alpha and gamma grids are entrywise phase masks.  Each mask comes
+from one stacked Kronecker power of its axis's diagonals, and only the beta
+nodes need a dense power, one per node: n_beta + 2 powers in all, each a
+broadcast fold (:func:`framecrypt.linalg.kron_power`).  The beta powers stay
+one node at a time, since a stack of them would hold n_beta 4^n entries.  The
+identity is algebraic, so undersized grids give the same approximate answer
+as the literal triple sum.  The oracle never uses the coupled basis.
 """
 
 from __future__ import annotations
@@ -131,9 +133,10 @@ def _z_average_mask(rotations: list[np.ndarray], n: int) -> np.ndarray:
 
     Z^(x)n is diagonal with entries z, so conjugating X by it multiplies
     X[x, y] by z[x] conj(z[y]); the mean over the rotations is one entrywise
-    mask M[x, y] = mean_t z_t[x] conj(z_t[y]).
+    mask M[x, y] = mean_t z_t[x] conj(z_t[y]).  The z of every rotation come
+    from one Kronecker power of the (rotations, 1, 2) stack of diagonals.
     """
-    z = np.array([kron_power(np.diagonal(r), n) for r in rotations])
+    z = kron_power(np.array([np.diagonal(r) for r in rotations])[:, None, :], n)[:, 0, :]
     return z.T @ z.conj() / len(rotations)
 
 

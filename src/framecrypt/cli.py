@@ -147,8 +147,8 @@ def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
         else channel.QuadratureSpec.for_qubits(n)
     )
     # per sample the oracle forms n_beta dense 2^n x 2^n rotations and two 2^n x 2^n phase masks,
-    # and each of its n_alpha + n_beta + n_gamma nodes costs about what 1,000 entries do (one
-    # BLAS thread: 1.1e-4 s per node at n = 2, 1.6e-7 s per entry at n = 8)
+    # and each of its n_alpha + n_beta + n_gamma nodes costs at most what 1,000 entries do (one
+    # BLAS thread, 2 cores: 5.8e-5 s per node at n = 2, 1.4e-7 s per entry at n = 8)
     nodes = quad.n_alpha + quad.n_beta + quad.n_gamma
     check_limit(
         samples * ((quad.n_beta + 2) * 4**n + 1000 * nodes), privacy.WORK_LIMIT, "twirl-check", "operator entries"

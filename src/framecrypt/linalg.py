@@ -201,12 +201,21 @@ def partial_trace(rho: np.ndarray, dim_left: int, dim_right: int, side: str = "r
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a matrix."""
+    """n-fold Kronecker power of each (a, b) matrix of a stack (..., a, b).
+
+    The left fold out = kron(out, m), done by one broadcasting multiply per
+    factor: every entry is the one product out[i, j] * m[k, l] that np.kron
+    forms, in the same order, so the bits equal np.kron's left fold.
+    """
     if n < 1:
         raise ValueError("need at least one factor")
-    out = np.asarray(m)
+    m = np.asarray(m)
+    *lead, a, b = m.shape
+    out = m
     for _ in range(n - 1):
-        out = np.kron(out, m)
+        out = (out[..., :, None, :, None] * m[..., None, :, None, :]).reshape(
+            *lead, out.shape[-2] * a, out.shape[-1] * b
+        )
     return out
 
 

@@ -347,11 +347,14 @@ def helstrom_distinguish(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
     """Subspace of the working space drawn from the invariant measure: the first
-    dim_s columns of a K x K Haar unitary, refused above HAAR_STACK_LIMIT bytes."""
+    dim_s columns of a K x K Haar unitary, refused above HAAR_STACK_LIMIT bytes.
+
+    The basis is a contiguous copy of those columns, so the unitary is freed.
+    """
     if not 1 <= dim_s <= ws.k:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
     check_limit(ws.k**2 * np.dtype(complex).itemsize, HAAR_STACK_LIMIT, f"a subspace of K={ws.k}", "unitary bytes")
-    basis = haar_unitary(ws.k, seed)[:, :dim_s]
+    basis = haar_unitary(ws.k, seed)[:, :dim_s].copy()
     return SubspaceSample(seed=int(seed), basis=basis)
 
 

@@ -16,6 +16,7 @@ index the fast axis (paths in lexicographic order with +1 before -1).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -212,29 +213,29 @@ def _couple_down(mat: np.ndarray, two_j: int) -> np.ndarray:
     return out
 
 
-def couple_paths(n: int, two_j: int, out: np.ndarray) -> None:
-    """Write the |j, m> columns of the first coupling paths to two_j into ``out``.
+def couple_paths(n: int, two_j: int, count: int) -> Iterator[np.ndarray]:
+    """Yield the |j, m> columns of the first ``count`` coupling paths to two_j.
 
-    ``out`` has shape (2^n, two_j + 1, count): computational basis, then
-    two_m descending from two_j, then the paths in the order of
-    :func:`enumerate_paths`.  The walk is depth-first, so every prefix is
-    coupled once and shared by all the paths below it, and it stops after
-    ``count`` paths.
+    Each path's matrix has shape (2^n, two_j + 1): computational basis, then
+    two_m descending from two_j.  It is handed over as the walk reaches it, in
+    the order of :func:`enumerate_paths`, and is the caller's to keep.  The
+    walk is depth-first, so every prefix is coupled once and shared by all the
+    paths below it, and it stops after ``count`` paths; it raises once
+    exhausted if fewer reach two_j.
     """
-    count = out.shape[2]
     done = 0
 
-    def descend(mat: np.ndarray, t: int, k: int) -> None:  # mat: spin t/2 on k qubits
+    def descend(mat: np.ndarray, t: int, k: int) -> Iterator[np.ndarray]:  # mat: spin t/2 on k qubits
         nonlocal done
         if k == n:
-            out[:, :, done] = mat
             done += 1
+            yield mat
             return
         for step, couple in ((1, _couple_up), (-1, _couple_down)):
             if done < count and _can_reach(t + step, n - k - 1, two_j):
-                descend(couple(mat, t), t + step, k + 1)
+                yield from descend(couple(mat, t), t + step, k + 1)
 
-    descend(np.eye(2, dtype=complex), 1, 1)
+    yield from descend(np.eye(2, dtype=complex), 1, 1)
     if done != count:
         raise ValueError(f"{done} coupling paths reach two_j={two_j}, expected {count}")
 
@@ -247,7 +248,9 @@ def schur_transform(n: int) -> SchurTransform:
     # couple_paths raises when a block has fewer paths than dim_p; no block can
     # have more, since block_layout checks that the dim_r * dim_p sum to 2^n
     for b in block_layout(n):
-        couple_paths(n, b.two_j, matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p))
+        cols = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
+        for p, mat in enumerate(couple_paths(n, b.two_j, b.dim_p)):
+            cols[:, :, p] = mat
     return SchurTransform(n=n, matrix=matrix)
 
 

@@ -150,7 +150,9 @@ def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.
 
     ``target`` selects the coupled basis (default) or the computational
     basis; the latter couples only the D_alpha kept paths of each kept block
-    and is refused above DENSE_QUBIT_LIMIT qubits.
+    and is refused above DENSE_QUBIT_LIMIT qubits.  It adds each path's kept
+    rotation columns times that path's coordinates as the coupling walk hands
+    the path over, so no block's (2^n, 2j+1, D_alpha) column stack is built.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (ws.k,):
@@ -159,9 +161,8 @@ def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.
         check_limit(ws.n, DENSE_QUBIT_LIMIT, "a dense computational embedding", "qubits")
         out = np.zeros(2**ws.n, dtype=complex)
         for two_j, coords in zip(ws.y, ws.blocks(v)):
-            cols = np.empty((2**ws.n, two_j + 1, ws.d_alpha), dtype=complex)
-            couple_paths(ws.n, two_j, cols)
-            out += np.tensordot(cols[:, : ws.d], coords, axes=2)
+            for p, mat in enumerate(couple_paths(ws.n, two_j, ws.d_alpha)):
+                out += mat[:, : ws.d] @ coords[:, p]
         return out
     if target != "coupled":
         raise ValueError("target must be 'coupled' or 'computational'")

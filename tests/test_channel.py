@@ -228,21 +228,67 @@ def test_rotation_is_the_product_of_its_euler_factors():
 
 
 def test_oracle_makes_one_kronecker_power_per_axis_node(monkeypatch):
-    calls = {"kron_power": 0, "rotation_su2": 0}
+    # one Kronecker-power row per node: the alpha and gamma nodes as one stack
+    # each, the beta nodes one matrix at a time
+    rows, calls = [], {"rotation_su2": 0}
 
-    def counted(name, func):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return func(*args, **kwargs)
-        return wrapper
+    def counted_power(m, n):
+        m = np.asarray(m)
+        rows.append(math.prod(m.shape[:-2]))
+        return kron_power(m, n)
 
-    monkeypatch.setattr(channel_module, "kron_power", counted("kron_power", kron_power))
-    monkeypatch.setattr(channel_module, "rotation_su2", counted("rotation_su2", rotation_su2))
+    def counted_rotation(angles):
+        calls["rotation_su2"] += 1
+        return rotation_su2(angles)
+
+    monkeypatch.setattr(channel_module, "kron_power", counted_power)
+    monkeypatch.setattr(channel_module, "rotation_su2", counted_rotation)
     n = 6
     quad = QuadratureSpec.for_qubits(n)
     twirl_oracle(random_density_matrix(2**n, 0))
-    assert calls["kron_power"] == quad.n_alpha + quad.n_beta + quad.n_gamma == 36
+    assert sum(rows) == quad.n_alpha + quad.n_beta + quad.n_gamma == 36
     assert calls["rotation_su2"] == 36
+    assert len(rows) <= quad.n_beta + 2
+
+
+def oracle_per_node_kron(rho, n, quad):
+    """The factored oracle with one np.kron left fold per axis node: the reference for the bits."""
+
+    def power(m):
+        out = m
+        for _ in range(n - 1):
+            out = np.kron(out, m)
+        return out
+
+    def mask(rotations):
+        z = np.array([power(np.diagonal(r)) for r in rotations])
+        return z.T @ z.conj() / len(rotations)
+
+    alphas, betas, w_beta, gammas = su2_quadrature(quad)
+    m_alpha = mask([rotation_su2((a, 0.0, 0.0)) for a in alphas])
+    m_gamma = mask([rotation_su2((0.0, 0.0, g)) for g in gammas])
+    inner = rho * m_gamma
+    out = np.zeros_like(rho)
+    for b, wb in zip(betas, w_beta):
+        y = power(rotation_su2((0.0, b, 0.0)))
+        out += wb * (y @ inner @ y.conj().T)
+    return out * m_alpha
+
+
+@pytest.mark.parametrize(
+    "n, grid", [(2, None), (4, None), (6, None), (6, (5, 3, 7))], ids=["2", "4", "6", "6-custom"]
+)
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stack"])
+def test_oracle_keeps_the_bits_of_the_per_node_kron_route(n, grid, stacked):
+    quad = QuadratureSpec.for_qubits(n) if grid is None else QuadratureSpec(*grid)
+    states = [random_density_matrix(2**n, derived_rng(37, n, i)) for i in range(2)]
+    rho = np.stack(states) if stacked else states[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the custom grid is undersized for n = 6
+        got = twirl_oracle(rho, quad)
+    want = oracle_per_node_kron(rho.astype(complex), n, quad)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_oracle_never_uses_the_coupled_basis(monkeypatch):

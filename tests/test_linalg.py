@@ -355,12 +355,40 @@ def test_is_hermitian_temporaries_stay_small():
     assert peak < 2**20
 
 
+def kron_left_fold(m, n):
+    out = m
+    for _ in range(n - 1):
+        out = np.kron(out, m)
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_kron_power_keeps_the_bits_of_the_np_kron_left_fold(n):
+    rng = np.random.default_rng(n)
+    rotations = [linalg.haar_unitary(2, rng) for _ in range(3)]  # complex 2 x 2
+    real = rng.standard_normal((2, 3))
+    rows = rng.standard_normal((3, 1, 2)) + 1j * rng.standard_normal((3, 1, 2))  # 1 x 2 rows
+    for m in (*rotations, real, *rows):
+        assert_same_bits(kron_power(m, n), kron_left_fold(m, n))
+    for stack in (np.stack(rotations), rows, np.stack([real, 2 * real])[None]):
+        got = kron_power(stack, n)
+        assert got.shape[:-2] == stack.shape[:-2]
+        for idx in np.ndindex(stack.shape[:-2]):
+            assert_same_bits(got[idx], kron_left_fold(stack[idx], n))
+
+
 def test_kron_power():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(kron_power(m, 1), m)
     np.testing.assert_array_equal(kron_power(m, 3), np.kron(np.kron(m, m), m))
-    with pytest.raises(ValueError):
-        kron_power(m, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            kron_power(m, n)
 
 
 def test_check_limit_refuses_over_the_limit_and_not_a_number():

@@ -179,6 +179,14 @@ def test_helstrom_endpoints():
 # subspaces
 # ---------------------------------------------------------------------------
 
+def test_sample_subspace_owns_a_contiguous_basis():
+    # a view of the K x K unitary would keep all of it alive behind the basis
+    for ws, dim_s in ((WS12, 2), (build_working_space(24, 2.0), 3)):
+        basis = sample_subspace(ws, dim_s, 4).basis
+        assert basis.flags.c_contiguous
+        assert basis.base is None or basis.base.shape == basis.shape
+
+
 def test_sample_subspace_basics():
     sub = sample_subspace(WS12, 3, 5)
     assert sub.basis.shape == (WS12.k, 3)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framecrypt.repkit as repkit_module
 from framecrypt.linalg import kron_power
 from framecrypt.repkit import (
     CoupledIndex,
@@ -154,11 +155,38 @@ def test_schur_limits_and_validation():
 def test_couple_paths_stops_after_the_requested_paths():
     b = block_layout(6)[1]  # two_j = 4: 5 paths
     full = schur_transform(6).matrix[:, b.span].reshape(2**6, b.dim_r, b.dim_p)
-    first = np.empty((2**6, b.dim_r, 2), dtype=complex)
-    couple_paths(6, b.two_j, first)
+    first = np.stack(list(couple_paths(6, b.two_j, 2)), axis=-1)
     np.testing.assert_array_equal(first, full[:, :, :2])
     with pytest.raises(ValueError, match="1 coupling paths"):
-        couple_paths(6, 6, np.empty((2**6, 7, 2), dtype=complex))  # only one path reaches j = 3
+        list(couple_paths(6, 6, 2))  # only one path reaches j = 3
+
+
+def schur_by_out_array_walk(n):
+    """The transform by one walk per block writing into a (2^n, 2j+1, dim_p) view: the reference for the bits."""
+    matrix = np.zeros((2**n, 2**n), dtype=complex)
+    for b in block_layout(n):
+        out = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
+        done = 0
+
+        def descend(mat, t, k):
+            nonlocal done
+            if k == n:
+                out[:, :, done] = mat
+                done += 1
+                return
+            for step, couple in ((1, repkit_module._couple_up), (-1, repkit_module._couple_down)):
+                if done < b.dim_p and repkit_module._can_reach(t + step, n - k - 1, b.two_j):
+                    descend(couple(mat, t), t + step, k + 1)
+
+        descend(np.eye(2, dtype=complex), 1, 1)
+        assert done == b.dim_p
+    return matrix
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_schur_keeps_the_bits_of_the_out_array_walk(n):
+    got, want = schur_transform(n).matrix, schur_by_out_array_walk(n)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_ordering_matches_block_layout():

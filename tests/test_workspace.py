@@ -1,5 +1,6 @@
 """Tests for the truncated working space: dimensions, layout, embedding."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import framecrypt.repkit as repkit_module
 import framecrypt.workspace as workspace_module
+from framecrypt.linalg import random_pure_state
 from framecrypt.repkit import CoupledIndex, coupled_position, dim_multiplicity, schur_transform
 from framecrypt.workspace import (
     asymptotic_k,
@@ -148,7 +150,7 @@ def test_embed_restrict_roundtrip_coupled():
 
 def test_embed_computational_is_isometric():
     # the embedding is the dense transform's kept columns applied to v
-    for n in (4, 6, 8, 10):
+    for n in (4, 6, 8, 10, 12):
         t = schur_transform(n)
         for alpha in (2.0, 3.0):
             ws = build_working_space(n, alpha)
@@ -158,7 +160,7 @@ def test_embed_computational_is_isometric():
                 embed_state(v, ws, target="computational"),
                 t.matrix[:, ws.embed_positions] @ v,
                 rtol=0,
-                atol=1e-13,
+                atol=1e-14,
             )
     with pytest.raises(ValueError):
         embed_state(v, ws, target="other")
@@ -180,6 +182,21 @@ def test_embed_computational_never_builds_the_transform(monkeypatch):
     ws14 = build_working_space(14, 2.0)
     with pytest.raises(ValueError, match="limit"):
         embed_state(np.ones(ws14.k), ws14, "computational")
+
+
+def test_embed_computational_holds_one_path_at_a_time():
+    # a (2^12, 2j+1, D_alpha) column stack per kept block would take 2.4 and
+    # 2.9 MB; one path's (2^12, 11) columns take 0.7 MB
+    ws = build_working_space(12, 2.0)
+    v = random_pure_state(ws.k, 3)
+    embed_state(v, ws, "computational")  # lazy set-up stays out of the measured call
+    tracemalloc.start()
+    try:
+        embed_state(v, ws, "computational")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_restrict_rejects_leakage():
