@@ -26,7 +26,7 @@ import numpy as np
 import framecrypt
 from framecrypt import capacity as cap
 from framecrypt import channel, privacy, repkit, workspace
-from framecrypt.linalg import check_limit, derived_rng, random_density_matrix
+from framecrypt.linalg import check_limit, derived_rng, random_density_matrix, set_blas_threads
 
 DEFAULT_GAMMA_GRID = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0, 2.0)
 # largest --samples any command accepts; the README's largest count is 100,000
@@ -387,6 +387,19 @@ def _write(text: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; the exit status.  numpy's bundled OpenBLAS runs one
+    thread for the call, so the output bytes do not depend on the caller's
+    thread count and forked sampler workers do not compete with BLAS
+    threads for the cores; the caller's count is restored on return."""
+    threads = set_blas_threads(1)
+    try:
+        return _main(argv)
+    finally:
+        if threads is not None:
+            set_blas_threads(threads)
+
+
+def _main(argv) -> int:
     try:
         config = parse_config(argv)
     except ValueError as exc:

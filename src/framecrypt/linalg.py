@@ -9,13 +9,18 @@ a time.  The privacy sampler owns these streams: it hands each sample its
 generator, draws plain random states itself and normalizes a chunk of them at
 once with :func:`normalize_rows`, the formula of :func:`random_pure_state`.
 So every value is the same bit for bit however the samples are chunked or
-spread over the process's CPUs.
+spread over the process's CPUs.  :func:`blas_threads` and
+:func:`set_blas_threads` read and set the thread count of numpy's bundled
+OpenBLAS, whose sums are split differently at each count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 from collections.abc import Iterable, Iterator
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +37,12 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+# getter and setter of OpenBLAS's thread count, in the order they are looked
+# for: the names numpy's bundled scipy-openblas exports, then OpenBLAS's own
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def check_limit(amount, limit, what: str, unit: str) -> None:
@@ -39,6 +50,45 @@ def check_limit(amount, limit, what: str, unit: str) -> None:
     <unit>, over the limit of <limit>" unless amount <= limit (nan is refused)."""
     if not amount <= limit:
         raise ValueError(f"{what} needs {amount} {unit}, over the limit of {limit}")
+
+
+@functools.cache
+def _openblas_thread_calls(libs: Path | None = None):
+    """(get, set) of the thread count of the OpenBLAS in directory ``libs``
+    (libscipy_openblas64_*.so; by default numpy's bundled one in numpy.libs
+    beside the numpy package), through ctypes, loaded on first use; None
+    where no such library loads or it exports neither pair of
+    _BLAS_THREAD_SYMBOLS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs" if libs is None else libs
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs a call on; None where it cannot be read."""
+    calls = _openblas_thread_calls()
+    return None if calls is None else int(calls[0]())
+
+
+def set_blas_threads(count: int) -> int | None:
+    """Make numpy's bundled OpenBLAS run on ``count`` threads and return the
+    count before; where it cannot be read, do nothing and return None."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        return None
+    before = int(calls[0]())
+    calls[1](int(count))
+    return before
 
 
 def as_rng(seed) -> np.random.Generator:

@@ -13,16 +13,17 @@ eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
 Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
 the per-sample generators (``derived_rngs``), draws plain random states
 itself a chunk at a time, normalizes each chunk at once and hands it to the
-kernel; on large working spaces it spreads the draws over the process's
-CPUs, on threads started for that one call and joined before it returns,
-with bit-identical values; states on a subspace (probes, net points) it
-forms a chunk at a time by one stacked matrix-vector product.  The helpers
-here evaluate f two independent ways, estimate its maximum over a subspace
-(an alternating ascent, ``_ascend_all``, that runs all its starts as one
-stack of eigensolves per round, with a proved upper bound on 2-dimensional
-subspaces from a fixed covering net and the Lipschitz constant of f), and
-run the mean / concentration / smoothness experiments that the theory
-predicts:
+kernel.  A call with FORK_BYTES of states or more it spreads over the
+process's CPUs, in worker processes forked for that one call and reaped
+before it returns, each walking a contiguous share of the draws and writing
+f into shared memory, with bit-identical values.  States on a subspace
+(probes, net points) it forms a chunk at a time by one stacked
+matrix-vector product.  The helpers here evaluate f two independent ways,
+estimate its maximum over a subspace (an alternating ascent,
+``_ascend_all``, that runs all its starts as one stack of eigensolves per
+round, with a proved upper bound on 2-dimensional subspaces from a fixed
+covering net and the Lipschitz constant of f), and run the mean /
+concentration / smoothness experiments that the theory predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -34,14 +35,17 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import mmap
 import os
-import threading
+import pickle
+import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from framecrypt.linalg import (
+    blas_threads,
     check_limit,
     dagger,
     derived_rng,
@@ -62,16 +66,15 @@ ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
 F_CHUNK_BYTES = 2**16  # bytes of the states (not draws) _f_on_draws holds at once (64 KiB)
-# bytes of one draw's states from which _f_on_draws spreads the draws over the
-# process's CPUs (256 KiB: K >= 16,384 for one state).  Below it numpy's short
-# calls hold the GIL and threads only take turns.  Two threads' time as a
-# share of serial, interleaved draws, one BLAS thread, 2-core Xeon:
-#   n (K)    60 (8,200)  72 (14,112)  84 (22,344)  96 (33,280)  108 (47,304)  128 (78,561)
-#   share    1.01        0.88         0.72         0.63         0.57          0.53
-# mean-f --n 60 measured 0.30 s serial and 0.35-0.38 s spread.  At or above
-# F_CHUNK_BYTES a chunk is one draw, so a draw makes the same kernel call on
-# one thread or many.
-FAN_OUT_BYTES = 2**18
+# bytes of all the states of one _f_on_draws call (count x states per draw x
+# K x 16) from which it forks workers (4 MiB).  Forked time as a share of
+# serial, 2 workers, one BLAS thread, 2-core Xeon, median of 15 interleaved
+# calls (forking and reaping an empty share takes about 2.5 ms):
+#   K \ states    1 MiB   2 MiB   4 MiB
+#   72            1.13    0.96    0.62
+#   544           0.94    0.68    0.58
+#   8,200         0.97    0.81    0.72
+FORK_BYTES = 2**22
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 # most state coordinates (states handled x K; twirl-check: operator entries) one
 # run may touch: the cap theorem1_experiment and the CLI check before any draw
@@ -230,39 +233,105 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fan_out(run, count: int, workers: int) -> None:
-    """run(range(w, count, workers), stop) for every share w at once.
+def _workers(state_bytes: int, chunks: int) -> int:
+    """Processes an _f_on_draws call of ``state_bytes`` of states in ``chunks``
+    chunks is spread over: one per CPU of the affinity mask and at most one
+    per chunk, from FORK_BYTES on, where the process can fork and BLAS runs
+    one thread (more would make the workers' and BLAS's threads compete for
+    the cores); otherwise 1, the caller alone."""
+    if state_bytes < FORK_BYTES or not hasattr(os, "fork") or blas_threads() != 1:
+        return 1
+    return min(_cpus(), chunks)
 
-    The calling thread takes share 0.  Each other share gets a thread of its
-    own, named framecrypt-f-<w>, started here and joined before the call
-    returns; with one worker no thread starts.  A share that raises sets
-    ``stop``, which run checks before every chunk (one draw when spread);
-    the call re-raises the first exception only once every share has ended.
-    """
-    stop = threading.Event()
-    errors = []
 
-    def share(w: int) -> None:
-        try:
-            run(range(w, count, workers), stop)
-        except BaseException as exc:
-            stop.set()
-            errors.append(exc)
+def _shared_empty(shape: tuple, shared: bool) -> np.ndarray:
+    """np.empty(shape); with ``shared``, in an anonymous shared mapping, so
+    that what forked workers write into it reaches the caller."""
+    if not shared:
+        return np.empty(shape)
+    size = math.prod(shape)
+    return np.frombuffer(mmap.mmap(-1, size * np.dtype(float).itemsize), count=size).reshape(shape)
 
-    threads = [threading.Thread(target=share, args=(w,), name=f"framecrypt-f-{w}") for w in range(1, workers)]
+
+def _child(run, share: range, stop: mmap.mmap, report: int) -> None:
+    """Body of a forked worker: run(share, stop), then os._exit, so the
+    child never returns into its caller's code, flushes no stdio buffer and
+    runs no atexit handler.  An exception sets ``stop`` and is pickled to the
+    pipe end ``report``; one that does not pickle and load back is sent as a
+    ChildProcessError holding its repr."""
+    code = 1
     try:
-        for thread in threads:
-            thread.start()
-        share(0)
+        try:
+            run(share, stop)
+            code = 0
+        except BaseException as exc:
+            stop[0] = 1
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps(ChildProcessError(f"a sampler worker raised {exc!r}"))
+            with open(report, "wb") as fh:
+                fh.write(data)
     finally:
-        for thread in threads:
-            if thread.is_alive():  # join() refuses a thread whose start() failed
-                thread.join()
-    if errors:
-        raise errors[0]
+        os._exit(code)
 
 
-def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), span=None, seen=None) -> np.ndarray:
+def _reap(children: list) -> BaseException | None:
+    """Wait for every (pid, pipe read end) child; return the first one's
+    reported exception, a ChildProcessError for the first that ended
+    without a report (killed by a signal), or None."""
+    error = None
+    for pid, read in children:
+        try:
+            with open(read, "rb") as fh:
+                data = fh.read()
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if error is None and data:
+            error = pickle.loads(data)  # bytes only this call's own child wrote
+        elif error is None and status:
+            how = f"by signal {-status}" if status < 0 else f"with status {status}"
+            error = ChildProcessError(f"a sampler worker ended {how} without a result")
+    return error
+
+
+def _fan_out(run, shares: list) -> None:
+    """run(share, stop) for every share (a range of draws) at once.
+
+    The caller takes shares[0]; each other share runs in a child forked
+    here (see _child) and reaped before the call returns, whether it
+    succeeded or failed.  ``stop`` is a one-byte shared mapping that run
+    checks before every chunk; a share that raises sets it, so every share
+    ends at its next chunk.  The caller's own exception is raised first,
+    then the first child's in share order.  With one share nothing forks.
+    """
+    stop = mmap.mmap(-1, 1)
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # Python 3.12 warns of forking while other threads exist.
+                # Here they are OpenBLAS's idle pool, which its own fork
+                # handler shuts down first, and the child runs only run
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                _child(run, share, stop, write)  # never returns
+            os.close(write)
+            children.append((pid, read))
+        run(shares[0], stop)
+    except BaseException:
+        stop[0] = 1
+        raise
+    finally:
+        error = _reap(children)
+    if error is not None:
+        raise error
+
+
+def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), span=None, per_draw=None):
     """f on the states of draws 0, ..., count - 1, with result shape (count, *shape).
 
     The one loop here that draws and chunks states.  A draw is a
@@ -277,33 +346,37 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
     chunk (each state's real parts, then its imaginary parts, as
     random_pure_state takes them), and normalizes the whole chunk with
     normalize_rows, so the states are random_pure_state's bit for bit.
-    seen(i, states), if given, sees each draw's states before f does.
+    With ``per_draw``, per_draw(states) is a float computed from each draw's
+    states, and the call returns (f, those floats).
 
     Draws are made f_chunk(K, states per draw) at a time in one reused
     buffer per share that goes to f_evals whole, so the states of all draws
-    never exist at once.  Draws of at least FAN_OUT_BYTES of states, where a
-    chunk is one draw, are shared by _fan_out among one worker per CPU of
-    the process's affinity mask (at most count); smaller draws take one
-    worker, the calling thread.  Each share walks its own derived_rngs, so
-    no generator is shared between threads, and each draw is the same
-    kernel call whatever the share, so the values are the same bit for bit.
-    count must be positive.
+    never exist at once.  A call of FORK_BYTES of states or more is shared
+    by _fan_out among the processes _workers allows, each share a
+    contiguous run of whole chunks, so it makes the serial loop's kernel
+    calls; its results go to shared memory.  Each share walks its own
+    derived_rngs, and a state's f does not depend on the states next to it,
+    so the values are the same bit for bit.  count must be positive.
     """
-    per_draw = math.prod(shape)
-    chunk = min(f_chunk(ws.k, per_draw), count)
-    workers = min(_cpus(), count) if per_draw * ws.k * np.dtype(complex).itemsize >= FAN_OUT_BYTES else 1
-    fs = np.empty((count, *shape))
+    per_draw_states = math.prod(shape)
+    chunk = min(f_chunk(ws.k, per_draw_states), count)
+    chunks = -(-count // chunk)
+    workers = _workers(count * per_draw_states * ws.k * np.dtype(complex).itemsize, chunks)
+    edges = [min(count, chunks * w // workers * chunk) for w in range(workers + 1)]
+    fs = _shared_empty((count, *shape), workers > 1)
+    values = _shared_empty((count,), workers > 1) if per_draw is not None else None
 
-    def run(indices: range, stop: threading.Event) -> None:
-        rngs = derived_rngs(stream[0], stream[1:], indices) if stream else itertools.repeat(None)
+    def run(share: range, stop: mmap.mmap) -> None:
+        rngs = derived_rngs(stream[0], stream[1:], share) if stream else itertools.repeat(None)
         states = np.empty((chunk, *shape, ws.k), dtype=complex)
-        for start in range(0, len(indices), chunk):
-            if stop.is_set():
+        for start in range(share.start, share.stop, chunk):
+            if stop[0]:
                 return
-            part = indices[start : start + chunk]
+            end = min(start + chunk, share.stop)
+            part = range(start, end)
             rows = states[: len(part)]
             if span is not None:
-                rows[:] = _span_states(span[0], span[1][part.start : part.stop : part.step])
+                rows[:] = _span_states(span[0], span[1][start:end])
             elif draw is not None:
                 for r, (i, rng) in enumerate(zip(part, rngs)):
                     rows[r] = draw(i, rng)
@@ -314,16 +387,15 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
                 rows.real = normals[..., 0, :]
                 rows.imag = normals[..., 1, :]
                 # freed before normalize_rows' temporaries: at K = 78,561 a
-                # spread share then holds no more at once than random_pure_state
+                # share then holds no more at once than random_pure_state
                 del normals
                 normalize_rows(rows)
-            if seen is not None:
-                for i, row in zip(part, rows):
-                    seen(i, row)
-            fs[part.start : part.stop : part.step] = f_evals(rows, ws)
+            if values is not None:
+                values[start:end] = [per_draw(row) for row in rows]
+            fs[start:end] = f_evals(rows, ws)
 
-    _fan_out(run, count, workers)
-    return fs
+    _fan_out(run, [range(edges[w], edges[w + 1]) for w in range(workers)])
+    return fs if values is None else (fs, values)
 
 
 def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -580,11 +652,6 @@ def lipschitz_check(
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    gaps = np.empty(n_pairs)
-
-    def gap(i: int, pair: np.ndarray) -> None:
-        gaps[i] = np.linalg.norm(pair[0] - pair[1])
-
     def nearby(i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         phi = random_pure_state(ws.k, rng)
         noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
@@ -592,7 +659,8 @@ def lipschitz_check(
         return phi, psi / np.linalg.norm(psi)
 
     draw = None if perturbation is None else nearby
-    fs = _f_on_draws(n_pairs, ws, draw, stream=(seed,), shape=(2,), seen=gap)
+    gap = lambda pair: np.linalg.norm(pair[0] - pair[1])  # noqa: E731
+    fs, gaps = _f_on_draws(n_pairs, ws, draw, stream=(seed,), shape=(2,), per_draw=gap)
     kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
     worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:

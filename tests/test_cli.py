@@ -9,6 +9,7 @@ import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 import time
@@ -31,7 +32,7 @@ from framecrypt.cli import (
     payload_to_csv,
     run,
 )
-from framecrypt.linalg import check_limit
+from framecrypt.linalg import blas_threads, check_limit
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -291,21 +292,66 @@ def test_exact_commands_match_their_pinned_output(capsys, name, argv):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="this platform has no CPU affinity")
 def test_one_cpu_prints_the_same_bytes():
-    """A process pinned to one CPU samples serially (no sampler thread
-    starts) and prints the pinned output of the run that spreads its draws."""
+    """A process pinned to one CPU samples serially (it never forks) and
+    prints the pinned output of the run that spreads its draws, which forks
+    where it may use more CPUs."""
     script = (
-        "import os, sys, threading\n"
-        f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
-        "started, start = [], threading.Thread.start\n"
-        "threading.Thread.start = lambda thread: (started.append(thread.name), start(thread))[1]\n"
+        "import os, sys\n"
+        "if sys.argv[1] == 'one':\n"
+        f"    os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "from framecrypt import cli\n"
-        "code = cli.main(sys.argv[1:])\n"
-        "sys.exit(code or [name for name in started if name.startswith('framecrypt-f')] or 0)\n"
+        "code = cli.main(sys.argv[2:])\n"
+        "print(len(forks), file=sys.stderr)\n"
+        "sys.exit(code)\n"
     )
     argv = ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"]
-    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True)
-    assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode() == (GOLDEN / "concentration_n96_samples100_seed3.json").read_text(encoding="utf-8")
+    golden = (GOLDEN / "concentration_n96_samples100_seed3.json").read_text(encoding="utf-8")
+    can_spread = len(os.sched_getaffinity(0)) > 1 and hasattr(os, "fork") and blas_threads() is not None
+    for cpus in ("one", "all"):
+        proc = subprocess.run([sys.executable, "-c", script, cpus, *argv], capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == golden
+        forks = int(proc.stderr.decode().split()[-1])
+        assert (forks > 0) == (cpus == "all" and can_spread)
+
+
+def test_the_blas_thread_count_does_not_move_the_bytes():
+    # the pair gaps are BLAS dot products that OpenBLAS splits across its
+    # threads; the CLI runs one BLAS thread whatever the environment says
+    argv = ["--command", "lipschitz", "--n", "96", "--samples", "30", "--seed", "0"]
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    unset, one = (
+        subprocess.run([sys.executable, "-m", "framecrypt.cli", *argv], env=e, capture_output=True, timeout=120)
+        for e in (env, {**env, "OPENBLAS_NUM_THREADS": "1"})
+    )
+    assert unset.returncode == one.returncode == 0, unset.stderr.decode() + one.stderr.decode()
+    assert unset.stdout == one.stdout
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or blas_threads() is None, reason="the sampler forks only with os.fork and a readable BLAS"
+)
+def test_a_killed_sampler_worker_is_one_domain_error(capsys, monkeypatch):
+    # ChildProcessError is an OSError: one error object, exit 1, no traceback
+    caller, f_evals = os.getpid(), privacy.f_evals
+
+    def dying(phis, ws):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return f_evals(phis, ws)
+
+    monkeypatch.setattr(privacy, "f_evals", dying)
+    monkeypatch.setattr(privacy, "_cpus", lambda: 2)
+    code, out, err = run_main(capsys, "--command", "concentration", "--n", "12", "--samples", "5000")
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["kind"] == "domain"
+    assert "signal" in error["message"]
+    with pytest.raises(ChildProcessError):  # the killed worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_csv_projection(capsys):

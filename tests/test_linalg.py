@@ -1,6 +1,8 @@
 """Tests for the dense linear-algebra helpers."""
 
+import _ctypes
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,3 +400,30 @@ def test_check_limit_refuses_over_the_limit_and_not_a_number():
     for amount in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="over the limit"):
             check_limit(amount, 10, "a run", "units")
+
+
+def test_blas_threads_are_read_and_set_through_the_bundled_openblas(tmp_path):
+    threads = linalg.blas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    try:
+        assert linalg.set_blas_threads(1) == threads
+        assert linalg.blas_threads() == 1
+    finally:
+        linalg.set_blas_threads(threads)
+    assert linalg.blas_threads() == threads
+    bundled = next((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    (tmp_path / "libscipy_openblas64_-copy.so").symlink_to(bundled)
+    get, _ = linalg._openblas_thread_calls(tmp_path)
+    assert get() == threads
+
+
+def test_blas_threads_without_the_library_or_its_symbols_do_nothing(tmp_path, monkeypatch):
+    assert linalg._openblas_thread_calls(tmp_path) is None  # no library
+    (tmp_path / "libscipy_openblas64_-text.so").write_text("not a shared library")
+    assert linalg._openblas_thread_calls(tmp_path) is None  # does not load
+    (tmp_path / "libscipy_openblas64_-other.so").symlink_to(_ctypes.__file__)
+    assert linalg._openblas_thread_calls(tmp_path) is None  # loads, lacks the symbols
+    monkeypatch.setattr(linalg, "_openblas_thread_calls", lambda: None)
+    assert linalg.blas_threads() is None
+    assert linalg.set_blas_threads(1) is None

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -57,12 +58,20 @@ def test_cli_behaves_the_same_under_python_O(argv, code):
 
 
 def test_importing_the_cli_starts_no_thread_and_loads_no_executor():
-    # sampler threads live for one call: importing the package leaves none
-    # behind, and no executor module is paid for at every start
+    # sampler workers live for one call: importing the package leaves no
+    # thread behind, forks nothing, leaves the BLAS thread count as it found
+    # it, and no executor module is paid for at every start
     script = (
-        "import sys, threading\n"
+        "import os, sys, threading\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "import framecrypt.cli\n"
-        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "from framecrypt import linalg\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count(), len(forks), linalg.blas_threads())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True, timeout=60)
-    assert proc.stdout.split() == ["False", "1"]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, check=True, text=True, timeout=60, env=env)
+    *started, threads = proc.stdout.split()
+    assert started == ["False", "1", "0"]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert threads in ("None", str(min(2, cpus)))  # OpenBLAS caps the count at the CPUs

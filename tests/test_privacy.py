@@ -1,10 +1,12 @@
 """Tests for the privacy experiments: f, nets, concentration, moments."""
 
+import itertools
 import math
+import mmap
 import multiprocessing
 import os
 import queue
-import sys
+import signal
 import threading
 import time
 import warnings
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from framecrypt import privacy
-from framecrypt.linalg import derived_rng, random_pure_state
+from framecrypt.linalg import derived_rng, random_pure_state, set_blas_threads
 from framecrypt.privacy import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -22,7 +24,7 @@ from framecrypt.privacy import (
     _f_on_draws,
     _span_states,
     F_CHUNK_BYTES,
-    FAN_OUT_BYTES,
+    FORK_BYTES,
     PrivacyParams,
     build_eps_net,
     concentration_experiment,
@@ -317,7 +319,7 @@ def test_estimate_matches_one_start_at_a_time_exactly(dim_s, budget):
 
 @pytest.mark.parametrize("n, alpha", [(12, 2.0), (24, 2.0), (40, 9.0), (40, 2.0)])  # K = 72, 544, 567, 2,457
 @pytest.mark.parametrize("dim_s", [2, 3, 4, 5])
-def test_span_states_are_one_row_products_bit_for_bit(n, alpha, dim_s):
+def test_span_states_are_one_row_products_bit_for_bit(kernel_input, n, alpha, dim_s):
     # the stacked matrix-vector product keeps each row's bits; should numpy
     # ever round it differently, this fails before the golden files move
     ws = build_working_space(n, alpha)
@@ -333,9 +335,10 @@ def test_span_states_are_one_row_products_bit_for_bit(n, alpha, dim_s):
         for cs in (coeffs, columns):
             want = [basis @ c for c in cs]
             np.testing.assert_array_equal(_span_states(basis, np.ascontiguousarray(cs)), want)
-        got = {}
-        fs = _f_on_draws(count, ws, span=(basis, coeffs), seen=lambda i, state: got.setdefault(i, state.copy()))
-        assert sorted(got) == list(range(count))
+        kernel_input.clear()
+        fs = _f_on_draws(count, ws, span=(basis, coeffs))
+        got = np.concatenate(kernel_input)
+        assert len(got) == count
         for i, c in enumerate(coeffs):
             np.testing.assert_array_equal(got[i], basis @ c)
             assert fs[i] == f_evals((basis @ c)[None], ws)[0]
@@ -451,7 +454,7 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
 
 
 # ---------------------------------------------------------------------------
-# large draws spread over the CPUs
+# large calls spread over forked workers
 # ---------------------------------------------------------------------------
 
 WS84 = build_working_space(84, 2.0)  # K = 22,344: one state takes 357,504 bytes
@@ -459,53 +462,85 @@ WS84 = build_working_space(84, 2.0)  # K = 22,344: one state takes 357,504 bytes
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(c): the sampler sees c CPUs."""
-    return lambda count: monkeypatch.setattr(privacy, "_cpus", lambda: count)
+    """cpus(c): the sampler sees c CPUs; BLAS runs one thread, as under the CLI."""
+    threads = set_blas_threads(1)
+    if threads is None or not hasattr(os, "fork"):
+        pytest.skip("the sampler forks only where os.fork exists and BLAS reads one thread")
+    yield lambda count: monkeypatch.setattr(privacy, "_cpus", lambda: count)
+    set_blas_threads(threads)
 
 
-def test_draws_spread_only_where_a_chunk_is_one_draw():
-    # from the threshold on, the serial loop hands f_evals one draw at a
-    # time: the call each spread draw makes
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def pid(states):
+    """A per_draw value: the process that drew the states."""
+    return os.getpid()
+
+
+def shares_of(pids):
+    """The processes that drew, one per contiguous run of draws."""
+    return [p for p, _ in itertools.groupby(pids)]
+
+
+def test_draws_spread_only_from_the_fork_threshold(cpus):
     state_bytes = np.dtype(complex).itemsize
-    assert FAN_OUT_BYTES > F_CHUNK_BYTES
-    assert f_chunk(FAN_OUT_BYTES // state_bytes) == f_chunk(FAN_OUT_BYTES // state_bytes // 2, 2) == 1
-    assert WS84.k * state_bytes >= FAN_OUT_BYTES
-    assert build_working_space(60, 2.0).k * state_bytes < FAN_OUT_BYTES  # mean-f --n 60 stays serial
-
-
-@pytest.fixture
-def switching_often():
-    """Threads switch as often as they can while the test runs."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(interval)
+    cpus(4)
+    assert privacy._workers(FORK_BYTES - 1, 100) == 1
+    assert privacy._workers(FORK_BYTES, 100) == 4
+    assert privacy._workers(FORK_BYTES, 3) == 3  # at most one worker per chunk
+    # certify's calls (60 probes, 150 net points at n = 12) stay serial;
+    # concentration --n 12 --samples 5000 spreads
+    assert 150 * WS12.k * state_bytes < FORK_BYTES <= 5000 * WS12.k * state_bytes
+    cpus(1)
+    assert privacy._workers(2**40, 100) == 1
+    cpus(4)
+    threads = set_blas_threads(2)  # BLAS threads would compete with the workers
+    try:
+        assert privacy._workers(2**40, 100) == 1
+    finally:
+        set_blas_threads(threads)
 
 
 @pytest.mark.parametrize("count", [2, 3, 5])
-def test_spread_draws_match_one_state_f_evals_exactly(cpus, switching_often, count):
+def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
     cpus(count)  # 5: more shares than this machine may have cores
-    threads, rngs = set(), {}
-
-    def seen(i, state):
-        threads.add(threading.current_thread().name)
-
-    def draw(i, rng):
-        rngs.setdefault(i % count, []).append(rng)  # keeps every generator alive, so ids stay apart
-        return random_pure_state(WS84.k, rng)
-
-    by_sampler = _f_on_draws(11, WS84, stream=(606,), seen=seen)
-    by_callback = _f_on_draws(11, WS84, draw, stream=(606,))
-    assert len(threads) > 1  # sampler threads drew too
-    want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(11)]
+    draws = 13  # 4.6 MB of states: over FORK_BYTES, one draw per chunk
+    by_sampler, pids = _f_on_draws(draws, WS84, stream=(606,), per_draw=pid)
+    by_callback, callback_pids = _f_on_draws(
+        draws, WS84, lambda i, rng: random_pure_state(WS84.k, rng), stream=(606,), per_draw=pid
+    )
+    assert no_child_left()
+    want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(draws)]
     assert np.array_equal(by_sampler, want)
     assert np.array_equal(by_callback, want)
-    # share w draws i = w mod count from generators no other share touches
-    owner = {}
-    for share, gens in rngs.items():
-        for g in gens:
-            assert owner.setdefault(id(g), share) == share
-    assert sorted(rngs) == list(range(count))
+    for drawn_by in (pids, callback_pids):
+        # one contiguous share per process, the caller's first
+        assert len(shares_of(drawn_by)) == len(set(drawn_by)) == count
+        assert drawn_by[0] == os.getpid()
+
+
+@pytest.mark.parametrize("count", [2, 3, 5])
+def test_spread_chunks_match_the_serial_loop(cpus, count):
+    # n = 12: 65 whole chunks of 56 draws and a partial one; each share is a
+    # run of whole chunks, so it makes the serial loop's kernel calls
+    draws = 3700
+    cpus(1)
+    serial = _f_on_draws(draws, WS12, stream=(9, 2))
+    cpus(count)
+    spread, pids = _f_on_draws(draws, WS12, stream=(9, 2), per_draw=pid)
+    assert no_child_left()
+    assert np.array_equal(spread, serial)
+    chunk = f_chunk(WS12.k)
+    assert len(shares_of(pids)) == count
+    assert all(pids[i] == pids[i - 1] for i in range(1, draws) if i % chunk)
+    assert spread[-1] == f_evals(random_pure_state(WS12.k, derived_rng(9, 2, draws - 1))[None], WS12)[0]
 
 
 def nearby_pair(k, rng, perturbation):
@@ -516,20 +551,20 @@ def nearby_pair(k, rng, perturbation):
 
 
 @pytest.mark.parametrize("perturbation", [None, 1e-4])
-def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, switching_often, perturbation):
+def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, perturbation):
+    pairs_drawn = 6  # 4.3 MB of states: over FORK_BYTES
+
     def pairs(count):
         cpus(count)
-        gaps = np.full(5, np.nan)
-
-        def gap(i, pair):
-            gaps[i] = np.linalg.norm(pair[0] - pair[1])
-
         draw = None if perturbation is None else (lambda i, rng: nearby_pair(WS84.k, rng, perturbation))
-        fs = _f_on_draws(5, WS84, draw, stream=(8,), shape=(2,), seen=gap)
-        return fs, gaps, lipschitz_check(WS84, 5, 8, perturbation)
+        gap = lambda pair: np.linalg.norm(pair[0] - pair[1])  # noqa: E731
+        fs, gaps = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=gap)
+        _, pids = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=pid)
+        assert len(set(pids)) == count
+        return fs, gaps, lipschitz_check(WS84, pairs_drawn, 8, perturbation)
 
     want_fs, want_gaps = [], []
-    for i in range(5):
+    for i in range(pairs_drawn):
         rng = derived_rng(8, i)
         if perturbation is None:
             phi, psi = random_pure_state(WS84.k, rng), random_pure_state(WS84.k, rng)
@@ -538,26 +573,36 @@ def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, switching_often, pert
         want_fs.append(f_evals(np.stack([phi, psi])[None], WS84)[0])
         want_gaps.append(np.linalg.norm(phi - psi))
     serial, spread = pairs(1), pairs(3)
-    assert spread[0].shape == (5, 2)
+    assert no_child_left()
+    assert spread[0].shape == (pairs_drawn, 2)
     for a, b in zip(serial, spread):
         assert np.array_equal(a, b)
     assert np.array_equal(serial[0], want_fs)
     assert np.array_equal(serial[1], want_gaps)
 
 
+@pytest.fixture
+def kernel_input(monkeypatch):
+    """The states _f_on_draws hands f_evals, one array per kernel call."""
+    calls = []
+
+    def recording(phis, ws):
+        calls.append(np.array(phis))
+        return f_evals(phis, ws)
+
+    monkeypatch.setattr(privacy, "f_evals", recording)
+    return calls
+
+
 @pytest.mark.parametrize("pairs", [False, True])
-def test_chunk_filled_states_are_random_pure_states(pairs):
+def test_chunk_filled_states_are_random_pure_states(kernel_input, pairs):
     # two full chunks and a partial one; each draw's states are those of
     # random_pure_state called on the draw's derived generator, bit for bit
     shape = (2,) if pairs else ()
     count = 2 * f_chunk(WS12.k, 2 if pairs else 1) + 3
-    got = {}
-
-    def seen(i, states):
-        got[i] = states.copy()
-
-    fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape, seen=seen)
-    assert sorted(got) == list(range(count))
+    fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape)
+    got = np.concatenate(kernel_input)
+    assert len(kernel_input) == 3 and len(got) == count
     for i in range(count):
         rng = derived_rng(31, 4, i)
         want = random_pure_state(WS12.k, rng)
@@ -571,64 +616,75 @@ class DrawFailed(Exception):
     pass
 
 
-@pytest.mark.parametrize("bad", [0, 3, 4, 5])  # the first draw, then shares 0 (the caller), 1 and 2 of three
+# three shares of 30 draws: the caller's first, fourth, fifth and sixth
+# draws, then share 1's first and share 2's third
+@pytest.mark.parametrize("bad", [0, 3, 4, 5, 30, 62])
 def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
     cpus(3)
-    lock = threading.Lock()
-    busy, drawn = [0], []
+    drawn = np.frombuffer(mmap.mmap(-1, 90), dtype=np.uint8)  # shared with the workers
 
-    def slow(fn):  # counts the calls in progress
-        def counted(*args):
-            with lock:
-                busy[0] += 1
-            try:
-                time.sleep(0.01)
-                return fn(*args)
-            finally:
-                with lock:
-                    busy[0] -= 1
+    def slow(fn):
+        def slowed(*args):
+            time.sleep(0.01)
+            return fn(*args)
 
-        return counted
+        return slowed
 
     @slow
     def draw(i, rng):
-        drawn.append(i)
+        drawn[i] = 1
         if i == bad:
             raise DrawFailed(i)
         return random_pure_state(WS84.k, rng)
 
     monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
-    with pytest.raises(DrawFailed):
-        _f_on_draws(60, WS84, draw, stream=(1,))
-    assert busy[0] == 0  # no share is still drawing or evaluating
-    made = len(drawn)
-    assert made < 20  # each share stopped before its next draw
+    with pytest.raises(DrawFailed) as failed:
+        _f_on_draws(90, WS84, draw, stream=(1,))
+    assert failed.value.args == (bad,)  # the worker's exception, type and all
+    assert no_child_left()  # every worker was reaped
+    per_share = drawn.reshape(3, 30).sum(axis=1)
+    assert (per_share < 15).all()  # each share stopped long before its end
+    made = int(drawn.sum())
     time.sleep(0.05)
-    assert len(drawn) == made
+    assert int(drawn.sum()) == made
+
+
+def test_a_killed_worker_raises_child_process_error(cpus):
+    cpus(2)
+    caller = os.getpid()
+
+    def draw(i, rng):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return random_pure_state(WS84.k, rng)
+
+    with pytest.raises(ChildProcessError, match="signal"):
+        _f_on_draws(13, WS84, draw, stream=(1,))
+    assert no_child_left()
 
 
 def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
-    # no thread outlives a call, so a 2-share call leaves nothing that caps
-    # the next call's shares
+    # no worker outlives a call, so a serial call leaves nothing that caps
+    # the next call's shares; each share is one process drawing on one thread
     cpus(4)
     before = threading.active_count()
     _f_on_draws(2, WS84, stream=(1,))
-    seen = set()
-    _f_on_draws(8, WS84, stream=(1,), seen=lambda i, state: seen.add(threading.current_thread().name))
-    assert seen == {threading.current_thread().name, "framecrypt-f-1", "framecrypt-f-2", "framecrypt-f-3"}
-    assert threading.active_count() == before  # every thread was joined
+    _, pids = _f_on_draws(16, WS84, stream=(1,), per_draw=pid)
+    assert len(shares_of(pids)) == len(set(pids)) == 4
+    assert pids[0] == os.getpid()
+    assert no_child_left()
+    assert threading.active_count() == before
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="this platform cannot fork")
 def test_a_forked_child_samples_as_its_parent_did(cpus):
-    # the child of a process that has spread draws starts threads of its own
+    # the child of a process that has spread draws forks workers of its own
     cpus(2)
-    want = _f_on_draws(4, WS84, stream=(12,))
+    want = _f_on_draws(13, WS84, stream=(12,))
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
-        child = ctx.Process(target=lambda: results.put(_f_on_draws(4, WS84, stream=(12,))))
+        child = ctx.Process(target=lambda: results.put(_f_on_draws(13, WS84, stream=(12,))))
         child.start()
     try:
         got = results.get(timeout=60)
@@ -643,19 +699,16 @@ def test_a_forked_child_samples_as_its_parent_did(cpus):
 
 
 def test_small_draws_start_no_thread(monkeypatch, cpus):
-    started, start = [], threading.Thread.start
-
-    def counted(thread):
-        started.append(thread.name)
-        start(thread)
-
+    # calls below FORK_BYTES neither fork nor start a thread, whatever the CPUs
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     cpus(4)
-    monkeypatch.setattr(threading.Thread, "start", counted)
     before = threading.active_count()
     ws60 = build_working_space(60, 2.0)
-    mean_f_experiment(ws60, 20, 3)
+    mean_f_experiment(ws60, 20, 3)  # 2.6 MB of states
     assert _f_on_draws(3, WS12, stream=(2,), shape=(2,)).shape == (3, 2)
-    assert started == []
+    estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)  # certify's calls
+    assert forks == []
     assert threading.active_count() == before
 
 
