@@ -209,6 +209,20 @@ def reduced_map_f(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     return out.reshape(ws.d_p, ws.d_p)
 
 
+def _kept_block_state(t: np.ndarray, ws: WorkingSpace) -> BlockState:
+    """Full-register block form of a (|Y|, D_alpha, D_alpha) stack of
+    multiplicity operators: kept block j is I/(2j+1) (x) (t_j (+) 0), with
+    t_j on its first D_alpha paths (the kept ones); blocks outside Y vanish."""
+    layout = {b.two_j: b for b in block_layout(ws.n)}
+    blocks: dict[int, np.ndarray] = {}
+    for tj, t_j in zip(ws.y, t):
+        b = layout[tj]
+        p = np.zeros((b.dim_p, b.dim_p), dtype=complex)
+        p[: ws.d_alpha, : ws.d_alpha] = t_j
+        blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p)
+    return BlockState(n=ws.n, blocks=blocks)
+
+
 def reference_states(ws: WorkingSpace) -> BlockState:
     """The channel's reference output, block form.
 
@@ -217,29 +231,16 @@ def reference_states(ws: WorkingSpace) -> BlockState:
     mixed on the kept paths, weighted 1/|Y| so the total trace is one.  Its
     multiplicity-space reduction is the maximally mixed state I/d_p.
     """
-    layout = {b.two_j: b for b in block_layout(ws.n)}
-    blocks: dict[int, np.ndarray] = {}
-    for tj in ws.y:
-        b = layout[tj]
-        p = np.zeros((b.dim_p, b.dim_p))
-        p[np.diag_indices(ws.d_alpha)] = 1.0 / ws.d_p  # the kept paths come first
-        blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p).astype(complex)
-    return BlockState(n=ws.n, blocks=blocks)
+    shape = (len(ws.y), ws.d_alpha, ws.d_alpha)
+    return _kept_block_state(np.broadcast_to(np.eye(ws.d_alpha) / ws.d_p, shape), ws)
 
 
 def twirl_working_state(phi: np.ndarray, ws: WorkingSpace) -> BlockState:
     """Channel output E(|phi><phi|) for a working-space vector, block form.
 
     Blocks outside Y vanish; each kept block is materialized on the full
-    (2j+1) * multiplicity space.
+    (2j+1) * multiplicity space.  Each block's a^T conj(a) is formed on its
+    own, so this route shares no product with the stacked reduced_blocks.
     """
-    v = workspace_vector(phi, ws)
-    layout = {b.two_j: b for b in block_layout(ws.n)}
-    da = ws.d_alpha
-    blocks: dict[int, np.ndarray] = {}
-    for tj, a in zip(ws.y, ws.blocks(v)):
-        b = layout[tj]
-        t = np.zeros((b.dim_p, b.dim_p), dtype=complex)
-        t[:da, :da] = a.T @ a.conj()  # the kept paths are the first d_alpha
-        blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
-    return BlockState(n=ws.n, blocks=blocks)
+    a = ws.blocks(workspace_vector(phi, ws))
+    return _kept_block_state(np.array([a_j.T @ a_j.conj() for a_j in a]), ws)

@@ -37,12 +37,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-# getter and setter of OpenBLAS's thread count, in the order they are looked
-# for: the names numpy's bundled scipy-openblas exports, then OpenBLAS's own
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 def check_limit(amount, limit, what: str, unit: str) -> None:
@@ -56,21 +50,19 @@ def check_limit(amount, limit, what: str, unit: str) -> None:
 def _openblas_thread_calls(libs: Path | None = None):
     """(get, set) of the thread count of the OpenBLAS in directory ``libs``
     (libscipy_openblas64_*.so; by default numpy's bundled one in numpy.libs
-    beside the numpy package), through ctypes, loaded on first use; None
-    where no such library loads or it exports neither pair of
-    _BLAS_THREAD_SYMBOLS."""
+    beside the numpy package), through ctypes, loaded on first use: its
+    scipy_openblas_{get,set}_num_threads64_.  None where no such library
+    loads or it lacks that pair."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs" if libs is None else libs
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-        except OSError:
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # does not load, or lacks the symbols
             continue
-        for get_name, set_name in _BLAS_THREAD_SYMBOLS:
-            if hasattr(lib, get_name) and hasattr(lib, set_name):
-                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
     return None
 
 

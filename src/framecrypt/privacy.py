@@ -17,9 +17,10 @@ kernel.  A call with FORK_BYTES of states or more it spreads over the
 process's CPUs, in worker processes forked for that one call and reaped
 before it returns, each walking a contiguous share of the draws and writing
 f into shared memory, with bit-identical values.  States on a subspace
-(probes, net points) it forms a chunk at a time by one stacked
-matrix-vector product.  The helpers here evaluate f two independent ways,
-estimate its maximum over a subspace (an alternating ascent,
+(the probes of estimate_max_f and theorem1_experiment, net points) reach it
+only as coefficient rows through ``span``; it forms them a chunk at a time
+by one stacked matrix-vector product.  The helpers here evaluate f two
+independent ways, estimate its maximum over a subspace (an alternating ascent,
 ``_ascend_all``, that runs all its starts as one stack of eigensolves per
 round, with a proved upper bound on 2-dimensional subspaces from a fixed
 covering net and the Lipschitz constant of f), and run the mean /
@@ -311,12 +312,17 @@ def _fan_out(run, shares: list) -> None:
     try:
         for share in shares[1:]:
             read, write = os.pipe()
-            with warnings.catch_warnings():
-                # Python 3.12 warns of forking while other threads exist.
-                # Here they are OpenBLAS's idle pool, which its own fork
-                # handler shuts down first, and the child runs only run
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns of forking while other threads exist.
+                    # Here they are OpenBLAS's idle pool, which its own fork
+                    # handler shuts down first, and the child runs only run
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:  # no child: its pipe is closed here, not reaped
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 _child(run, share, stop, write)  # never returns
             os.close(write)
@@ -798,9 +804,8 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         sub_seed = int(derived_rng(seed, s).integers(2**63))
         sub = sample_subspace(ws, dim_s, sub_seed)
         est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
-        probe_vals = _f_on_draws(
-            n_probes, ws, lambda i, rng: sub.basis @ random_pure_state(dim_s, rng), stream=(sub_seed, 7)
-        )
+        coeffs = np.array([random_pure_state(dim_s, rng) for rng in derived_rngs(sub_seed, (7,), range(n_probes))])
+        probe_vals = _f_on_draws(n_probes, ws, span=(sub.basis, coeffs))
         probes_over += int(np.sum(probe_vals > delta))
         probes_total += probe_vals.size
         violated = est.lower_bound > delta

@@ -130,32 +130,42 @@ def _can_reach(height: int, steps_left: int, two_j: int) -> bool:
     return height >= 0 and abs(two_j - height) <= steps_left and (two_j - height - steps_left) % 2 == 0
 
 
+def _walk(n: int, two_j: int, root, extend, count: int | None = None) -> Iterator:
+    """Depth-first walk over the coupling histories of n qubits ending at two_j.
+
+    The state ``root`` stands for the first qubit (spin 1/2, one step of +1);
+    each further step folds extend(state, t, step) onto its prefix's state,
+    t being the prefix's two_j.  Branches that cannot reach two_j are pruned,
+    +1 is tried before -1, so the leaves come in lexicographic order, and
+    every prefix is extended once and shared by all the histories below it.
+    Yields each leaf's state, stopping after ``count`` of them when given.
+    """
+    done = 0
+
+    def descend(state, t: int, k: int) -> Iterator:  # state: spin t/2 on k qubits
+        nonlocal done
+        if k == n:
+            done += 1
+            yield state
+            return
+        for step in (1, -1):
+            if (count is None or done < count) and _can_reach(t + step, n - k - 1, two_j):
+                yield from descend(extend(state, t, step), t + step, k + 1)
+
+    yield from descend(root, 1, 1)
+
+
 def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
     """All coupling histories ending at two_j, in lexicographic order (+1 < -1).
 
     A history is a tuple of n steps from {+1, -1}; partial sums stay >= 0 and
-    the total equals two_j, so the first step is always +1.
+    the total equals two_j, so the first step is always +1.  These are the
+    leaves of :func:`_walk`, the walk :func:`couple_paths` couples along.
     """
     _require_even(n)
     if two_j % 2 != 0 or not 0 <= two_j <= n:
         raise ValueError(f"two_j={two_j} is not reachable for n={n}")
-    paths: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(cur: int) -> None:
-        k = len(prefix)
-        if k == n:
-            if cur == two_j:
-                paths.append(tuple(prefix))
-            return
-        for step in (1, -1):
-            if _can_reach(cur + step, n - k - 1, two_j):
-                prefix.append(step)
-                extend(cur + step)
-                prefix.pop()
-
-    extend(0)
-    return paths
+    return list(_walk(n, two_j, (1,), lambda p, t, s: p + (s,)))
 
 
 # ---------------------------------------------------------------------------
@@ -174,42 +184,25 @@ class SchurTransform:
     matrix: np.ndarray
 
 
-def _couple_up(mat: np.ndarray, two_j: int) -> np.ndarray:
-    """Attach one qubit and raise: spin two_j/2 -> (two_j+1)/2.
+def _couple(mat: np.ndarray, two_j: int, step: int) -> np.ndarray:
+    """Attach one qubit and step the spin: two_j/2 -> (two_j + step)/2, step = +1 or -1.
 
     Columns of ``mat`` are |j, m> for two_m = two_j, two_j-2, ..., -two_j in
     the computational basis of the qubits coupled so far; the new qubit is
-    appended as the last tensor factor.
+    appended as the last tensor factor.  Sign convention: on lowering, the
+    up-qubit coefficient carries the minus sign, which leaves the stretched
+    state of the raised branch with coefficient +1.
     """
-    dim, cols = mat.shape
     t = two_j
-    out = np.zeros((2 * dim, t + 2), dtype=complex)
-    for col in range(t + 2):
-        two_m = t + 1 - 2 * col
+    out = np.zeros((2 * mat.shape[0], t + step + 1), dtype=complex)
+    for col in range(t + step + 1):
+        two_m = t + step - 2 * col
         if abs(two_m - 1) <= t:  # parent m = M - 1/2, new qubit up
-            c = math.sqrt((t + two_m + 1) / (2 * (t + 1)))
+            c = step * math.sqrt((t + step * two_m + 1) / (2 * (t + 1)))
             out[0::2, col] += c * mat[:, (t - (two_m - 1)) // 2]
         if abs(two_m + 1) <= t:  # parent m = M + 1/2, new qubit down
-            c = math.sqrt((t - two_m + 1) / (2 * (t + 1)))
+            c = math.sqrt((t - step * two_m + 1) / (2 * (t + 1)))
             out[1::2, col] += c * mat[:, (t - (two_m + 1)) // 2]
-    return out
-
-
-def _couple_down(mat: np.ndarray, two_j: int) -> np.ndarray:
-    """Attach one qubit and lower: spin two_j/2 -> (two_j-1)/2.
-
-    Sign convention: the up-qubit coefficient carries the minus sign, which
-    leaves the stretched state of the raised branch with coefficient +1.
-    """
-    dim, cols = mat.shape
-    t = two_j
-    out = np.zeros((2 * dim, t), dtype=complex)
-    for col in range(t):
-        two_m = t - 1 - 2 * col
-        c_up = -math.sqrt((t - two_m + 1) / (2 * (t + 1)))
-        c_dn = math.sqrt((t + two_m + 1) / (2 * (t + 1)))
-        out[0::2, col] += c_up * mat[:, (t - (two_m - 1)) // 2]
-        out[1::2, col] += c_dn * mat[:, (t - (two_m + 1)) // 2]
     return out
 
 
@@ -218,24 +211,14 @@ def couple_paths(n: int, two_j: int, count: int) -> Iterator[np.ndarray]:
 
     Each path's matrix has shape (2^n, two_j + 1): computational basis, then
     two_m descending from two_j.  It is handed over as the walk reaches it, in
-    the order of :func:`enumerate_paths`, and is the caller's to keep.  The
-    walk is depth-first, so every prefix is coupled once and shared by all the
-    paths below it, and it stops after ``count`` paths; it raises once
-    exhausted if fewer reach two_j.
+    the order of :func:`enumerate_paths`, and is the caller's to keep.  It is
+    :func:`_walk` folding :func:`_couple` along the histories, so every
+    prefix is coupled once and shared by all the paths below it; it stops
+    after ``count`` paths and raises once exhausted if fewer reach two_j.
     """
     done = 0
-
-    def descend(mat: np.ndarray, t: int, k: int) -> Iterator[np.ndarray]:  # mat: spin t/2 on k qubits
-        nonlocal done
-        if k == n:
-            done += 1
-            yield mat
-            return
-        for step, couple in ((1, _couple_up), (-1, _couple_down)):
-            if done < count and _can_reach(t + step, n - k - 1, two_j):
-                yield from descend(couple(mat, t), t + step, k + 1)
-
-    yield from descend(np.eye(2, dtype=complex), 1, 1)
+    for done, mat in enumerate(_walk(n, two_j, np.eye(2, dtype=complex), _couple, count), 1):
+        yield mat
     if done != count:
         raise ValueError(f"{done} coupling paths reach two_j={two_j}, expected {count}")
 

@@ -397,3 +397,39 @@ def test_twirl_working_state_traces():
     bs = twirl_working_state(random_pure_state(ws.k, 9), ws)
     assert set(bs.blocks) == set(ws.y)
     assert sum(np.trace(b) for b in bs.blocks.values()).real == pytest.approx(1.0, abs=1e-12)
+
+
+def written_out_blocks(phi, ws):
+    """The channel output and reference on the kept blocks, each built by its
+    own loop: pad T_j (or I/d_p) to the block's paths, then kron(I/(2j+1), .)."""
+    layout = {b.two_j: b for b in block_layout(ws.n)}
+    out, ref = {}, {}
+    for tj, a in zip(ws.y, ws.blocks(phi)):
+        b = layout[tj]
+        t = np.zeros((b.dim_p, b.dim_p), dtype=complex)
+        t[: ws.d_alpha, : ws.d_alpha] = a.T @ a.conj()
+        out[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
+        p = np.zeros((b.dim_p, b.dim_p))
+        p[np.diag_indices(ws.d_alpha)] = 1.0 / ws.d_p
+        ref[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p).astype(complex)
+    return out, ref
+
+
+@pytest.mark.parametrize("n", [4, 12])
+def test_working_state_blocks_keep_the_bits_of_the_written_out_loops(n):
+    from framecrypt.linalg import random_pure_state
+    from framecrypt.privacy import f_eval_direct
+
+    ws = build_working_space(n, 2.0)
+    for s in range(5):
+        phi = random_pure_state(ws.k, derived_rng(17, n, s))
+        want_out, want_ref = written_out_blocks(phi, ws)
+        got_out, got_ref = twirl_working_state(phi, ws).blocks, reference_states(ws).blocks
+        assert list(got_out) == list(got_ref) == list(ws.y)
+        for tj in ws.y:
+            np.testing.assert_array_equal(got_out[tj].view(np.uint64), want_out[tj].view(np.uint64))
+            np.testing.assert_array_equal(got_ref[tj].view(np.uint64), want_ref[tj].view(np.uint64))
+        want_f = 0.0
+        for tj in ws.y:
+            want_f += trace_norm(want_out[tj] - want_ref[tj])
+        assert f_eval_direct(phi, ws) == want_f

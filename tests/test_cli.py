@@ -275,6 +275,11 @@ def test_readme_scans_and_curves_run(tmp_path, monkeypatch, capsys):
             "theorem1_n12_delta2_cprime-13_seed3.json",
             ["--command", "theorem1", "--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"],
         ),
+        # dim_s = 38: the probes and the ascent on a subspace with no net
+        (
+            "theorem1_n24_delta2_cprime-12_seed1.json",
+            ["--command", "theorem1", "--n", "24", "--delta", "2", "--c-prime", "-12", "--samples", "2", "--seed", "1"],
+        ),
         # K = 33,280: the sampler spreads the draws over the CPUs
         (
             "concentration_n96_samples100_seed3.json",

@@ -1,5 +1,6 @@
 """Tests for the privacy experiments: f, nets, concentration, moments."""
 
+import errno
 import itertools
 import math
 import mmap
@@ -663,6 +664,27 @@ def test_a_killed_worker_raises_child_process_error(cpus):
     assert no_child_left()
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="this platform lists no open descriptors")
+def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, cpus):
+    # the first worker forks, the second cannot: the error is raised, the
+    # first worker is reaped and the failed fork's pipe is closed too
+    cpus(3)
+    forks, fork = [], os.fork
+
+    def fork_once():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match="fork refused"):
+        _f_on_draws(13, WS84, stream=(1,))
+    assert no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
     # no worker outlives a call, so a serial call leaves nothing that caps
     # the next call's shares; each share is one process drawing on one thread
@@ -783,6 +805,28 @@ def test_theorem1_feasible_run_records_fractions():
     assert 0.0 <= report["fraction_probe_states_over_delta"] <= 1.0
     with pytest.raises(ValueError):
         theorem1_experiment(12, params, n_subspaces=0, seed=0)
+
+
+@pytest.mark.parametrize("n, c_prime, seed, dim_s", [(12, -14.0, 1, 1), (12, -13.0, 3, 2), (24, -12.0, 1, 38)])
+def test_theorem1_probes_keep_the_values_of_one_draw_per_probe(monkeypatch, n, c_prime, seed, dim_s):
+    # the probes go through span; each value must be the one the probe had
+    # when it was drawn as sub.basis @ random_pure_state(dim_s, rng) on its own
+    calls, sampler = [], privacy._f_on_draws
+
+    def recording(count, ws, *args, **kwargs):
+        fs = sampler(count, ws, *args, **kwargs)
+        if count == 100:  # theorem1's probes; estimate_max_f draws 200 and a net of 150
+            calls.append((ws, kwargs["span"], fs))
+        return fs
+
+    monkeypatch.setattr(privacy, "_f_on_draws", recording)
+    report = theorem1_experiment(n, PrivacyParams(delta=2.0, c_prime=c_prime), n_subspaces=2, seed=seed)
+    assert report["dim_s"] == dim_s
+    assert len(calls) == len(report["subspaces"]) == 2
+    for (ws, (basis, _), fs), entry in zip(calls, report["subspaces"]):
+        np.testing.assert_array_equal(basis, sample_subspace(ws, dim_s, entry["seed"]).basis)
+        old = sampler(100, ws, lambda i, rng: basis @ random_pure_state(dim_s, rng), stream=(entry["seed"], 7))
+        assert np.array_equal(fs, old)
 
 
 def test_privacy_params_validation():

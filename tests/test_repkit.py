@@ -161,8 +161,39 @@ def test_couple_paths_stops_after_the_requested_paths():
         list(couple_paths(6, 6, 2))  # only one path reaches j = 3
 
 
+def couple_up_by_columns(mat, two_j):
+    """Attach one qubit and raise two_j by one, column by column: the bit
+    reference for _couple(mat, two_j, +1)."""
+    t = two_j
+    out = np.zeros((2 * mat.shape[0], t + 2), dtype=complex)
+    for col in range(t + 2):
+        two_m = t + 1 - 2 * col
+        if abs(two_m - 1) <= t:  # parent m = M - 1/2, new qubit up
+            c = math.sqrt((t + two_m + 1) / (2 * (t + 1)))
+            out[0::2, col] += c * mat[:, (t - (two_m - 1)) // 2]
+        if abs(two_m + 1) <= t:  # parent m = M + 1/2, new qubit down
+            c = math.sqrt((t - two_m + 1) / (2 * (t + 1)))
+            out[1::2, col] += c * mat[:, (t - (two_m + 1)) // 2]
+    return out
+
+
+def couple_down_by_columns(mat, two_j):
+    """Attach one qubit and lower two_j by one, the up-qubit coefficient
+    negative: the bit reference for _couple(mat, two_j, -1)."""
+    t = two_j
+    out = np.zeros((2 * mat.shape[0], t), dtype=complex)
+    for col in range(t):
+        two_m = t - 1 - 2 * col
+        c_up = -math.sqrt((t - two_m + 1) / (2 * (t + 1)))
+        c_dn = math.sqrt((t + two_m + 1) / (2 * (t + 1)))
+        out[0::2, col] += c_up * mat[:, (t - (two_m - 1)) // 2]
+        out[1::2, col] += c_dn * mat[:, (t - (two_m + 1)) // 2]
+    return out
+
+
 def schur_by_out_array_walk(n):
-    """The transform by one walk per block writing into a (2^n, 2j+1, dim_p) view: the reference for the bits."""
+    """The transform by one walk per block writing into a (2^n, 2j+1, dim_p)
+    view, with the column-by-column steps: the reference for the bits."""
     matrix = np.zeros((2**n, 2**n), dtype=complex)
     for b in block_layout(n):
         out = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
@@ -174,7 +205,7 @@ def schur_by_out_array_walk(n):
                 out[:, :, done] = mat
                 done += 1
                 return
-            for step, couple in ((1, repkit_module._couple_up), (-1, repkit_module._couple_down)):
+            for step, couple in ((1, couple_up_by_columns), (-1, couple_down_by_columns)):
                 if done < b.dim_p and repkit_module._can_reach(t + step, n - k - 1, b.two_j):
                     descend(couple(mat, t), t + step, k + 1)
 
@@ -187,6 +218,23 @@ def schur_by_out_array_walk(n):
 def test_schur_keeps_the_bits_of_the_out_array_walk(n):
     got, want = schur_transform(n).matrix, schur_by_out_array_walk(n)
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_couple_paths_folds_the_coupling_step_along_enumerate_paths(n):
+    # one walk: the paths couple_paths hands over are _couple folded along
+    # the histories of enumerate_paths, in that order
+    for tj in irrep_labels(n):
+        want = []
+        for path in enumerate_paths(n, tj):
+            mat, t = np.eye(2, dtype=complex), 1
+            for step in path[1:]:
+                mat, t = repkit_module._couple(mat, t, step), t + step
+            want.append(mat)
+        got = list(couple_paths(n, tj, len(want)))
+        assert len(got) == len(want) == dim_multiplicity(n, tj)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_ordering_matches_block_layout():
