@@ -112,7 +112,6 @@ class PrivacyParams:
 class SubspaceSample:
     """An encoding subspace drawn from the invariant measure."""
 
-    seed: int
     basis: np.ndarray = field(repr=False)  # ambient_dim x dim_s, orthonormal columns
 
     @property
@@ -131,8 +130,8 @@ class SubspaceSample:
 
 @dataclass(frozen=True)
 class EpsNet:
-    """Points of the unit sphere of C^dim_s within ``covering_radius`` <=
-    epsilon/2 of every unit vector, up to a global phase.
+    """The points of :func:`build_eps_net`: within ``covering_radius`` <=
+    epsilon/2 of every unit vector of C^dim_s, up to a global phase.
 
     With D = 2 dim_s - 1 and m = ceil(2 sqrt(D-1) / epsilon), the points are
     the normalised cell centres of an m^(D-1) grid on each of the 2D faces of
@@ -143,8 +142,6 @@ class EpsNet:
     hence 1-Lipschitz, so x lies within sqrt(D-1)/m of p/||p||.
     """
 
-    dim_s: int
-    epsilon: float
     points: np.ndarray = field(repr=False)  # n_points x dim_s
     covering_radius: float
 
@@ -433,7 +430,7 @@ def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
     check_limit(ws.k**2 * np.dtype(complex).itemsize, HAAR_STACK_LIMIT, f"a subspace of K={ws.k}", "unitary bytes")
     basis = haar_unitary(ws.k, seed)[:, :dim_s].copy()
-    return SubspaceSample(seed=int(seed), basis=basis)
+    return SubspaceSample(basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +469,7 @@ def build_eps_net(dim_s: int, epsilon: float, seed: int) -> EpsNet:
     points = np.empty((n_points, dim_s), dtype=complex)
     points[:, 0] = x[:, 0]
     points[:, 1:] = x[:, 1::2] + 1j * x[:, 2::2]
-    return EpsNet(dim_s=dim_s, epsilon=float(epsilon), points=points, covering_radius=math.sqrt(d - 1) / m)
+    return EpsNet(points=points, covering_radius=math.sqrt(d - 1) / m)
 
 
 class MaxFEstimate(NamedTuple):
@@ -567,7 +564,7 @@ def estimate_max_f(
         lower = max(lower, float(net_vals.max()))
         # f is phase invariant and 2-Lipschitz, and every state lies within
         # covering_radius <= eps/2 of a net point: max f <= net max + eps
-        certified = float(net_vals.max()) + net.epsilon
+        certified = float(net_vals.max()) + float(net_epsilon)
     return MaxFEstimate(lower, certified)
 
 
@@ -789,7 +786,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         return base
     # states of K coordinates per subspace: its K x K unitary, the random
     # probes, the dim_s basis columns every ascent round lifts, and the net
-    n_probes = min(THEOREM1_BUDGET, 100)
+    n_probes = 100  # probe states per subspace beyond the estimate's; charged below
     per_subspace = ws.k + THEOREM1_BUDGET + n_probes + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
     if dim_s == 2:
         per_subspace += net_size(2, params.net_epsilon)

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -180,7 +179,6 @@ class SchurTransform:
     computational basis, in the canonical layout (see :class:`BlockInfo`).
     """
 
-    n: int
     matrix: np.ndarray
 
 
@@ -234,14 +232,13 @@ def schur_transform(n: int) -> SchurTransform:
         cols = matrix[:, b.span].reshape(2**n, b.dim_r, b.dim_p)
         for p, mat in enumerate(couple_paths(n, b.two_j, b.dim_p)):
             cols[:, :, p] = mat
-    return SchurTransform(n=n, matrix=matrix)
+    return SchurTransform(matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
 # rotation matrices
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _jz_jy(two_j: int):
     """m values (descending) and the eigensystem of Jy for spin two_j/2."""
     j = two_j / 2.0
@@ -252,17 +249,7 @@ def _jz_jy(two_j: int):
         jp[i - 1, i] = math.sqrt(j * (j + 1) - mm * (mm + 1))
     jy = (jp - jp.T) / 2j
     evals, evecs = np.linalg.eigh(jy)
-    m.flags.writeable = False
-    evals.flags.writeable = False
-    evecs.flags.writeable = False
     return m, evals, evecs
-
-
-def check_angles(angles: EulerAngles) -> EulerAngles:
-    a, b, g = angles
-    if not (0.0 <= a < 2 * math.pi and 0.0 <= b <= math.pi and 0.0 <= g < 2 * math.pi):
-        raise ValueError(f"angles out of range: {angles}")
-    return EulerAngles(a, b, g)
 
 
 def wigner_d(two_j: int, angles) -> np.ndarray:
@@ -288,29 +275,6 @@ def rotation_su2(angles) -> np.ndarray:
             [np.exp(0.5j * (a - g)) * sh, np.exp(0.5j * (a + g)) * ch],
         ]
     )
-
-
-def euler_from_su2(u: np.ndarray) -> EulerAngles:
-    """Angles in the restricted ranges whose rotation equals u up to sign.
-
-    The restricted ranges parameterize rotations of the sphere; u and -u map
-    to the same angles, so ``rotation_su2(euler_from_su2(u))`` reproduces u
-    only up to a global sign (exactly +/-).
-    """
-    u = np.asarray(u)
-    if u.shape != (2, 2):
-        raise ValueError("expected a 2x2 special unitary")
-    a, b = u[0, 0], u[1, 0]
-    beta = 2.0 * math.atan2(abs(b), abs(a))
-    tol = 1e-12  # an entry this small counts as zero
-    if abs(b) <= tol:  # no middle rotation: only a+g is defined
-        return EulerAngles((-2.0 * np.angle(a)) % (2 * math.pi), 0.0, 0.0)
-    if abs(a) <= tol:  # half turn: only a-g is defined
-        return EulerAngles((2.0 * np.angle(b)) % (2 * math.pi), math.pi, 0.0)
-    pa, pb = np.angle(a), np.angle(b)
-    alpha = (pb - pa) % (2 * math.pi)
-    gamma = (-pb - pa) % (2 * math.pi)
-    return EulerAngles(alpha, beta, gamma)
 
 
 def random_euler(seed) -> EulerAngles:

@@ -255,6 +255,17 @@ def test_readme_scans_and_curves_run(tmp_path, monkeypatch, capsys):
             assert len([ln for ln in lines[1:] if ln]) == len(inputs)
 
 
+def test_readme_quick_tour_runs_and_reads_as_its_comments_say():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    tour = {}
+    exec(compile(block, "README.md (quick tour)", "exec"), tour)
+    assert tour["gap"] < 1e-12
+    assert tour["ws"].k == 72
+    assert tour["f_eval"](tour["e0"], tour["ws"]) == pytest.approx(1.75, abs=1e-12)
+    assert tour["lower"] <= tour["certified"]
+
+
 @pytest.mark.parametrize(
     "name, argv",
     [

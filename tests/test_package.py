@@ -1,6 +1,7 @@
 """Package-wide source checks."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -75,3 +76,25 @@ def test_importing_the_cli_starts_no_thread_and_loads_no_executor():
     assert started == ["False", "1", "0"]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert threads in ("None", str(min(2, cpus)))  # OpenBLAS caps the count at the CPUs
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.is_file(), reason="no perfbench/ beside tests/")
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # the tracer looks each target up with getattr and no default, and reads
+    # .matrix and .n_points off the returns of schur_transform and
+    # build_eps_net: a traced benchmark run breaks when one of them goes
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    ]
+    names = [(home, func) for home, funcs in targets for func in funcs]
+    assert len(names) == 27
+    missing = [f"{home}.{func}" for home, func in names if not callable(getattr(importlib.import_module(home), func, None))]
+    assert missing == []
+    assert framecrypt.schur_transform(2).matrix.shape == (4, 4)
+    assert framecrypt.build_eps_net(2, 0.6, 0).n_points > 0

@@ -720,6 +720,27 @@ def test_a_forked_child_samples_as_its_parent_did(cpus):
     assert np.array_equal(got, want)
 
 
+def test_the_fork_warning_of_python_3_12_is_not_raised(monkeypatch, cpus):
+    # from 3.12, os.fork warns in the parent once the child exists when other
+    # threads run (here OpenBLAS's pool); the suite turns warnings into errors
+    cpus(1)
+    want = _f_on_draws(13, WS84, stream=(12,))
+    forks, fork = [], os.fork
+
+    def fork_and_warn():
+        child = fork()
+        if child:
+            forks.append(child)
+            warnings.warn("use of fork() may lead to deadlocks in the child", DeprecationWarning, stacklevel=2)
+        return child
+
+    monkeypatch.setattr(os, "fork", fork_and_warn)
+    cpus(2)
+    assert np.array_equal(_f_on_draws(13, WS84, stream=(12,)), want)
+    assert len(forks) == 1
+    assert no_child_left()
+
+
 def test_small_draws_start_no_thread(monkeypatch, cpus):
     # calls below FORK_BYTES neither fork nor start a thread, whatever the CPUs
     forks, fork = [], os.fork
