@@ -201,12 +201,15 @@ def reduced_map_f(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     state; the direct sum over Y is a density matrix on the d_p-dimensional
     kept multiplicity space and carries all the distinguishability the
     channel leaves behind.
+
+    The d_p x d_p array returned owns its memory (it is not a view), so
+    numpy may reuse it for the result of ``reduced_map_f(phi, ws) - ref``.
     """
     t = reduced_blocks(workspace_vector(phi, ws), ws)
     nb, da = len(ws.y), ws.d_alpha
-    out = np.zeros((nb, da, nb, da), dtype=complex)
-    out[np.arange(nb), :, np.arange(nb), :] = t
-    return out.reshape(ws.d_p, ws.d_p)
+    out = np.zeros((ws.d_p, ws.d_p), dtype=complex)
+    out.reshape(nb, da, nb, da)[np.arange(nb), :, np.arange(nb), :] = t
+    return out
 
 
 def _kept_block_state(t: np.ndarray, ws: WorkingSpace) -> BlockState:

@@ -12,6 +12,14 @@ So every value is the same bit for bit however the samples are chunked or
 spread over the process's CPUs.  :func:`blas_threads` and
 :func:`set_blas_threads` read and set the thread count of numpy's bundled
 OpenBLAS, whose sums are split differently at each count.
+
+:func:`trace_norm` of a Hermitian matrix splits the eigenproblem exactly: the
+connected components of its exact-nonzero pattern (x + x^dagger) are blocks
+no entry couples, so the spectrum is the union of theirs, and components of
+one size go to one stacked eigvalsh.  There is no threshold, since an entry
+of any size, however tiny, moves the norm; and each component keeps its
+indices ascending, so eigvalsh reads the same lower-triangle entries as on
+the whole matrix.
 """
 
 from __future__ import annotations
@@ -208,18 +216,59 @@ def is_hermitian(x: np.ndarray) -> bool:
     return True
 
 
+def _components(x: np.ndarray) -> np.ndarray:
+    """Component label of each index of square x, in the graph joining i and j
+    wherever x_ij or x_ji is exactly nonzero: the smallest index of its component.
+
+    Labels start as the indices; each round lowers both ends of every edge to
+    the smaller label and then jumps each label to its label's label, until
+    every edge has one label at both ends.  A label is always an index of the
+    same component no larger than its own, and after k rounds it is at most
+    the smallest index within k steps, so that takes fewer than n rounds.
+    """
+    # flat indices: np.nonzero of a 2-D mask is 14 times slower (486 x 486, numpy 2.4, one core)
+    rows, cols = np.divmod(np.flatnonzero(x != 0), len(x))
+    labels = np.arange(len(x))
+    for _ in range(len(x)):
+        np.minimum.at(labels, rows, labels[cols])
+        np.minimum.at(labels, cols, labels[rows])
+        labels = labels[labels]
+        if np.array_equal(labels[rows], labels[cols]):
+            break
+    return labels
+
+
 def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values.
 
     Hermitian input (see :func:`is_hermitian`) is routed through an
-    eigendecomposition, everything else through an SVD.
+    eigendecomposition, everything else through an SVD.  The eigenproblem is
+    split exactly: the connected components of the exact-nonzero pattern of
+    x + x^dagger (see :func:`_components`) are blocks that no entry couples,
+    so a permutation P makes P x P^T their direct sum and the spectrum is the
+    union of theirs.  Components of one size are solved by one stacked
+    eigvalsh.  No entry counts as zero unless it is zero: 1e-300 still joins
+    its component, and dropping it would change the norm by 2e-300.  Each
+    component's indices stay ascending, so eigvalsh reads the same lower
+    triangle entries as on the whole matrix, not their mirror images, which
+    may differ within HERMITIAN_TOL.  One component, and any 0 x 0 or 1 x 1
+    input, takes the single dense eigvalsh.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {x.shape}")
-    if is_hermitian(x):
+    if not is_hermitian(x):
+        return float(np.linalg.svd(x, compute_uv=False).sum())
+    labels = _components(x)
+    sizes = np.bincount(labels)[labels]
+    if len(x) < 2 or sizes[0] == len(x):
         return float(np.abs(np.linalg.eigvalsh(x)).sum())
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+    order = np.lexsort((labels, sizes))  # by size, then component; indices ascending
+    total = 0.0
+    for size in np.unique(sizes):
+        idx = order[sizes[order] == size].reshape(-1, size)
+        total += float(np.abs(np.linalg.eigvalsh(x[idx[:, :, None], idx[:, None, :]])).sum())
+    return total
 
 
 def partial_trace(rho: np.ndarray, dim_left: int, dim_right: int, side: str = "right") -> np.ndarray:

@@ -403,7 +403,12 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
 
 def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
     """f via the full channel output: materialize E(|phi><phi|) - rho_0 block
-    by block on the complete (2j+1) x multiplicity spaces and sum trace norms."""
+    by block on the complete (2j+1) x multiplicity spaces and sum trace norms.
+
+    trace_norm splits each block into its components, (2j+1) copies of one
+    D_alpha x D_alpha block and zeros, so this route solves eigenproblems of
+    the same size as f_eval's.  The two routes stay independent through the
+    materialization and the component finder, not through eigensolve size."""
     out = twirl_working_state(phi, ws)
     ref = reference_states(ws)
     total = 0.0

@@ -1,6 +1,7 @@
 """Tests for the rotation-averaging channel: exact block action vs quadrature."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -359,6 +360,22 @@ def test_reduced_map_is_a_state():
         f = reduced_map_f(random_pure_state(ws.k, s), ws)
         assert np.trace(f).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(f).min() > -1e-12
+
+
+def test_reduced_map_owns_its_buffer_so_a_subtraction_can_reuse_it():
+    from framecrypt.linalg import random_pure_state
+
+    ws = build_working_space(128, 2.0)
+    phi = random_pure_state(ws.k, 4)
+    ref = np.eye(ws.d_p) / ws.d_p
+    assert reduced_map_f(phi, ws).flags.owndata
+    tracemalloc.start()
+    try:
+        reduced_map_f(phi, ws) - ref  # numpy writes the difference over the owned temporary
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ws.d_p**2 * 16
 
 
 def test_reference_states_shapes_and_fixed_point():

@@ -96,6 +96,114 @@ def test_trace_norm_pure_state_distance():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def dense_trace_norm(x):
+    """The one dense Hermitian eigensolve the split replaces."""
+    return float(np.abs(np.linalg.eigvalsh(x)).sum())
+
+
+def record_calls(monkeypatch, name):
+    """Wrap np.linalg.<name>; the returned list collects each call's input shape."""
+    shapes, real = [], getattr(np.linalg, name)
+
+    def wrapped(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, wrapped)
+    return shapes
+
+
+def permuted_blocks(blocks, rng):
+    """P (block-diagonal sum of ``blocks``) P^T for a random permutation P."""
+    n = sum(len(b) for b in blocks)
+    x = np.zeros((n, n), dtype=complex)
+    at = 0
+    for b in blocks:
+        x[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    p = rng.permutation(n)
+    return x[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_trace_norm_of_permuted_blocks_matches_the_dense_eigensolve(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for size in (1, 1, 2, 4, 4, 43):
+        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        blocks.append(g + g.conj().T)
+    x = permuted_blocks(blocks, rng)
+    want = dense_trace_norm(x)
+    shapes = record_calls(monkeypatch, "eigvalsh")
+    assert trace_norm(x) == pytest.approx(want, rel=1e-12)
+    # one stacked eigensolve per component size
+    assert sorted(shapes) == [(1, 2, 2), (1, 43, 43), (2, 1, 1), (2, 4, 4)]
+
+
+def test_trace_norm_of_a_permuted_chain_is_one_dense_eigensolve(monkeypatch):
+    # a path graph is one component whose labels take many rounds to settle
+    rng = np.random.default_rng(3)
+    n = 30
+    x = np.diag(rng.standard_normal(n)).astype(complex)
+    x[np.arange(1, n), np.arange(n - 1)] = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    x = permuted_blocks([x + np.tril(x, -1).conj().T], rng)
+    want = dense_trace_norm(x)
+    shapes = record_calls(monkeypatch, "eigvalsh")
+    assert trace_norm(x) == want
+    assert shapes == [(n, n)]
+
+
+def test_trace_norm_of_a_connected_input_is_the_dense_eigensolve_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for dim in (2, 5, 64):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        h = g + g.conj().T
+        assert trace_norm(h) == dense_trace_norm(h)
+
+
+@pytest.mark.parametrize("coupling", [1e-8, 1e-300])
+def test_trace_norm_has_no_threshold(coupling):
+    # two zero eigenvalues coupled by c become +-c: any entry, however small, counts
+    pair = np.array([[0.0, coupling], [coupling, 0.0]])
+    assert trace_norm(pair) == pytest.approx(2 * coupling, rel=1e-12, abs=0)
+    x = np.zeros((3, 3))
+    x[0, 2] = x[2, 0] = coupling  # a split input: components {0, 2} and {1}
+    assert trace_norm(x) == pytest.approx(2 * coupling, rel=1e-12, abs=0)
+
+
+def test_trace_norm_reads_the_lower_triangle_as_the_dense_eigensolve_does():
+    # Hermitian within HERMITIAN_TOL with x_01 present only above the diagonal:
+    # eigvalsh reads x_10 = 0, so indices 0 and 1 keep their zero eigenvalues
+    x = np.diag([0.0, 0.0, 0.5])
+    x[0, 1] = HERMITIAN_TOL / 2
+    assert is_hermitian(x)
+    assert trace_norm(x) == dense_trace_norm(x) == 0.5
+    # entries present only below it still join: x_20 and x_21 couple all three
+    y = np.zeros((3, 3))
+    y[2, 0], y[2, 1] = 0.4 * HERMITIAN_TOL, 0.3 * HERMITIAN_TOL
+    assert is_hermitian(y)
+    assert trace_norm(y) == pytest.approx(dense_trace_norm(y), rel=1e-12, abs=0)
+    assert dense_trace_norm(y) == pytest.approx(HERMITIAN_TOL, rel=1e-12, abs=0)
+
+
+def test_trace_norm_of_empty_and_one_by_one_inputs():
+    assert trace_norm(np.zeros((0, 0))) == 0.0
+    assert trace_norm(np.array([[-3.5]])) == 3.5
+    tilted = np.array([[2.0 + HERMITIAN_TOL / 4 * 1j]])  # Hermitian within tolerance
+    assert trace_norm(tilted) == dense_trace_norm(tilted) == 2.0
+    assert trace_norm(np.array([[3j]])) == 3.0  # not Hermitian: the SVD
+
+
+def test_trace_norm_of_non_hermitian_input_goes_through_the_svd(monkeypatch):
+    x = np.zeros((6, 6))
+    x[0, 3] = x[4, 1] = 1.0  # nilpotent, and split into components like a Hermitian one would be
+    eig_shapes = record_calls(monkeypatch, "eigvalsh")
+    svd_shapes = record_calls(monkeypatch, "svd")
+    assert trace_norm(x) == pytest.approx(2.0, abs=1e-14)
+    assert svd_shapes == [(6, 6)]
+    assert eig_shapes == []
+
+
 # ---------------------------------------------------------------------------
 # partial trace
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from framecrypt import privacy
-from framecrypt.linalg import derived_rng, random_pure_state, set_blas_threads
+from framecrypt.channel import reduced_map_f
+from framecrypt.linalg import derived_rng, random_pure_state, set_blas_threads, trace_norm
 from framecrypt.privacy import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -88,6 +89,38 @@ def test_f_two_routes_agree():
             assert f_eval(phi, ws) == pytest.approx(
                 f_eval_direct(phi, ws), abs=1e-9
             )
+
+
+def record_eigvalsh(monkeypatch):
+    """Wrap np.linalg.eigvalsh; the returned list collects each call's input shape."""
+    shapes, real = [], np.linalg.eigvalsh
+
+    def wrapped(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", wrapped)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [60, 128])
+def test_reduced_map_route_solves_one_eigenproblem_size(n, monkeypatch):
+    # the reduced map is a direct sum of |Y| dense D_alpha x D_alpha blocks
+    ws = build_working_space(n, 2.0)
+    phi = random_pure_state(ws.k, derived_rng(7, n))
+    shapes = record_eigvalsh(monkeypatch)
+    value = trace_norm(reduced_map_f(phi, ws) - np.eye(ws.d_p) / ws.d_p)
+    assert shapes and all(s[-2:] == (ws.d_alpha, ws.d_alpha) for s in shapes)
+    assert value == pytest.approx(f_eval(phi, ws), abs=1e-9)
+
+
+def test_direct_route_solves_no_eigenproblem_larger_than_d_alpha(monkeypatch):
+    # each materialized block is (2j+1) copies of one D_alpha x D_alpha block, plus zeros
+    shapes = record_eigvalsh(monkeypatch)
+    for s in range(3):
+        f_eval_direct(random_pure_state(WS12.k, derived_rng(8, s)), WS12)
+    assert WS12.d_alpha == 4
+    assert shapes and max(s[-1] for s in shapes) == WS12.d_alpha
 
 
 def per_block_f(phi, ws):
