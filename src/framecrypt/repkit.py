@@ -24,7 +24,9 @@ import numpy as np
 
 from framecrypt.linalg import as_rng, check_limit
 
-DENSE_QUBIT_LIMIT = 12  # full 2^N transforms and computational embeddings above this are refused
+# full 2^N transforms (real float64, 128 MiB at 12 qubits) and computational
+# embeddings above this are refused
+DENSE_QUBIT_LIMIT = 12
 # exact binomials for every block: about 0.6 s at this size, 4 s at twice it
 QUBIT_LIMIT = 4096
 
@@ -173,10 +175,13 @@ def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class SchurTransform:
-    """Unitary change of basis from the computational to the coupled basis.
+    """Change of basis from the computational to the coupled basis.
 
-    ``matrix`` columns are coupled-basis states expressed in the
-    computational basis, in the canonical layout (see :class:`BlockInfo`).
+    ``matrix`` is a real orthogonal float64 matrix: its columns are
+    coupled-basis states expressed in the computational basis, in the
+    canonical layout (see :class:`BlockInfo`), with Condon-Shortley signs.
+    Products with complex operators widen it to complex first, so they give
+    the same bits as a complex matrix with zero imaginary parts.
     """
 
     matrix: np.ndarray
@@ -187,12 +192,14 @@ def _couple(mat: np.ndarray, two_j: int, step: int) -> np.ndarray:
 
     Columns of ``mat`` are |j, m> for two_m = two_j, two_j-2, ..., -two_j in
     the computational basis of the qubits coupled so far; the new qubit is
-    appended as the last tensor factor.  Sign convention: on lowering, the
-    up-qubit coefficient carries the minus sign, which leaves the stretched
-    state of the raised branch with coefficient +1.
+    appended as the last tensor factor.  Every coefficient is a real
+    Clebsch-Gordan factor, so a real ``mat`` gives a real float64 result.
+    Sign convention (Condon-Shortley): on lowering, the up-qubit coefficient
+    carries the minus sign, which leaves the stretched state of the raised
+    branch with coefficient +1.
     """
     t = two_j
-    out = np.zeros((2 * mat.shape[0], t + step + 1), dtype=complex)
+    out = np.zeros((2 * mat.shape[0], t + step + 1))
     for col in range(t + step + 1):
         two_m = t + step - 2 * col
         if abs(two_m - 1) <= t:  # parent m = M - 1/2, new qubit up
@@ -207,25 +214,26 @@ def _couple(mat: np.ndarray, two_j: int, step: int) -> np.ndarray:
 def couple_paths(n: int, two_j: int, count: int) -> Iterator[np.ndarray]:
     """Yield the |j, m> columns of the first ``count`` coupling paths to two_j.
 
-    Each path's matrix has shape (2^n, two_j + 1): computational basis, then
-    two_m descending from two_j.  It is handed over as the walk reaches it, in
-    the order of :func:`enumerate_paths`, and is the caller's to keep.  It is
+    Each path's matrix is real float64 of shape (2^n, two_j + 1):
+    computational basis, then two_m descending from two_j.  It is handed
+    over as the walk reaches it, in the order of :func:`enumerate_paths`,
+    and is the caller's to keep.  It is
     :func:`_walk` folding :func:`_couple` along the histories, so every
     prefix is coupled once and shared by all the paths below it; it stops
     after ``count`` paths and raises once exhausted if fewer reach two_j.
     """
     done = 0
-    for done, mat in enumerate(_walk(n, two_j, np.eye(2, dtype=complex), _couple, count), 1):
+    for done, mat in enumerate(_walk(n, two_j, np.eye(2), _couple, count), 1):
         yield mat
     if done != count:
         raise ValueError(f"{done} coupling paths reach two_j={two_j}, expected {count}")
 
 
 def schur_transform(n: int) -> SchurTransform:
-    """Build the full 2^n x 2^n change of basis by sequential coupling."""
+    """Build the full real 2^n x 2^n change of basis by sequential coupling."""
     _require_even(n)
     check_limit(n, DENSE_QUBIT_LIMIT, "a dense 2^n transform", "qubits")
-    matrix = np.zeros((2**n, 2**n), dtype=complex)
+    matrix = np.zeros((2**n, 2**n))
     # couple_paths raises when a block has fewer paths than dim_p; no block can
     # have more, since block_layout checks that the dim_r * dim_p sum to 2^n
     for b in block_layout(n):

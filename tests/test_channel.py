@@ -156,6 +156,16 @@ def test_oracle_matches_block_action_on_random_states():
             assert gap < 1e-10
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_twirl_through_the_real_transform_keeps_the_complex_bits(n):
+    # numpy widens the real transform to complex before each product, so the
+    # channel gives the bits of the same transform stored as complex
+    t = schur_transform(n)
+    widened = repkit_module.SchurTransform(t.matrix.astype(complex))
+    rho = random_density_matrix(2**n, derived_rng(23, n))
+    np.testing.assert_array_equal(twirl(rho, t).view(np.uint64), twirl(rho, widened).view(np.uint64))
+
+
 def test_oracle_preserves_trace():
     rho = random_density_matrix(16, 5)
     out = twirl_oracle(rho)

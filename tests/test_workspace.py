@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import framecrypt.repkit as repkit_module
 import framecrypt.workspace as workspace_module
-from framecrypt.linalg import random_pure_state
-from framecrypt.repkit import CoupledIndex, coupled_position, dim_multiplicity, schur_transform
+from framecrypt.linalg import derived_rng, random_pure_state
+from framecrypt.repkit import CoupledIndex, couple_paths, coupled_position, dim_multiplicity, schur_transform
 from framecrypt.workspace import (
     asymptotic_k,
     build_working_space,
@@ -197,6 +197,19 @@ def test_embed_computational_holds_one_path_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(("n", "alpha"), [(10, 1.5), (12, 2.0)])
+def test_embed_computational_keeps_the_bits_of_the_complex_paths(n, alpha):
+    # the real coupling paths, widened to complex, give the same sum
+    ws = build_working_space(n, alpha)
+    v = random_pure_state(ws.k, derived_rng(31, n))
+    want = np.zeros(2**n, dtype=complex)
+    for two_j, coords in zip(ws.y, ws.blocks(v)):
+        for p, mat in enumerate(couple_paths(n, two_j, ws.d_alpha)):
+            want += mat.astype(complex)[:, : ws.d] @ coords[:, p]
+    got = embed_state(v, ws, "computational")
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_restrict_rejects_leakage():
