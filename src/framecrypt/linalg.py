@@ -13,13 +13,15 @@ spread over the process's CPUs.  :func:`blas_threads` and
 :func:`set_blas_threads` read and set the thread count of numpy's bundled
 OpenBLAS, whose sums are split differently at each count.
 
-:func:`trace_norm` of a Hermitian matrix splits the eigenproblem exactly: the
-connected components of its exact-nonzero pattern (x + x^dagger) are blocks
-no entry couples, so the spectrum is the union of theirs, and components of
-one size go to one stacked eigvalsh.  There is no threshold, since an entry
-of any size, however tiny, moves the norm; and each component keeps its
-indices ascending, so eigvalsh reads the same lower-triangle entries as on
-the whole matrix.
+:func:`trace_norm` splits its input exactly before it looks at it: the
+connected components of the exact-nonzero pattern (x + x^dagger) are blocks
+no entry couples, and components of one size are gathered into one stack.
+The Hermitian test runs on those stacks alone, since every entry outside
+them is zero in both triangles.  A Hermitian input's spectrum is the union
+of its components', so each stack goes to one eigvalsh; any other input
+takes one SVD.  There is no threshold, since an entry of any size, however
+tiny, moves the norm; and each component keeps its indices ascending, so
+eigvalsh reads the same lower-triangle entries as on the whole matrix.
 """
 
 from __future__ import annotations
@@ -199,21 +201,10 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(x: np.ndarray) -> bool:
-    """Entrywise within HERMITIAN_TOL of its adjoint (an entry with nan never is).
-
-    A square matrix is compared in 64 x 64 tiles on and above the diagonal:
-    |x_ij - conj(x_ji)| is the same number either way round, and each
-    temporary stays at 64 KiB whatever the size.  A stack is compared whole.
-    """
+    """Entrywise within HERMITIAN_TOL of its adjoint (an entry with nan never
+    is); a stack is Hermitian when every matrix in it is."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
-    t = 64
-    for a in range(0, len(x), t):
-        for c in range(a, len(x), t):
-            if not np.all(np.abs(x[a : a + t, c : c + t] - dagger(x[c : c + t, a : a + t])) <= HERMITIAN_TOL):
-                return False
-    return True
+    return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
 
 
 def _components(x: np.ndarray) -> np.ndarray:
@@ -241,33 +232,35 @@ def _components(x: np.ndarray) -> np.ndarray:
 def trace_norm(x: np.ndarray) -> float:
     """Sum of singular values.
 
-    Hermitian input (see :func:`is_hermitian`) is routed through an
-    eigendecomposition, everything else through an SVD.  The eigenproblem is
-    split exactly: the connected components of the exact-nonzero pattern of
-    x + x^dagger (see :func:`_components`) are blocks that no entry couples,
-    so a permutation P makes P x P^T their direct sum and the spectrum is the
-    union of theirs.  Components of one size are solved by one stacked
-    eigvalsh.  No entry counts as zero unless it is zero: 1e-300 still joins
-    its component, and dropping it would change the norm by 2e-300.  Each
-    component's indices stay ascending, so eigvalsh reads the same lower
-    triangle entries as on the whole matrix, not their mirror images, which
-    may differ within HERMITIAN_TOL.  One component, and any 0 x 0 or 1 x 1
-    input, takes the single dense eigvalsh.
+    The input is split exactly first: the connected components of the
+    exact-nonzero pattern of x + x^dagger (see :func:`_components`) are
+    blocks that no entry couples, and components of one size are gathered
+    into one stack; one component, and any 0 x 0 or 1 x 1 input, stays x
+    itself.  When every gathered part is Hermitian (see :func:`is_hermitian`)
+    so is x, since an entry between two components is zero in both
+    triangles; then a permutation P makes P x P^T the direct sum of the
+    components, its spectrum is the union of theirs, and each part takes one
+    eigvalsh.  Otherwise x takes one SVD.  No entry counts as zero unless it
+    is zero: 1e-300 still joins its component, and dropping it would change
+    the norm by 2e-300.  Each component's indices stay ascending, so eigvalsh
+    reads the same lower triangle entries as on the whole matrix, not their
+    mirror images, which may differ within HERMITIAN_TOL.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise ValueError(f"trace norm needs a square matrix, got shape {x.shape}")
-    if not is_hermitian(x):
-        return float(np.linalg.svd(x, compute_uv=False).sum())
     labels = _components(x)
     sizes = np.bincount(labels)[labels]
-    if len(x) < 2 or sizes[0] == len(x):
-        return float(np.abs(np.linalg.eigvalsh(x)).sum())
-    order = np.lexsort((labels, sizes))  # by size, then component; indices ascending
+    parts = [x]
+    if len(x) >= 2 and sizes[0] < len(x):
+        order = np.lexsort((labels, sizes))  # by size, then component; indices ascending
+        idxs = (order[sizes[order] == size].reshape(-1, size) for size in np.unique(sizes))
+        parts = [x[idx[:, :, None], idx[:, None, :]] for idx in idxs]
+    if not all(is_hermitian(part) for part in parts):
+        return float(np.linalg.svd(x, compute_uv=False).sum())
     total = 0.0
-    for size in np.unique(sizes):
-        idx = order[sizes[order] == size].reshape(-1, size)
-        total += float(np.abs(np.linalg.eigvalsh(x[idx[:, :, None], idx[:, None, :]])).sum())
+    for part in parts:
+        total += float(np.abs(np.linalg.eigvalsh(part)).sum())
     return total
 
 

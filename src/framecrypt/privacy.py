@@ -180,14 +180,11 @@ def _trace_norm_total(evals: np.ndarray) -> np.ndarray:
     """Sum of |eigenvalues| over the last two axes of a (..., |Y|, D_alpha)
     stack, block by block; the result has the leading shape.
 
-    The block totals are added one after another in block order: ndarray.sum
-    pairs them up once there are eight or more, which moves the last bits.
+    The block totals are added one after another in block order, as cumsum
+    adds them: ndarray.sum pairs them up once there are eight or more, which
+    moves the last bits.
     """
-    block_totals = np.abs(evals).sum(axis=-1)
-    total = np.zeros(block_totals.shape[:-1])
-    for i in range(block_totals.shape[-1]):
-        total += block_totals[..., i]
-    return total
+    return np.cumsum(np.abs(evals).sum(axis=-1), axis=-1)[..., -1]
 
 
 def f_chunk(k: int, states_per_draw: int = 1) -> int:

@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra helpers."""
 
 import _ctypes
+import contextlib
 import tracemalloc
 from pathlib import Path
 
@@ -113,26 +114,34 @@ def record_calls(monkeypatch, name):
     return shapes
 
 
-def permuted_blocks(blocks, rng):
-    """P (block-diagonal sum of ``blocks``) P^T for a random permutation P."""
+def block_diagonal(blocks):
+    """The block-diagonal sum of ``blocks``, in order."""
     n = sum(len(b) for b in blocks)
     x = np.zeros((n, n), dtype=complex)
     at = 0
     for b in blocks:
         x[at : at + len(b), at : at + len(b)] = b
         at += len(b)
-    p = rng.permutation(n)
+    return x
+
+
+def permuted_blocks(blocks, rng):
+    """P (block-diagonal sum of ``blocks``) P^T for a random permutation P."""
+    x = block_diagonal(blocks)
+    p = rng.permutation(len(x))
     return x[np.ix_(p, p)]
+
+
+def hermitian_blocks(sizes, rng):
+    """Random Hermitian matrices of the given sizes, every entry nonzero."""
+    gs = [rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)) for k in sizes]
+    return [g + g.conj().T for g in gs]
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_trace_norm_of_permuted_blocks_matches_the_dense_eigensolve(seed, monkeypatch):
     rng = np.random.default_rng(seed)
-    blocks = []
-    for size in (1, 1, 2, 4, 4, 43):
-        g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        blocks.append(g + g.conj().T)
-    x = permuted_blocks(blocks, rng)
+    x = permuted_blocks(hermitian_blocks((1, 1, 2, 4, 4, 43), rng), rng)
     want = dense_trace_norm(x)
     shapes = record_calls(monkeypatch, "eigvalsh")
     assert trace_norm(x) == pytest.approx(want, rel=1e-12)
@@ -411,15 +420,27 @@ def dense_is_hermitian(x):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 607])
-def test_is_hermitian_agrees_with_the_dense_formula(dim):
-    # sizes on both sides of a 64 x 64 tile; an off-diagonal entry just
-    # inside, at and just outside the tolerance, in the upper and the lower
-    # triangle; nan and inf anywhere
+def test_is_hermitian_agrees_with_the_dense_formula(dim, monkeypatch):
+    # trace_norm's Hermitian verdict, read off its route, must be the dense
+    # formula's on the whole matrix although is_hermitian sees only the
+    # gathered components.  From dim 8 the input is a permuted direct sum of
+    # blocks of sizes 2, 2, m, m and a larger one, so the parts are three
+    # stacks; below it, one block.  An off-diagonal entry just inside, at and
+    # just outside the tolerance, in the upper and the lower triangle, and
+    # nan and inf anywhere, go into the second size-m component: in neither
+    # the first stack nor the largest, nor first in its own.
     rng = derived_rng(505, dim)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = g + g.conj().T
+    m = (dim - 4) // 4
+    sizes = [dim] if dim < 8 else [2, 2, m, m, dim - 4 - 2 * m]
+    p = rng.permutation(dim)
+    h = block_diagonal(hermitian_blocks(sizes, rng))[np.ix_(p, p)]
+    pos = np.argsort(p)  # where each block-diagonal index lands in h
+    starts = np.cumsum([0, *sizes])
+    spans = [np.sort(pos[a:b]) for a, b in zip(starts[:-1], starts[1:])]
+    target = spans[0] if dim < 8 else max(spans[2], spans[3], key=min)
+    i, j = target[-1], target[len(target) // 3]
+    want_eig = [(dim, dim)] if dim < 8 else [(1, dim - 4 - 2 * m, dim - 4 - 2 * m), (2, 2, 2), (2, m, m)]
     cases = [h, h.real.copy(), h + 0.5 * HERMITIAN_TOL * 1j * np.eye(dim)]
-    i, j = dim - 1, dim // 3
     for step in (0.5, 1.0, 1.0 + 1e-6, 2.0):
         for a, b in ((i, j), (j, i)):
             x = h.copy()
@@ -433,9 +454,20 @@ def test_is_hermitian_agrees_with_the_dense_formula(dim):
             x = h.copy()
             x[a, b] = bad
             cases.append(x)
+    eig_shapes = record_calls(monkeypatch, "eigvalsh")
+    svd_shapes = record_calls(monkeypatch, "svd")
+    results = []
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in the dense formula
-        results = [is_hermitian(x) for x in cases]
-        assert results == [dense_is_hermitian(x) for x in cases]
+        for x in cases:
+            eig_shapes.clear()
+            svd_shapes.clear()
+            with contextlib.suppress(np.linalg.LinAlgError):  # the SVD of nan does not converge
+                trace_norm(x)
+            hermitian = dense_is_hermitian(x)
+            assert svd_shapes == ([] if hermitian else [(dim, dim)])
+            assert sorted(eig_shapes) == (sorted(want_eig) if hermitian else [])
+            assert is_hermitian(x) == hermitian
+            results.append(hermitian)
     assert results[:3] == [True, True, True]
     if dim > 1:  # a 1 x 1 matrix cannot break symmetry off the diagonal
         assert not all(results[3:])
@@ -451,14 +483,18 @@ def test_is_hermitian_keeps_stacks_and_non_square_input():
         is_hermitian(np.zeros((2, 3)))
 
 
-def test_is_hermitian_temporaries_stay_small():
-    # the dense formula's three 607 x 607 temporaries take 11.9 MB; the tiled
-    # comparison needs about a quarter of a megabyte
-    x = random_density_matrix(607, 7)
+def test_trace_norm_temporaries_stay_small():
+    # criterion 11's 607 x 607 difference: 20 components of size 4 and 527
+    # zero rows.  Comparing the whole matrix with its adjoint would take
+    # three 5.9 MB temporaries; the component finder's 0.37 MB mask of
+    # nonzero entries sets the peak
+    rng = derived_rng(607)
+    x = permuted_blocks(hermitian_blocks([4] * 20, rng) + [np.zeros((1, 1))] * 527, rng)
+    want = trace_norm(x)  # the first call in a process also imports numpy modules on first use
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert is_hermitian(x)
+        assert trace_norm(x) == want
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
