@@ -138,6 +138,7 @@ def _run_decompose(config: argparse.Namespace) -> tuple[dict, dict | None]:
 def _run_twirl_check(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     check_limit(n, 8, "twirl-check", "qubits")  # dense 2^n x 2^n operators
+    repkit._require_even(n)  # before the default quadrature is sized from n
     samples = _or_default(config.samples, 10)
     if samples < 1:
         raise ValueError(f"twirl-check needs --samples >= 1, got {samples}")

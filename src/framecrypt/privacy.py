@@ -17,9 +17,9 @@ kernel.  A call with FORK_BYTES of states or more it spreads over the
 process's CPUs, in worker processes forked for that one call and reaped
 before it returns, each walking a contiguous share of the draws and writing
 f into shared memory, with bit-identical values.  States on a subspace
-(the probes of estimate_max_f and theorem1_experiment, net points) reach it
-only as coefficient rows through ``span``; it forms them a chunk at a time
-by one stacked matrix-vector product.  The helpers here evaluate f two
+(the probes of estimate_max_f, net points) reach it only as coefficient
+rows through ``span``; it forms them a chunk at a time by one stacked
+matrix-vector product.  The helpers here evaluate f two
 independent ways, estimate its maximum over a subspace (an alternating ascent,
 ``_ascend_all``, that runs all its starts as one stack of eigensolves per
 round, with a proved upper bound on 2-dimensional subspaces from a fixed
@@ -788,8 +788,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         return base
     # states of K coordinates per subspace: its K x K unitary, the random
     # probes, the dim_s basis columns every ascent round lifts, and the net
-    n_probes = 100  # probe states per subspace beyond the estimate's; charged below
-    per_subspace = ws.k + THEOREM1_BUDGET + n_probes + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
+    per_subspace = ws.k + THEOREM1_BUDGET + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
     if dim_s == 2:
         per_subspace += net_size(2, params.net_epsilon)
     what = f"theorem1 with {n_subspaces} subspaces of {per_subspace} states of K={ws.k}"
@@ -797,16 +796,10 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
 
     subspaces = []
     n_violating = 0
-    probes_over = 0
-    probes_total = 0
     for s in range(n_subspaces):
         sub_seed = int(derived_rng(seed, s).integers(2**63))
         sub = sample_subspace(ws, dim_s, sub_seed)
         est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
-        coeffs = np.array([random_pure_state(dim_s, rng) for rng in derived_rngs(sub_seed, (7,), range(n_probes))])
-        probe_vals = _f_on_draws(n_probes, ws, span=(sub.basis, coeffs))
-        probes_over += int(np.sum(probe_vals > delta))
-        probes_total += probe_vals.size
         violated = est.lower_bound > delta
         n_violating += int(violated)
         subspaces.append(
@@ -821,6 +814,5 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
         feasible=True,
         subspaces=subspaces,
         fraction_violating=n_violating / n_subspaces,
-        fraction_probe_states_over_delta=probes_over / probes_total,
     )
     return base

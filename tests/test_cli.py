@@ -296,6 +296,11 @@ def test_readme_quick_tour_runs_and_reads_as_its_comments_say():
             "concentration_n96_samples100_seed3.json",
             ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"],
         ),
+        # delta < 2: alpha = 16, dim_s = 3
+        (
+            "theorem1_n24_delta1.5_cprime-14_seed0.json",
+            ["--command", "theorem1", "--n", "24", "--delta", "1.5", "--c-prime=-14", "--samples", "3", "--seed", "0"],
+        ),
     ],
 )
 def test_exact_commands_match_their_pinned_output(capsys, name, argv):
@@ -413,11 +418,15 @@ def test_malformed_flags_are_usage_errors(capsys, argv):
 
 
 def test_domain_error_exit_1(capsys):
-    # odd qubit count: rejected by the workspace validation inside the run
-    code, out, err = run_main(capsys, "--command", "twirl-check", "--n", "3")
-    assert code == 1
-    assert out == ""
-    assert json.loads(err)["error"]["kind"] == "domain"
+    # an odd, zero or negative qubit count is named as such, not as the
+    # default quadrature size that would be built from it
+    for n in ("3", "0", "-1", "-2"):
+        code, out, err = run_main(capsys, "--command", "twirl-check", f"--n={n}")
+        assert code == 1
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["kind"] == "domain"
+        assert "qubit count" in error["message"]
     code, _, err = run_main(capsys, "--command", "mean-f", "--n", "12", "--alpha", "0.5")
     assert code == 1
     assert "alpha" in json.loads(err)["error"]["message"]
@@ -538,6 +547,34 @@ def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, arg
     assert len(declared) == 1
     assert 0 < sum(measured) <= declared[0]
     print(f"{argv[1]}: measured / declared = {sum(measured) / declared[0]:.4f}")
+
+
+@pytest.mark.parametrize(
+    "argv, k, dim_s, declared",
+    [
+        (["--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"], 18, 2, 36_288),
+        (["--n", "24", "--delta", "2", "--c-prime", "-12", "--samples", "2", "--seed", "1"], 68, 38, 1_690_208),
+    ],
+    ids=["dim_s-2", "dim_s-38"],
+)
+def test_theorem1_declares_exactly_its_work_per_subspace(monkeypatch, capsys, argv, k, dim_s, declared):
+    """Per subspace: K for its unitary, the estimate's probes, the ascent's
+    rounds of dim_s basis columns and, at dim_s = 2, the net; each x K."""
+    amounts = []
+
+    def recording_check_limit(amount, limit, what, unit):
+        if limit == privacy.WORK_LIMIT:
+            amounts.append(amount)
+        check_limit(amount, limit, what, unit)
+
+    monkeypatch.setattr(privacy, "check_limit", recording_check_limit)
+    code, out, _ = run_main(capsys, "--command", "theorem1", *argv)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert (payload["workspace"]["k"], payload["dim_s"]) == (k, dim_s)
+    net = privacy.net_size(2, privacy.PrivacyParams(delta=2.0).net_epsilon) if dim_s == 2 else 0
+    per_subspace = k + privacy.THEOREM1_BUDGET + privacy.ASCENT_RESTARTS * privacy.ASCENT_ITERS * dim_s + net
+    assert amounts == [len(payload["subspaces"]) * per_subspace * k] == [declared]
 
 
 def test_zero_quadrature_size_is_refused_before_the_band_limit_warning(capsys):
