@@ -20,11 +20,9 @@ from framecrypt.linalg import (
     trace_norm,
 )
 from framecrypt.repkit import (
-    EulerAngles,
     SchurTransform,
     dim_irrep,
     dim_multiplicity,
-    enumerate_paths,
     schur_transform,
     wigner_d,
 )

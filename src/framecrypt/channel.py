@@ -220,9 +220,13 @@ def _kept_block_state(t: np.ndarray, ws: WorkingSpace) -> BlockState:
     blocks: dict[int, np.ndarray] = {}
     for tj, t_j in zip(ws.y, t):
         b = layout[tj]
-        p = np.zeros((b.dim_p, b.dim_p), dtype=complex)
-        p[: ws.d_alpha, : ws.d_alpha] = t_j
-        blocks[tj] = np.kron(np.eye(b.dim_r) / b.dim_r, p)
+        out = np.zeros((b.dim_r, b.dim_p, b.dim_r, b.dim_p), dtype=complex)
+        # only the kept-path corner of kron(I/(2j+1), t_j (+) 0) is multiplied
+        # out, off-diagonal zero factors included, so it keeps np.kron's
+        # bits (signed zeros too); every other entry of the product is +0
+        scale = np.eye(b.dim_r) / b.dim_r
+        out[:, : ws.d_alpha, :, : ws.d_alpha] = scale[:, None, :, None] * t_j[:, None, :]
+        blocks[tj] = out.reshape(b.dim_r * b.dim_p, b.dim_r * b.dim_p)
     return BlockState(n=ws.n, blocks=blocks)
 
 

@@ -216,7 +216,7 @@ def f_eval(phi: np.ndarray, ws: WorkingSpace) -> float:
     Computed on the multiplicity space, where both operators live after the
     rotation factors are traced away; block-diagonal structure makes this
     one stacked eigenvalue problem over the kept blocks.  The one-state case
-    of f_evals; phi may also be a coupled-basis vector supported on H'.
+    of f_evals; phi is the K working-space coordinates.
     """
     return float(f_evals(workspace_vector(phi, ws)[None, :], ws)[0])
 

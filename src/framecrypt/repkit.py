@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from framecrypt.linalg import as_rng, check_limit
+from framecrypt.linalg import check_limit
 
 # full 2^N transforms (real float64, 128 MiB at 12 qubits) and computational
 # embeddings above this are refused
@@ -35,14 +35,6 @@ class CoupledIndex(NamedTuple):
     two_j: int
     two_m: int
     path_index: int
-
-
-class EulerAngles(NamedTuple):
-    """zyz rotation angles: alpha, gamma in [0, 2*pi), beta in [0, pi]."""
-
-    alpha: float
-    beta: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -131,44 +123,6 @@ def _can_reach(height: int, steps_left: int, two_j: int) -> bool:
     return height >= 0 and abs(two_j - height) <= steps_left and (two_j - height - steps_left) % 2 == 0
 
 
-def _walk(n: int, two_j: int, root, extend, count: int | None = None) -> Iterator:
-    """Depth-first walk over the coupling histories of n qubits ending at two_j.
-
-    The state ``root`` stands for the first qubit (spin 1/2, one step of +1);
-    each further step folds extend(state, t, step) onto its prefix's state,
-    t being the prefix's two_j.  Branches that cannot reach two_j are pruned,
-    +1 is tried before -1, so the leaves come in lexicographic order, and
-    every prefix is extended once and shared by all the histories below it.
-    Yields each leaf's state, stopping after ``count`` of them when given.
-    """
-    done = 0
-
-    def descend(state, t: int, k: int) -> Iterator:  # state: spin t/2 on k qubits
-        nonlocal done
-        if k == n:
-            done += 1
-            yield state
-            return
-        for step in (1, -1):
-            if (count is None or done < count) and _can_reach(t + step, n - k - 1, two_j):
-                yield from descend(extend(state, t, step), t + step, k + 1)
-
-    yield from descend(root, 1, 1)
-
-
-def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
-    """All coupling histories ending at two_j, in lexicographic order (+1 < -1).
-
-    A history is a tuple of n steps from {+1, -1}; partial sums stay >= 0 and
-    the total equals two_j, so the first step is always +1.  These are the
-    leaves of :func:`_walk`, the walk :func:`couple_paths` couples along.
-    """
-    _require_even(n)
-    if two_j % 2 != 0 or not 0 <= two_j <= n:
-        raise ValueError(f"two_j={two_j} is not reachable for n={n}")
-    return list(_walk(n, two_j, (1,), lambda p, t, s: p + (s,)))
-
-
 # ---------------------------------------------------------------------------
 # sequential coupling and the full change of basis
 # ---------------------------------------------------------------------------
@@ -216,15 +170,26 @@ def couple_paths(n: int, two_j: int, count: int) -> Iterator[np.ndarray]:
 
     Each path's matrix is real float64 of shape (2^n, two_j + 1):
     computational basis, then two_m descending from two_j.  It is handed
-    over as the walk reaches it, in the order of :func:`enumerate_paths`,
-    and is the caller's to keep.  It is
-    :func:`_walk` folding :func:`_couple` along the histories, so every
-    prefix is coupled once and shared by all the paths below it; it stops
-    after ``count`` paths and raises once exhausted if fewer reach two_j.
+    over as the walk reaches it, in lexicographic order with +1 before -1,
+    and is the caller's to keep.  A depth-first walk over the coupling
+    histories folds :func:`_couple` along them from the first qubit (spin
+    1/2), pruning branches that cannot reach two_j, so every prefix is
+    coupled once and shared by all the paths below it; it stops after
+    ``count`` paths and raises once exhausted if fewer reach two_j.
     """
     done = 0
-    for done, mat in enumerate(_walk(n, two_j, np.eye(2), _couple, count), 1):
-        yield mat
+
+    def descend(mat: np.ndarray, t: int, k: int) -> Iterator[np.ndarray]:  # spin t/2 on k qubits
+        nonlocal done
+        if k == n:
+            done += 1
+            yield mat
+            return
+        for step in (1, -1):
+            if done < count and _can_reach(t + step, n - k - 1, two_j):
+                yield from descend(_couple(mat, t, step), t + step, k + 1)
+
+    yield from descend(np.eye(2), 1, 1)
     if done != count:
         raise ValueError(f"{done} coupling paths reach two_j={two_j}, expected {count}")
 
@@ -282,18 +247,4 @@ def rotation_su2(angles) -> np.ndarray:
             [np.exp(-0.5j * (a + g)) * ch, -np.exp(-0.5j * (a - g)) * sh],
             [np.exp(0.5j * (a - g)) * sh, np.exp(0.5j * (a + g)) * ch],
         ]
-    )
-
-
-def random_euler(seed) -> EulerAngles:
-    """Angles of a rotation drawn from the invariant measure on the sphere.
-
-    Uniform alpha and gamma, uniform cos(beta); this is the right measure for
-    averaging conjugation actions, where the overall sign of u is irrelevant.
-    """
-    rng = as_rng(seed)
-    return EulerAngles(
-        rng.uniform(0.0, 2 * math.pi),
-        math.acos(rng.uniform(-1.0, 1.0)),
-        rng.uniform(0.0, 2 * math.pi),
     )

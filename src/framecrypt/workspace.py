@@ -20,7 +20,6 @@ import numpy as np
 from framecrypt.linalg import check_limit
 from framecrypt.repkit import (
     DENSE_QUBIT_LIMIT,
-    CoupledIndex,
     block_layout,
     couple_paths,
     dim_irrep,
@@ -60,16 +59,6 @@ class WorkingSpace:
     def d_p(self) -> int:
         """Dimension |Y| * D_alpha of the kept multiplicity space."""
         return len(self.y) * self.d_alpha
-
-    @property
-    def embed_index(self) -> tuple[CoupledIndex, ...]:
-        """(two_j, two_m, path) of every coordinate, in coordinate order."""
-        return tuple(
-            CoupledIndex(tj, tj - 2 * mi, pi)
-            for tj in self.y
-            for mi in range(self.d)
-            for pi in range(self.d_alpha)
-        )
 
     def blocks(self, v: np.ndarray) -> np.ndarray:
         """View of coordinates (..., K) as (..., |Y|, D, D_alpha).
@@ -192,12 +181,12 @@ def restrict_state(vec: np.ndarray, ws: WorkingSpace) -> np.ndarray:
 
 
 def workspace_vector(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
-    """Accept either a K-vector or a coupled-basis vector supported on H'."""
+    """The K working-space coordinates of a state, as a complex vector.
+
+    The one shape check behind f_eval, reduced_map_f and twirl_working_state:
+    any other length, a coupled-basis vector included, is refused.
+    """
     phi = np.asarray(phi, dtype=complex)
-    if phi.shape == (ws.k,):
-        return phi
-    if phi.shape == (2**ws.n,):
-        return restrict_state(phi, ws)
-    raise ValueError(
-        f"state must have length {ws.k} (working-space coordinates) or {2**ws.n} (coupled basis)"
-    )
+    if phi.shape != (ws.k,):
+        raise ValueError(f"state must be K={ws.k} working-space coordinates, got shape {phi.shape}")
+    return phi

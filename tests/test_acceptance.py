@@ -47,12 +47,12 @@ from framecrypt.repkit import (
     dim_irrep,
     dim_multiplicity,
     irrep_labels,
-    random_euler,
     rotation_su2,
     schur_transform,
     wigner_d,
 )
 from framecrypt.workspace import build_working_space
+from oracles import random_euler
 
 
 @contextlib.contextmanager

@@ -28,8 +28,9 @@ from framecrypt.linalg import (
     random_density_matrix,
     trace_norm,
 )
-from framecrypt.repkit import block_layout, random_euler, rotation_su2, schur_transform, wigner_d
+from framecrypt.repkit import block_layout, rotation_su2, schur_transform, wigner_d
 from framecrypt.workspace import build_working_space, embed_state
+from oracles import random_euler
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 

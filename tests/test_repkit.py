@@ -17,13 +17,12 @@ from framecrypt.repkit import (
     coupled_position,
     dim_irrep,
     dim_multiplicity,
-    enumerate_paths,
     irrep_labels,
-    random_euler,
     rotation_su2,
     schur_transform,
     wigner_d,
 )
+from oracles import enumerate_paths, random_euler
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +110,11 @@ def test_paths_are_valid_lex_ordered_and_counted():
             assert len(set(paths)) == len(paths)
 
 
-def test_enumerate_paths_validation():
-    with pytest.raises(ValueError):
-        enumerate_paths(4, 5)
-    with pytest.raises(ValueError):
-        enumerate_paths(4, 6)
+def test_couple_paths_refuses_an_odd_or_too_large_two_j():
+    with pytest.raises(ValueError, match="0 coupling paths reach two_j=5"):
+        list(couple_paths(4, 5, 1))
+    with pytest.raises(ValueError, match="0 coupling paths reach two_j=6"):
+        list(couple_paths(4, 6, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,8 @@ def test_schur_keeps_the_bits_of_the_out_array_walk(n):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
 def test_couple_paths_folds_the_coupling_step_along_enumerate_paths(n):
-    # one walk: the paths couple_paths hands over are _couple folded along
-    # the histories of enumerate_paths, in that order
+    # the paths couple_paths hands over are _couple folded along the
+    # brute-force histories, in their lexicographic order (+1 before -1)
     for tj in irrep_labels(n):
         want = []
         for path in enumerate_paths(n, tj):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 import framecrypt.repkit as repkit_module
 import framecrypt.workspace as workspace_module
+from framecrypt.channel import reduced_map_f, twirl_working_state
 from framecrypt.linalg import derived_rng, random_pure_state
+from framecrypt.privacy import f_eval
 from framecrypt.repkit import CoupledIndex, couple_paths, coupled_position, dim_multiplicity, schur_transform
 from framecrypt.workspace import (
     asymptotic_k,
@@ -20,6 +22,7 @@ from framecrypt.workspace import (
     restrict_state,
     workspace_vector,
 )
+from oracles import embed_index
 
 
 def test_default_j_min_rounds_to_nearest():
@@ -108,19 +111,20 @@ def test_exact_size_beats_asymptote_minus_one():
 
 def test_embed_positions_are_the_kept_indices():
     ws = build_working_space(12, 2.0)
-    assert ws.embed_index[0] == CoupledIndex(8, 8, 0)
-    assert len(ws.embed_index) == ws.k
+    index = embed_index(ws)
+    assert index[0] == CoupledIndex(8, 8, 0)
+    assert len(index) == ws.k
     assert len(set(ws.embed_positions.tolist())) == ws.k
     # the first block in y is j_min, rotation index slow, path index fast
-    assert ws.embed_index[1] == CoupledIndex(8, 8, 1)
-    assert ws.embed_index[ws.d_alpha] == CoupledIndex(8, 6, 0)
+    assert index[1] == CoupledIndex(8, 8, 1)
+    assert index[ws.d_alpha] == CoupledIndex(8, 6, 0)
 
 
 def test_embed_positions_at_the_int64_limit():
     # 2^62 is the largest register the int64 positions address
     ws = build_working_space(62, 2.0)
     assert ws.embed_positions.dtype == np.int64
-    assert ws.embed_positions.tolist() == [coupled_position(62, ci) for ci in ws.embed_index]
+    assert ws.embed_positions.tolist() == [coupled_position(62, ci) for ci in embed_index(ws)]
     assert build_working_space(64, 2.0).embed_positions is None
 
 
@@ -224,14 +228,17 @@ def test_restrict_rejects_leakage():
         restrict_state(np.zeros(5), ws)
 
 
-def test_workspace_vector_accepts_both_encodings():
+def test_workspace_vector_refuses_a_coupled_basis_vector():
+    # the f routes take K working-space coordinates only; the 2^n coupled
+    # basis vector of the same state is refused with a message naming K
     ws = build_working_space(4, 2.0)
     v = np.zeros(ws.k, dtype=complex)
     v[1] = 1.0
     np.testing.assert_array_equal(workspace_vector(v, ws), v)
-    np.testing.assert_allclose(workspace_vector(embed_state(v, ws), ws), v, atol=1e-14)
-    with pytest.raises(ValueError):
-        workspace_vector(np.zeros(7), ws)
+    for route in (workspace_vector, f_eval, reduced_map_f, twirl_working_state):
+        for bad in (embed_state(v, ws), np.zeros(7)):
+            with pytest.raises(ValueError, match=f"K={ws.k}"):
+                route(bad, ws)
 
 
 @given(st.integers(2, 10), st.floats(1.01, 3.0))
@@ -245,8 +252,8 @@ def test_dimension_bookkeeping_property(half_n, alpha):
     assert ws.k == len(ws.y) * ws.d * ws.d_alpha
     assert ws.d == ws.two_j_min + 1
     assert ws.d_alpha >= 1
-    assert ws.k == len(ws.embed_index) == len(ws.embed_positions)
-    assert ws.embed_positions.tolist() == [coupled_position(n, ci) for ci in ws.embed_index]
+    assert ws.k == len(embed_index(ws)) == len(ws.embed_positions)
+    assert ws.embed_positions.tolist() == [coupled_position(n, ci) for ci in embed_index(ws)]
     assert ws.d_p == len(ws.y) * ws.d_alpha
     for tj in ws.y:
         assert ws.d_alpha <= dim_multiplicity(n, tj)
