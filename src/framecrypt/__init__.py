@@ -38,7 +38,6 @@ from framecrypt.channel import (
 )
 from framecrypt.privacy import (
     ConcentrationReport,
-    PrivacyParams,
     build_eps_net,
     concentration_experiment,
     estimate_max_f,

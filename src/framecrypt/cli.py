@@ -75,10 +75,11 @@ def parse_config(argv) -> argparse.Namespace:
         if value is not None and not math.isfinite(value):
             raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
     sizes = None
-    if config.quadrature:
-        sizes = [int(x) for x in config.quadrature.split(",")]
-        if len(sizes) != 3:
+    if config.quadrature is not None:
+        parts = config.quadrature.split(",")
+        if len(parts) != 3:
             raise ValueError("--quadrature expects three comma-separated sizes a,b,g")
+        sizes = [int(x) for x in parts]
     config.quadrature = sizes
     return config
 
@@ -194,10 +195,9 @@ def _run_mean_f(config: argparse.Namespace) -> tuple[dict, dict | None]:
 
 def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
-    params = privacy.PrivacyParams(delta=_or_default(config.delta, 1.0), levy_c=config.levy_c)
     samples = _or_default(config.samples, 2000)
     check_limit(samples * ws.k, privacy.WORK_LIMIT, "concentration", "state coordinates")
-    report = privacy.concentration_experiment(ws, samples, DEFAULT_GAMMA_GRID, params, config.seed)
+    report = privacy.concentration_experiment(ws, samples, DEFAULT_GAMMA_GRID, config.levy_c, config.seed)
     d = dataclasses.asdict(report)
     d["tail"] = {f"{g:g}": v for g, v in report.tail.items()}
     d["levy_bound"] = {f"{g:g}": v for g, v in report.levy_bound.items()}
@@ -231,9 +231,8 @@ def _run_haar_moments(config: argparse.Namespace) -> tuple[dict, dict | None]:
 def _run_theorem1(config: argparse.Namespace) -> tuple[dict, dict | None]:
     n = _need(config.n, "--n")
     delta = _need(config.delta, "--delta")
-    params = privacy.PrivacyParams(delta=delta, c_prime=config.c_prime, levy_c=config.levy_c)
     report = privacy.theorem1_experiment(
-        n, params, n_subspaces=_or_default(config.samples, 5), seed=config.seed
+        n, delta, config.c_prime, n_subspaces=_or_default(config.samples, 5), seed=config.seed
     )
     return report, None
 

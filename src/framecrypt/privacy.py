@@ -84,31 +84,6 @@ _ASSERT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
-class PrivacyParams:
-    """Free parameters of the privacy statements.
-
-    ``delta`` is the privacy level, ``levy_c`` the concentration constant
-    used when plotting/reporting the tail bound, and ``c_prime`` the additive
-    constant in the subspace-dimension bound.
-    """
-
-    delta: float
-    levy_c: float = 1.0
-    c_prime: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 2.0:
-            raise ValueError(f"delta must lie in (0, 2], got {self.delta}")
-        if self.levy_c <= 0.0:
-            raise ValueError("levy_c must be positive")
-
-    @property
-    def net_epsilon(self) -> float:
-        """Net resolution used when certifying: delta/3."""
-        return self.delta / 3.0
-
-
-@dataclass(frozen=True)
 class SubspaceSample:
     """An encoding subspace drawn from the invariant measure."""
 
@@ -618,22 +593,26 @@ def concentration_experiment(
     ws: WorkingSpace,
     n_samples: int,
     gamma_grid,
-    params: PrivacyParams,
+    levy_c: float,
     seed: int,
 ) -> ConcentrationReport:
     """Empirical tail of |f - median| against the exponential reference curve.
 
-    ``fitted_c`` is the largest constant for which exp2(-c (K-1) gamma^2 / 2)
-    majorizes the observed tail on the whole grid (None when every observed
-    tail is zero, i.e. no finite constraint).
+    ``levy_bound`` is that curve, exp2(-levy_c (K-1) gamma^2 / 2), for the
+    positive constant ``levy_c``.  ``fitted_c`` is the largest constant c
+    for which exp2(-c (K-1) gamma^2 / 2) majorizes the observed tail on the
+    whole grid (None when every observed tail is zero, i.e. no finite
+    constraint).
     """
     gammas = [float(g) for g in gamma_grid]
     if not gammas or min(gammas) <= 0.0:
         raise ValueError("gamma grid must be positive")
+    if not levy_c > 0.0:
+        raise ValueError("levy_c must be positive")
     fs, report = _sampled_report(ws, n_samples, seed)
     dev = np.abs(fs - report.median_f)
     tail = {g: float(np.mean(dev > g)) for g in gammas}
-    levy = {g: 2.0 ** (-params.levy_c * (ws.k - 1) * g**2 / 2.0) for g in gammas}
+    levy = {g: 2.0 ** (-levy_c * (ws.k - 1) * g**2 / 2.0) for g in gammas}
     constraints = [
         -2.0 * math.log2(t) / ((ws.k - 1) * g**2) for g, t in tail.items() if t > 0.0
     ]
@@ -745,28 +724,31 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
 # the headline experiment
 # ---------------------------------------------------------------------------
 
-def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: int) -> dict:
+def theorem1_experiment(n: int, delta: float, c_prime: float, n_subspaces: int, seed: int) -> dict:
     """Sample subspaces at the dimension the privacy bound permits.
 
-    Uses the canonical parameter choices alpha = 36/delta^2 and net
-    resolution delta/3 (``params.delta``, ``params.net_epsilon``); the subspace dimension is 2^(3 log2 n
-    + 3.5 log2 delta + c_prime).  Desk-scale parameters are often
+    ``delta`` in (0, 2] is the privacy level, from which the canonical
+    choices follow: alpha = 36/delta^2 and the net resolution epsilon =
+    delta/3.  ``c_prime`` is the additive constant of the subspace dimension
+    2^(3 log2 n + 3.5 log2 delta + c_prime).  Desk-scale parameters are often
     infeasible (the multiplicity slice truncates to zero, or the dimension
     is below one state or beyond the whole working space); those runs return
     a structured report with ``feasible = False`` rather than raising.  A
     feasible run whose state coordinates exceed WORK_LIMIT is refused before
     the first draw.
     """
+    if not 0.0 < delta <= 2.0:
+        raise ValueError(f"delta must lie in (0, 2], got {delta}")
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
-    delta = params.delta
     alpha = 36.0 / delta**2 if delta**2 > 0.0 else math.inf  # delta**2 underflows below 1e-162
-    bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + params.c_prime if n > 0 else None  # n <= 0: no log
+    epsilon = delta / 3.0
+    bits = 3.0 * math.log2(n) + 3.5 * math.log2(delta) + c_prime if n > 0 else None  # n <= 0: no log
     base = {
         "n": n,
         "delta": delta,
         "alpha": alpha,
-        "c_prime": params.c_prime,
+        "c_prime": c_prime,
         "dim_bits": bits,
         "feasible": False,
     }
@@ -790,7 +772,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     # probes, the dim_s basis columns every ascent round lifts, and the net
     per_subspace = ws.k + THEOREM1_BUDGET + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
     if dim_s == 2:
-        per_subspace += net_size(2, params.net_epsilon)
+        per_subspace += net_size(2, epsilon)
     what = f"theorem1 with {n_subspaces} subspaces of {per_subspace} states of K={ws.k}"
     check_limit(n_subspaces * per_subspace * ws.k, WORK_LIMIT, what, "state coordinates")
 
@@ -799,7 +781,7 @@ def theorem1_experiment(n: int, params: PrivacyParams, n_subspaces: int, seed: i
     for s in range(n_subspaces):
         sub_seed = int(derived_rng(seed, s).integers(2**63))
         sub = sample_subspace(ws, dim_s, sub_seed)
-        est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=params.net_epsilon)
+        est = estimate_max_f(sub, ws, budget=THEOREM1_BUDGET, seed=sub_seed, net_epsilon=epsilon)
         violated = est.lower_bound > delta
         n_violating += int(violated)
         subspaces.append(

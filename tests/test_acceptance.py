@@ -40,7 +40,6 @@ from framecrypt.privacy import (
     lipschitz_check,
     mean_f_experiment,
     sample_subspace,
-    PrivacyParams,
 )
 from framecrypt.repkit import (
     block_layout,
@@ -156,12 +155,11 @@ def test_criterion_08_haar_fourth_moment():
 
 def test_criterion_09_concentration_trend():
     with criterion(9, "concentration trend"):
-        params = PrivacyParams(delta=1.0)
         grid = (0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
         tails = {}
         for n in (10, 14):
             ws = build_working_space(n, 2.0)
-            report = concentration_experiment(ws, 5000, grid, params, 9)
+            report = concentration_experiment(ws, 5000, grid, 1.0, 9)
             tails[n] = report.tail[0.2]
             print(f"  n={n}: tail(0.2)={report.tail[0.2]:.4f} fitted_c={report.fitted_c}")
         assert tails[14] <= tails[10]

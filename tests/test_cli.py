@@ -406,8 +406,10 @@ def test_usage_error_exit_2(capsys):
         ["--command", "capacity", "--n", "16", "--c-prime", "-1e308"],
         # Python 3.11's argparse reads this as an empty list, not as a string
         ["--command", "decompose", "--n=--"],
+        # an empty value is not replaced by the default grid
+        ["--command", "twirl-check", "--n", "2", "--samples", "1", "--quadrature="],
     ],
-    ids=["non-numeric", "exponent-without-equals", "double-dash"],
+    ids=["non-numeric", "exponent-without-equals", "double-dash", "empty-quadrature"],
 )
 def test_malformed_flags_are_usage_errors(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -437,14 +439,12 @@ def test_domain_error_exit_1(capsys):
     [
         ["--command", "mean-f", "--n", "12", "--samples", "0"],
         ["--command", "concentration", "--n", "12", "--samples", "0"],
-        ["--command", "concentration", "--n", "12", "--samples", "50", "--delta", "0"],
         ["--command", "lipschitz", "--n", "12", "--samples", "0"],
         ["--command", "twirl-check", "--n", "4", "--samples", "0"],
         ["--command", "haar-moments", "--n", "4", "--samples", "0"],
         ["--command", "theorem1", "--n", "12", "--delta", "1", "--samples", "0"],
     ],
-    ids=["mean-f", "concentration", "concentration-delta", "lipschitz", "twirl-check",
-         "haar-moments", "theorem1"],
+    ids=["mean-f", "concentration", "lipschitz", "twirl-check", "haar-moments", "theorem1"],
 )
 def test_explicit_zero_is_not_replaced_by_the_default(capsys, argv):
     code, out, err = run_main(capsys, *argv)
@@ -572,7 +572,7 @@ def test_theorem1_declares_exactly_its_work_per_subspace(monkeypatch, capsys, ar
     assert code == 0
     payload = json.loads(out)["payload"]
     assert (payload["workspace"]["k"], payload["dim_s"]) == (k, dim_s)
-    net = privacy.net_size(2, privacy.PrivacyParams(delta=2.0).net_epsilon) if dim_s == 2 else 0
+    net = privacy.net_size(2, 2.0 / 3) if dim_s == 2 else 0
     per_subspace = k + privacy.THEOREM1_BUDGET + privacy.ASCENT_RESTARTS * privacy.ASCENT_ITERS * dim_s + net
     assert amounts == [len(payload["subspaces"]) * per_subspace * k] == [declared]
 
@@ -675,9 +675,9 @@ FUZZ_BASES = {
     "workspace": ({"--n": 12, "--alpha": 2.0}, ("--j-min",)),
     "capacity": ({"--n": 16, "--delta": 0.25, "--c-prime": 0.0}, ()),
     "net": ({"--dim-s": 2, "--epsilon": 0.5}, ()),
-    "theorem1": ({"--n": 12, "--delta": 2.0, "--c-prime": -13.0, "--samples": 1}, ("--levy-c", "--seed")),
+    "theorem1": ({"--n": 12, "--delta": 2.0, "--c-prime": -13.0, "--samples": 1}, ("--seed",)),
     "mean-f": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--seed",)),
-    "concentration": ({"--n": 12, "--alpha": 2.0, "--delta": 1.0, "--samples": 4}, ("--levy-c", "--seed")),
+    "concentration": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--levy-c", "--seed")),
     "lipschitz": ({"--n": 12, "--alpha": 2.0, "--samples": 4}, ("--seed",)),
     "haar-moments": ({"--n": 4, "--samples": 100}, ("--seed",)),
     "twirl-check": ({"--n": 2, "--samples": 1}, ("--quadrature", "--seed")),
@@ -754,6 +754,29 @@ def test_fuzzed_flags_keep_the_output_contract(curve_files, case, joined):
         assert out == ""
         assert err == canonical_json(json.loads(err))
         assert set(json.loads(err)) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        (command, flag, value)
+        for command, (base, others) in FUZZ_BASES.items()
+        for flag in ("--alpha", "--delta", "--c-prime", "--levy-c", "--epsilon")
+        if flag not in (*base, *others)
+        for value in ("0", "-1")
+    ],
+)
+def test_a_flag_the_command_does_not_read_leaves_its_payload_unchanged(capsys, curve_files, command, flag, value):
+    """A flag is echoed in config whatever the command, and refused only by
+    a command that reads it (emit-curve: its CSV stays the same)."""
+    words = (fuzz_words(f, v, False, curve_files) for f, v in FUZZ_BASES[command][0].items())
+    argv = ["--command", command, *itertools.chain.from_iterable(words)]
+    payloads = []
+    for extra in ([], [f"{flag}={value}"]):
+        code, out, _ = run_main(capsys, *argv, *extra)
+        assert code == 0
+        payloads.append(out if command == "emit-curve" else json.loads(out)["payload"])
+    assert payloads[0] == payloads[1]
 
 
 # ---------------------------------------------------------------------------

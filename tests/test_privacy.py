@@ -27,7 +27,6 @@ from framecrypt.privacy import (
     _span_states,
     F_CHUNK_BYTES,
     FORK_BYTES,
-    PrivacyParams,
     build_eps_net,
     concentration_experiment,
     net_size,
@@ -435,8 +434,7 @@ def test_mean_f_respects_both_bounds():
 
 
 def test_concentration_tail_and_fit():
-    params = PrivacyParams(delta=1.0, levy_c=1.0)
-    report = concentration_experiment(WS12, 600, (0.05, 0.2, 2.0), params, 5)
+    report = concentration_experiment(WS12, 600, (0.05, 0.2, 2.0), 1.0, 5)
     assert report.tail[2.0] == 0.0  # |f - median| cannot exceed the range of f
     assert set(report.tail) == {0.05, 0.2, 2.0}
     for g, bound in report.levy_bound.items():
@@ -447,9 +445,9 @@ def test_concentration_tail_and_fit():
             if t > 0:
                 assert 2.0 ** (-report.fitted_c * (WS12.k - 1) * g**2 / 2.0) >= t - 1e-12
     with pytest.raises(ValueError):
-        concentration_experiment(WS12, 100, (), params, 0)
+        concentration_experiment(WS12, 100, (), 1.0, 0)
     with pytest.raises(ValueError):
-        concentration_experiment(WS12, 100, (-0.1,), params, 0)
+        concentration_experiment(WS12, 100, (-0.1,), 1.0, 0)
 
 
 def test_lipschitz_small_batches():
@@ -828,8 +826,7 @@ def test_haar_moment_check_runs_clean():
 # ---------------------------------------------------------------------------
 
 def test_theorem1_infeasible_parameters_are_reported():
-    params = PrivacyParams(delta=0.125)
-    report = theorem1_experiment(8, params, n_subspaces=1, seed=0)
+    report = theorem1_experiment(8, 0.125, 0.0, n_subspaces=1, seed=0)
     assert report["feasible"] is False
     assert "reason" in report
     assert report["alpha"] == pytest.approx(36.0 / 0.125**2)
@@ -837,8 +834,7 @@ def test_theorem1_infeasible_parameters_are_reported():
 
 def test_theorem1_dimension_bound_value():
     # the n = 1024, delta = 1/8 arithmetic: 3*10 + 3.5*(-3) = 19.5 bits
-    params = PrivacyParams(delta=0.125)
-    report = theorem1_experiment(1024, params, n_subspaces=1, seed=0)
+    report = theorem1_experiment(1024, 0.125, 0.0, n_subspaces=1, seed=0)
     assert report["dim_bits"] == pytest.approx(19.5)
     # alpha = 36/delta^2 = 2304 truncates the multiplicity slice to zero here,
     # so the bound's value is reported but nothing is sampled
@@ -847,8 +843,7 @@ def test_theorem1_dimension_bound_value():
 
 
 def test_theorem1_feasible_run_records_fractions():
-    params = PrivacyParams(delta=2.0, c_prime=-14.0)
-    report = theorem1_experiment(12, params, n_subspaces=2, seed=1)
+    report = theorem1_experiment(12, 2.0, -14.0, n_subspaces=2, seed=1)
     assert report["feasible"] is True
     assert report["dim_s"] == 1
     assert len(report["subspaces"]) == 2
@@ -861,13 +856,22 @@ def test_theorem1_feasible_run_records_fractions():
         "fraction_violating",
     }
     with pytest.raises(ValueError):
-        theorem1_experiment(12, params, n_subspaces=0, seed=0)
+        theorem1_experiment(12, 2.0, -14.0, n_subspaces=0, seed=0)
 
 
-def test_privacy_params_validation():
-    with pytest.raises(ValueError):
-        PrivacyParams(delta=0.0)
-    with pytest.raises(ValueError):
-        PrivacyParams(delta=2.5)
-    p = PrivacyParams(delta=0.9)
-    assert p.net_epsilon == pytest.approx(0.3)
+@pytest.mark.parametrize("levy_c", [0.0, -1.0, math.nan])
+def test_concentration_refuses_a_nonpositive_levy_c_before_any_draw(monkeypatch, levy_c):
+    calls = []
+    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="levy_c must be positive"):
+        concentration_experiment(WS12, 100, (0.1, 0.2), levy_c, 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta", [0.0, 2.5, math.nan])
+def test_theorem1_refuses_delta_outside_0_2_before_building_a_working_space(monkeypatch, delta):
+    calls = []
+    monkeypatch.setattr(privacy, "build_working_space", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 2\]"):
+        theorem1_experiment(12, delta, 0.0, n_subspaces=1, seed=0)
+    assert calls == []
