@@ -76,10 +76,11 @@ def parse_config(argv) -> argparse.Namespace:
             raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
     sizes = None
     if config.quadrature is not None:
-        parts = config.quadrature.split(",")
-        if len(parts) != 3:
-            raise ValueError("--quadrature expects three comma-separated sizes a,b,g")
-        sizes = [int(x) for x in parts]
+        try:  # a part that is no integer, or other than three parts
+            a, b, g = (int(x) for x in config.quadrature.split(","))
+        except ValueError:
+            raise ValueError("--quadrature expects three comma-separated sizes a,b,g") from None
+        sizes = [a, b, g]
     config.quadrature = sizes
     return config
 

@@ -1,17 +1,17 @@
 """Dense complex linear algebra used everywhere else in the package.
 
 All functions are pure; random sampling takes an explicit seed (or an
-already-constructed Generator), so every result is reproducible.  Sample i of
-a seeded run draws from its own generator, :func:`derived_rng` of
-(seed, *prefix, i), which depends only on those integers.
-:func:`derived_rngs` yields the same generators, seeded a block of indices at
-a time.  The privacy sampler owns these streams: it hands each sample its
-generator, draws plain random states itself and normalizes a chunk of them at
-once with :func:`normalize_rows`, the formula of :func:`random_pure_state`.
-So every value is the same bit for bit however the samples are chunked or
-spread over the process's CPUs.  :func:`blas_threads` and
-:func:`set_blas_threads` read and set the thread count of numpy's bundled
-OpenBLAS, whose sums are split differently at each count.
+already-constructed Generator, which np.random.default_rng passes through
+unaltered), so every result is reproducible.  :func:`derived_rng` of
+(seed, *stream) keys one generator by those integers alone.  The privacy
+sampler draws chunk c of a seeded run from derived_rng(seed, *prefix, c),
+plain random states in one call, and normalizes them at once with
+:func:`normalize_rows`, the formula of :func:`random_pure_state`; its
+forked shares are runs of whole chunks, so every value is the same bit for
+bit however the chunks are spread over the process's CPUs.
+:func:`blas_threads` and :func:`set_blas_threads` read and set the thread
+count of numpy's bundled OpenBLAS, whose sums are split differently at
+each count.
 
 :func:`trace_norm` splits its input exactly before it looks at it: the
 connected components of the exact-nonzero pattern (x + x^dagger) are blocks
@@ -28,25 +28,11 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import itertools
-from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-# indices whose generator states derived_rngs computes at once.  sample_small
-# peak_rss_mb by block, seeds 1-3 (perfbench/run.py --seconds 5, one BLAS
-# thread, 2 cores); the operation takes about the same time at each:
-#   block          parent        64            256           4,096
-#   peak_rss_mb    40.88-40.92   41.14-41.36   41.30-41.42   43.28-44.21
-DERIVE_BLOCK = 256
-# numpy's SeedSequence hash constants and PCG64's multiplier: the algorithm
-# derived_rngs reproduces, not settings
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 def check_limit(amount, limit, what: str, unit: str) -> None:
@@ -93,106 +79,14 @@ def set_blas_threads(count: int) -> int | None:
     return before
 
 
-def as_rng(seed) -> np.random.Generator:
-    """Coerce an int / SeedSequence / Generator into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def derived_rng(seed: int, *stream: int) -> np.random.Generator:
     """Generator for sub-stream ``stream`` of master ``seed``.
 
     The derivation depends only on the integers supplied, never on how many
-    other streams exist, so per-sample generators are stable under any
-    parallel scheduling of the samples.
+    other streams exist, so per-chunk generators are stable under any
+    parallel scheduling of the chunks.
     """
     return np.random.default_rng([int(seed), *(int(s) for s in stream)])
-
-
-def _words(n: int) -> list[int]:
-    """The uint32 words numpy's SeedSequence reads from a non-negative int, low word first."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_states(head: list[int], index: np.ndarray) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng seeded with the words head + [i], for each i of index.
-
-    numpy's SeedSequence with pool size 4 (mix_entropy, then
-    generate_state(4, uint64)) on uint32 arrays over the indices, then PCG64's
-    seeding step on Python ints.  The hash constants evolve as Python ints
-    masked to 32 bits: a numpy scalar would warn on overflow, an array wraps.
-    """
-    entropy = [np.full(len(index), w, dtype=np.uint32) for w in head] + [index.astype(np.uint32)]
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> 16)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> 16)
-
-    entropy += [np.zeros_like(entropy[0])] * (4 - len(entropy))  # a short seed fills the pool with zeros
-    pool = [hashmix(entropy[i]) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
-    hash_const = _INIT_B
-    words = []
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append((value ^ (value >> 16)).astype(np.uint64))
-    # generate_state's uint64 words (low uint32 first) are the seed's high and
-    # low halves, then the stream's
-    hi_s, lo_s, hi_q, lo_q = (words[j] | (words[j + 1] << np.uint64(32)) for j in range(0, 8, 2))
-    states = []
-    for a, b, c, d in zip(hi_s.tolist(), lo_s.tolist(), hi_q.tolist(), lo_q.tolist()):
-        inc = ((((c << 64) | d) << 1) | 1) & _MASK128
-        states.append((((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
-def derived_rngs(seed: int, prefix: Iterable[int], indices: Iterable[int]) -> Iterator[np.random.Generator]:
-    """derived_rng(seed, *prefix, i) for each i of ``indices``, bit for bit.
-
-    One Generator is yielded for every index, re-seeded through its PCG64
-    state each time, so each is good only until the next is drawn.  The
-    states of DERIVE_BLOCK indices are computed at once.  The generator of
-    each block's first index is made by derived_rng itself, which raises its
-    errors for a negative seed, and its state must equal the computed one: a
-    numpy that seeds differently raises RuntimeError instead of drifting.
-    Indices must lie in [0, 2^32).
-    """
-    prefix = [int(p) for p in prefix]
-    todo = iter(indices)
-    while block := list(itertools.islice(todo, DERIVE_BLOCK)):
-        if min(block) < 0:
-            raise ValueError("expected non-negative integer")
-        check_limit(max(block), _MASK32, "a derived generator", "as its index")
-        gen = derived_rng(seed, *prefix, block[0])
-        bit_state = gen.bit_generator.state
-        head = [w for v in (int(seed), *prefix) for w in _words(v)]
-        states = _pcg64_states(head, np.array(block))
-        if states[0] != (bit_state["state"]["state"], bit_state["state"]["inc"]):
-            raise RuntimeError("numpy seeds PCG64 differently from derived_rngs: its generators would drift")
-        for state, inc in states:
-            bit_state["state"] = {"state": state, "inc": inc}
-            gen.bit_generator.state = bit_state
-            yield gen
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -312,7 +206,7 @@ def haar_unitary(dim: int, seed, size: int | None = None) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     shape = (dim, dim) if size is None else (int(size), dim, dim)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
@@ -338,7 +232,7 @@ def random_pure_state(dim: int, seed, size: int | None = None) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     shape = (dim,) if size is None else (int(size), dim)
     v = np.empty(shape, dtype=complex)
     v.real = rng.standard_normal(shape)
@@ -350,7 +244,7 @@ def random_density_matrix(dim: int, seed) -> np.ndarray:
     """Random mixed state GG^dag / tr(GG^dag) with G square complex Ginibre."""
     if dim < 1:
         raise ValueError("dimension must be >= 1")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

@@ -11,9 +11,9 @@ dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
 eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
 Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
-the per-sample generators (``derived_rngs``), draws plain random states
-itself a chunk at a time, normalizes each chunk at once and hands it to the
-kernel.  A call with FORK_BYTES of states or more it spreads over the
+the generators, one ``derived_rng`` per chunk of draws, draws each chunk's
+plain random states in one call, normalizes them at once and hands them to
+the kernel.  A call with FORK_BYTES of states or more it spreads over the
 process's CPUs, in worker processes forked for that one call and reaped
 before it returns, each walking a contiguous share of the draws and writing
 f into shared memory, with bit-identical values.  States on a subspace
@@ -50,7 +50,6 @@ from framecrypt.linalg import (
     check_limit,
     dagger,
     derived_rng,
-    derived_rngs,
     haar_unitary,
     normalize_rows,
     random_pure_state,
@@ -66,7 +65,10 @@ ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
-F_CHUNK_BYTES = 2**16  # bytes of the states (not draws) _f_on_draws holds at once (64 KiB)
+# bytes of the states (not draws) _f_on_draws holds at once (64 KiB).  Each
+# chunk draws from its own generator, so where a chunk holds several draws
+# (K <= 2,048 for single states) the sampled values change with this size
+F_CHUNK_BYTES = 2**16
 # bytes of all the states of one _f_on_draws call (count x states per draw x
 # K x 16) from which it forks workers (4 MiB).  Forked time as a share of
 # serial, 2 workers, one BLAS thread, 2-core Xeon, median of 15 interleaved
@@ -99,7 +101,7 @@ class SubspaceSample:
 
     def __post_init__(self):
         gram = self.basis.conj().T @ self.basis
-        if not np.allclose(gram, np.eye(self.dim_s), atol=1e-10):
+        if not np.allclose(gram, np.eye(self.dim_s), rtol=0.0, atol=1e-10):
             raise ValueError("basis columns are not orthonormal")
 
 
@@ -311,27 +313,31 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
 
     The one loop here that draws and chunks states.  A draw is a
     (*shape, K) stack of states: one state for shape (), a pair for (2,).
-    With ``stream`` = (seed, *prefix) the sampler owns the generators: draw i
-    uses derived_rng(seed, *prefix, i), made by derived_rngs.  With ``span``
-    = (basis, coeffs), draw i is the state basis @ coeffs[i], and each
-    chunk's states are formed at once by _span_states.  With ``draw``,
-    draw(i, rng) gives draw i, rng being its generator (None without a
-    stream); it must depend only on i and rng.  With neither, the sampler
-    draws the states itself, one standard_normal call per draw into a float
-    chunk (each state's real parts, then its imaginary parts, as
-    random_pure_state takes them), and normalizes the whole chunk with
-    normalize_rows, so the states are random_pure_state's bit for bit.
-    With ``per_draw``, per_draw(states) is a float computed from each draw's
-    states, and the call returns (f, those floats).
+    Draws are made f_chunk(K, states per draw) at a time, and with
+    ``stream`` = (seed, *prefix) the sampler owns the generators: chunk c
+    uses derived_rng(seed, *prefix, c).  With ``span`` = (basis, coeffs),
+    draw i is the state basis @ coeffs[i], and each chunk's states are
+    formed at once by _span_states.  With ``draw``, draw(i, rng) gives draw
+    i, rng being its chunk's generator (None without a stream), used in
+    draw order.  With neither, the sampler draws a chunk's states itself in
+    one standard_normal call of shape (draws, *shape, 2, K), each state's
+    real parts, then its imaginary parts, and normalizes the chunk with
+    normalize_rows: the states random_pure_state would give, called once
+    per state on the chunk's generator, bit for bit.  So a partial last
+    chunk draws a prefix of the full chunk's states, and where a chunk
+    holds one draw (K > 2,048 for single states), draw i uses
+    derived_rng(seed, *prefix, i).  With ``per_draw``, per_draw(states) is
+    a float computed from each draw's states, and the call returns (f,
+    those floats).
 
-    Draws are made f_chunk(K, states per draw) at a time in one reused
-    buffer per share that goes to f_evals whole, so the states of all draws
-    never exist at once.  A call of FORK_BYTES of states or more is shared
-    by _fan_out among the processes _workers allows, each share a
-    contiguous run of whole chunks, so it makes the serial loop's kernel
-    calls; its results go to shared memory.  Each share walks its own
-    derived_rngs, and a state's f does not depend on the states next to it,
-    so the values are the same bit for bit.  count must be positive.
+    Each chunk fills one reused buffer per share that goes to f_evals
+    whole, so the states of all draws never exist at once.  A call of
+    FORK_BYTES of states or more is shared by _fan_out among the processes
+    _workers allows, each share a contiguous run of whole chunks, so it
+    makes the serial loop's kernel calls; its results go to shared memory.
+    A chunk's generator depends only on its index, and a state's f does not
+    depend on the states next to it, so the values are the same bit for
+    bit.  count must be positive.
     """
     per_draw_states = math.prod(shape)
     chunk = min(f_chunk(ws.k, per_draw_states), count)
@@ -342,23 +348,20 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
     values = _shared_empty((count,), workers > 1) if per_draw is not None else None
 
     def run(share: range, stop: mmap.mmap) -> None:
-        rngs = derived_rngs(stream[0], stream[1:], share) if stream else itertools.repeat(None)
         states = np.empty((chunk, *shape, ws.k), dtype=complex)
         for start in range(share.start, share.stop, chunk):
             if stop[0]:
                 return
             end = min(start + chunk, share.stop)
-            part = range(start, end)
-            rows = states[: len(part)]
+            rows = states[: end - start]
+            rng = derived_rng(*stream, start // chunk) if stream else None
             if span is not None:
                 rows[:] = _span_states(span[0], span[1][start:end])
             elif draw is not None:
-                for r, (i, rng) in enumerate(zip(part, rngs)):
+                for r, i in enumerate(range(start, end)):
                     rows[r] = draw(i, rng)
             else:
-                normals = np.empty((len(part), *shape, 2, ws.k))
-                for r, rng in zip(range(len(part)), rngs):
-                    rng.standard_normal(out=normals[r])
+                normals = rng.standard_normal((len(rows), *shape, 2, ws.k))
                 rows.real = normals[..., 0, :]
                 rows.imag = normals[..., 1, :]
                 # freed before normalize_rows' temporaries: at K = 78,561 a
@@ -550,7 +553,7 @@ def estimate_max_f(
 # ---------------------------------------------------------------------------
 
 def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, ConcentrationReport]:
-    """f on n_samples random states (one derived generator each) and the
+    """f on n_samples random states (stream (seed,) of _f_on_draws) and the
     statistics both experiments report; the tail fields are left empty."""
     if n_samples < 2:
         raise ValueError("need at least two samples")

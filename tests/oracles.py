@@ -7,7 +7,8 @@ import itertools
 import math
 from typing import NamedTuple
 
-from framecrypt.linalg import as_rng
+import numpy as np
+
 from framecrypt.repkit import CoupledIndex
 from framecrypt.workspace import WorkingSpace
 
@@ -26,7 +27,7 @@ def random_euler(seed) -> EulerAngles:
     Uniform alpha and gamma, uniform cos(beta); this is the right measure for
     averaging conjugation actions, where the overall sign of u is irrelevant.
     """
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     return EulerAngles(
         rng.uniform(0.0, 2 * math.pi),
         math.acos(rng.uniform(-1.0, 1.0)),

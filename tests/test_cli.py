@@ -408,15 +408,19 @@ def test_usage_error_exit_2(capsys):
         ["--command", "decompose", "--n=--"],
         # an empty value is not replaced by the default grid
         ["--command", "twirl-check", "--n", "2", "--samples", "1", "--quadrature="],
+        ["--command", "twirl-check", "--n", "2", "--quadrature", "a,b,c"],
     ],
-    ids=["non-numeric", "exponent-without-equals", "double-dash", "empty-quadrature"],
+    ids=["non-numeric", "exponent-without-equals", "double-dash", "empty-quadrature", "non-integer-quadrature"],
 )
 def test_malformed_flags_are_usage_errors(capsys, argv):
     code, out, err = run_main(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == canonical_json(json.loads(err))
-    assert json.loads(err)["error"]["kind"] == "usage"
+    error = json.loads(err)["error"]
+    assert error["kind"] == "usage"
+    if any(word.startswith("--quadrature") for word in argv):  # the flag is named, not int()'s parse
+        assert error["message"] == "--quadrature expects three comma-separated sizes a,b,g"
 
 
 def test_domain_error_exit_1(capsys):

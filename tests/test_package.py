@@ -27,6 +27,21 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_every_allclose_passes_rtol():
+    # numpy's default rtol=1e-5 widens an absolute tolerance unseen: with it,
+    # allclose(1 + 5e-6, 1, atol=1e-10) holds.  math.isclose names it rel_tol
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("allclose", "isclose")
+        and len(node.args) < 3
+        and not {"rtol", "rel_tol"} & {kw.arg for kw in node.keywords}
+    ]
+    assert found == []
+
+
 def test_no_unbounded_while_loops():
     # every loop must end on its own data: a `while True` runs without limit
     found = [

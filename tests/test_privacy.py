@@ -22,6 +22,7 @@ from framecrypt.privacy import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
     LIPSCHITZ_BOUND,
+    SubspaceSample,
     _ascend_all,
     _f_on_draws,
     _span_states,
@@ -46,6 +47,20 @@ from framecrypt.privacy import (
 from framecrypt.workspace import build_working_space
 
 WS12 = build_working_space(12, 2.0)
+
+
+def chunk_draws(k, count, stream, shape=()):
+    """The states _f_on_draws draws itself, written out: each draw's states
+    by random_pure_state, one after another, on its chunk's generator
+    derived_rng(*stream, c); shape (count, *shape, k)."""
+    per_draw = math.prod(shape)
+    chunk = f_chunk(k, per_draw)
+    draws = []
+    for i in range(count):
+        if i % chunk == 0:
+            rng = derived_rng(*stream, i // chunk)
+        draws.append(np.array([random_pure_state(k, rng) for _ in range(per_draw)]).reshape(*shape, k))
+    return np.array(draws)
 
 
 def spread_state(ws):
@@ -220,6 +235,18 @@ def test_sample_subspace_owns_a_contiguous_basis():
         basis = sample_subspace(ws, dim_s, 4).basis
         assert basis.flags.c_contiguous
         assert basis.base is None or basis.base.shape == basis.shape
+
+
+def test_subspace_sample_refuses_a_column_off_unit_norm():
+    # allclose's default rtol=1e-5 would pass a squared norm of 1 + 5e-6,
+    # and estimate_max_f would then certify a bound on non-unit states
+    for ws, dim_s, seed in ((WS12, 2, 3), (WS12, WS12.k, 0), (build_working_space(24, 2.0), 5, 1)):
+        basis = sample_subspace(ws, dim_s, seed).basis
+        assert SubspaceSample(basis).dim_s == dim_s  # Haar bases pass
+    stretched = sample_subspace(WS12, 2, 3).basis.copy()
+    stretched[:, 0] *= math.sqrt(1.0 + 5e-6)
+    with pytest.raises(ValueError, match="orthonormal"):
+        SubspaceSample(stretched)
 
 
 def test_sample_subspace_basics():
@@ -466,11 +493,13 @@ def test_lipschitz_skips_pairs_closer_than_roundoff(perturbation):
 def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
     # at this scale the gaps straddle the 1e-13 skip threshold, so every chunk
     # of the pair sampler (28 pairs) holds both kinds; checked against a
-    # per-pair loop
+    # per-pair loop that takes each chunk's pairs from the chunk's generator
     n_pairs, perturbation = 120, 8.5e-15
+    chunk = f_chunk(WS12.k, 2)
     worst, skipped = 0.0, []
     for i in range(n_pairs):
-        rng = derived_rng(3, i)
+        if i % chunk == 0:
+            rng = derived_rng(3, i // chunk)
         phi = random_pure_state(WS12.k, rng)
         noise = rng.standard_normal(WS12.k) + 1j * rng.standard_normal(WS12.k)
         psi = phi + perturbation * noise
@@ -479,7 +508,6 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
         skipped.append(gap < 1e-13)
         if not skipped[-1]:
             worst = max(worst, abs(f_eval(phi, WS12) - f_eval(psi, WS12)) / gap)
-    chunk = f_chunk(WS12.k, 2)
     for start in range(0, n_pairs, chunk):
         assert 0 < sum(skipped[start : start + chunk]) < len(skipped[start : start + chunk])
     assert lipschitz_check(WS12, n_pairs, 3, perturbation=perturbation) == worst
@@ -572,7 +600,7 @@ def test_spread_chunks_match_the_serial_loop(cpus, count):
     chunk = f_chunk(WS12.k)
     assert len(shares_of(pids)) == count
     assert all(pids[i] == pids[i - 1] for i in range(1, draws) if i % chunk)
-    assert spread[-1] == f_evals(random_pure_state(WS12.k, derived_rng(9, 2, draws - 1))[None], WS12)[0]
+    assert np.array_equal(serial, f_evals(chunk_draws(WS12.k, draws, (9, 2)), WS12))
 
 
 def nearby_pair(k, rng, perturbation):
@@ -629,19 +657,62 @@ def kernel_input(monkeypatch):
 @pytest.mark.parametrize("pairs", [False, True])
 def test_chunk_filled_states_are_random_pure_states(kernel_input, pairs):
     # two full chunks and a partial one; each draw's states are those of
-    # random_pure_state called on the draw's derived generator, bit for bit
+    # random_pure_state called on its chunk's generator in draw order, bit for bit
     shape = (2,) if pairs else ()
     count = 2 * f_chunk(WS12.k, 2 if pairs else 1) + 3
     fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape)
     got = np.concatenate(kernel_input)
     assert len(kernel_input) == 3 and len(got) == count
-    for i in range(count):
-        rng = derived_rng(31, 4, i)
-        want = random_pure_state(WS12.k, rng)
-        if pairs:
-            want = np.stack([want, random_pure_state(WS12.k, rng)])
+    want = chunk_draws(WS12.k, count, (31, 4), shape)
+    assert np.array_equal(got, want)
+    assert np.array_equal(fs, [f_evals(w[None], WS12)[0] for w in want])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
+@pytest.mark.parametrize("prefix", [(), (7,), (0, 2**40), (3, 1, 2**32)])
+def test_chunk_streams_key_on_every_word_of_seed_and_prefix(kernel_input, seed, prefix):
+    # seeds across the 32- and 64-bit word boundaries and prefixes of several
+    # words reach each chunk's derived_rng(seed, *prefix, c) whole: a full
+    # chunk and a partial one, bit for bit
+    count = f_chunk(WS12.k) + 2
+    fs = _f_on_draws(count, WS12, stream=(seed, *prefix))
+    want = chunk_draws(WS12.k, count, (seed, *prefix))
+    assert np.array_equal(np.concatenate(kernel_input), want)
+    assert np.array_equal(fs, f_evals(want, WS12))
+
+
+def nearby_draw(i, rng):
+    return nearby_pair(WS12.k, rng, 1e-4)
+
+
+@pytest.mark.parametrize("shape, draw", [((), None), ((2,), None), ((2,), nearby_draw)], ids=["states", "pairs", "nearby"])
+def test_a_partial_chunk_draws_a_prefix_of_the_full_chunk(kernel_input, shape, draw):
+    # a call's last chunk, cut short, takes its states from the start of the
+    # stream of the whole chunk, so a shorter call gives the longer one's prefix
+    chunk = f_chunk(WS12.k, math.prod(shape))
+    full_fs = _f_on_draws(2 * chunk, WS12, draw, stream=(7,), shape=shape)
+    full = np.concatenate(kernel_input)
+    for count in (1, chunk - 1, chunk + 1, 2 * chunk - 1):
+        kernel_input.clear()
+        fs = _f_on_draws(count, WS12, draw, stream=(7,), shape=shape)
+        assert np.array_equal(np.concatenate(kernel_input), full[:count])
+        assert np.array_equal(fs, full_fs[:count])
+
+
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_one_draw_chunks_keep_each_draws_own_generator(kernel_input, shape):
+    # K = 8,200: a chunk holds one draw, so draw i's states come from
+    # derived_rng(seed, *prefix, i) as when every draw had its own generator
+    ws = build_working_space(60, 2.0)
+    per_draw = math.prod(shape)
+    assert f_chunk(ws.k, per_draw) == 1
+    fs = _f_on_draws(3, ws, stream=(5, 1), shape=shape)
+    got = np.concatenate(kernel_input)
+    for i in range(3):
+        rng = derived_rng(5, 1, i)
+        want = np.array([random_pure_state(ws.k, rng) for _ in range(per_draw)]).reshape(*shape, ws.k)
         assert np.array_equal(got[i], want)
-        assert np.array_equal(fs[i], f_evals(want[None], WS12)[0])
+        assert np.array_equal(fs[i], f_evals(want[None], ws)[0])
 
 
 class DrawFailed(Exception):
