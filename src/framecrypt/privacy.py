@@ -11,9 +11,12 @@ dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
 eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
 Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
-the generators, one ``derived_rng`` per chunk of draws, draws each chunk's
-plain random states in one call, normalizes them at once and hands them to
-the kernel.  A call with FORK_BYTES of states or more it spreads over the
+the generators, one ``derived_rng`` per 64 KiB chunk of states, which fixes
+the sampled values; it draws each chunk's plain random states in one call
+and normalizes them at once, and hands the kernel a 256 KiB batch of whole
+chunks at a time, which sets only the speed.  Lipschitz pairs are drawn and
+measured a chunk at a time, their gaps by the formula of np.linalg.norm.
+A call with FORK_BYTES of states or more it spreads over the
 process's CPUs, in worker processes forked for that one call and reaped
 before it returns, each walking a contiguous share of the draws and writing
 f into shared memory, with bit-identical values.  States on a subspace
@@ -65,10 +68,21 @@ ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
-# bytes of the states (not draws) _f_on_draws holds at once (64 KiB).  Each
+# bytes of the states (not draws) of one _f_on_draws chunk (64 KiB).  Each
 # chunk draws from its own generator, so where a chunk holds several draws
 # (K <= 2,048 for single states) the sampled values change with this size
 F_CHUNK_BYTES = 2**16
+# bytes of the states _f_on_draws hands f_evals at once: as many whole chunks
+# as fit, and never fewer than one (256 KiB).  It sets the speed only, never a
+# value.  One operation of perfbench's sample_small (concentration --n 12,
+# lipschitz --n 12, mean-f --n 24) by batch size, one CPU, one BLAS thread,
+# 2-core Xeon: time as a share of one chunk per batch, median of 15
+# interleaved operations, and the peak of its numpy allocations (tracemalloc).
+# A fresh process's peak RSS after one operation moved only at 4 MiB (+0.8 MB):
+#   batch       64 KiB   128 KiB  256 KiB  1 MiB   4 MiB
+#   time        1.00     0.96     0.95     0.96    1.01
+#   peak MiB    2.0      2.1      2.4      4.2     11.5
+F_BATCH_BYTES = 2**18
 # bytes of all the states of one _f_on_draws call (count x states per draw x
 # K x 16) from which it forks workers (4 MiB).  Forked time as a share of
 # serial, 2 workers, one BLAS thread, 2-core Xeon, median of 15 interleaved
@@ -179,7 +193,7 @@ def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     added in block order, so a state's value does not depend on the states
     next to it.  The result has the stack's leading shape; an empty (0, K)
     stack gives an empty array.  It does not chunk: _f_on_draws hands it at
-    most one chunk of states.
+    most one batch of states.
     """
     phis = np.asarray(phis, dtype=complex)
     if phis.ndim < 2 or phis.shape[-1] != ws.k:
@@ -317,60 +331,69 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
     ``stream`` = (seed, *prefix) the sampler owns the generators: chunk c
     uses derived_rng(seed, *prefix, c).  With ``span`` = (basis, coeffs),
     draw i is the state basis @ coeffs[i], and each chunk's states are
-    formed at once by _span_states.  With ``draw``, draw(i, rng) gives draw
-    i, rng being its chunk's generator (None without a stream), used in
-    draw order.  With neither, the sampler draws a chunk's states itself in
-    one standard_normal call of shape (draws, *shape, 2, K), each state's
-    real parts, then its imaginary parts, and normalizes the chunk with
+    formed at once by _span_states.  With ``draw``, draw(m, rng) gives the
+    chunk's first m draws as an (m, *shape, K) stack, rng being the chunk's
+    generator (None without a stream), which it must consume draw by draw.
+    With neither, the sampler draws a chunk's states itself in one
+    standard_normal call of shape (draws, *shape, 2, K), each state's real
+    parts, then its imaginary parts, and normalizes the chunk with
     normalize_rows: the states random_pure_state would give, called once
     per state on the chunk's generator, bit for bit.  So a partial last
     chunk draws a prefix of the full chunk's states, and where a chunk
     holds one draw (K > 2,048 for single states), draw i uses
     derived_rng(seed, *prefix, i).  With ``per_draw``, per_draw(states) is
-    a float computed from each draw's states, and the call returns (f,
-    those floats).
+    one float per draw of an (m, *shape, K) stack, and the call returns
+    (f, those floats).
 
-    Each chunk fills one reused buffer per share that goes to f_evals
-    whole, so the states of all draws never exist at once.  A call of
-    FORK_BYTES of states or more is shared by _fan_out among the processes
-    _workers allows, each share a contiguous run of whole chunks, so it
-    makes the serial loop's kernel calls; its results go to shared memory.
-    A chunk's generator depends only on its index, and a state's f does not
-    depend on the states next to it, so the values are the same bit for
-    bit.  count must be positive.
+    The chunk fixes the values; the batch, the whole chunks in
+    F_BATCH_BYTES of states (at least one), sets only the speed.  Each
+    share fills one reused batch buffer chunk by chunk, checking ``stop``
+    before every chunk, and hands it to f_evals whole, so the states of all
+    draws never exist at once.  A call of FORK_BYTES of states or more is
+    shared by _fan_out among the processes _workers allows, each share a
+    contiguous run of whole chunks batched from its own start; its results
+    go to shared memory.  A chunk's generator depends only on its index,
+    and a state's f does not depend on the states next to it, so the values
+    are the same bit for bit at any batch size and CPU count.  count must
+    be positive.
     """
     per_draw_states = math.prod(shape)
-    chunk = min(f_chunk(ws.k, per_draw_states), count)
+    state_bytes = per_draw_states * ws.k * np.dtype(complex).itemsize
+    full = f_chunk(ws.k, per_draw_states)
+    chunk = min(full, count)
+    batch = min(count, full * max(1, F_BATCH_BYTES // (full * state_bytes)))
     chunks = -(-count // chunk)
-    workers = _workers(count * per_draw_states * ws.k * np.dtype(complex).itemsize, chunks)
+    workers = _workers(count * state_bytes, chunks)
     edges = [min(count, chunks * w // workers * chunk) for w in range(workers + 1)]
     fs = _shared_empty((count, *shape), workers > 1)
     values = _shared_empty((count,), workers > 1) if per_draw is not None else None
 
     def run(share: range, stop: mmap.mmap) -> None:
-        states = np.empty((chunk, *shape, ws.k), dtype=complex)
-        for start in range(share.start, share.stop, chunk):
-            if stop[0]:
-                return
-            end = min(start + chunk, share.stop)
-            rows = states[: end - start]
-            rng = derived_rng(*stream, start // chunk) if stream else None
-            if span is not None:
-                rows[:] = _span_states(span[0], span[1][start:end])
-            elif draw is not None:
-                for r, i in enumerate(range(start, end)):
-                    rows[r] = draw(i, rng)
-            else:
-                normals = rng.standard_normal((len(rows), *shape, 2, ws.k))
-                rows.real = normals[..., 0, :]
-                rows.imag = normals[..., 1, :]
-                # freed before normalize_rows' temporaries: at K = 78,561 a
-                # share then holds no more at once than random_pure_state
-                del normals
-                normalize_rows(rows)
+        states = np.empty((min(batch, len(share)), *shape, ws.k), dtype=complex)
+        for first in range(share.start, share.stop, batch):
+            last = min(first + batch, share.stop)
+            for start in range(first, last, chunk):
+                if stop[0]:
+                    return
+                end = min(start + chunk, last)
+                rows = states[start - first : end - first]
+                rng = derived_rng(*stream, start // chunk) if stream else None
+                if span is not None:
+                    rows[:] = _span_states(span[0], span[1][start:end])
+                elif draw is not None:
+                    rows[:] = draw(end - start, rng)
+                else:
+                    normals = rng.standard_normal((len(rows), *shape, 2, ws.k))
+                    rows.real = normals[..., 0, :]
+                    rows.imag = normals[..., 1, :]
+                    # freed before normalize_rows' temporaries: at K = 78,561 a
+                    # share then holds no more at once than random_pure_state
+                    del normals
+                    normalize_rows(rows)
+            filled = states[: last - first]
             if values is not None:
-                values[start:end] = [per_draw(row) for row in rows]
-            fs[start:end] = f_evals(rows, ws)
+                values[first:last] = per_draw(filled)
+            fs[first:last] = f_evals(filled, ws)
 
     _fan_out(run, [range(edges[w], edges[w + 1]) for w in range(workers)])
     return fs if values is None else (fs, values)
@@ -608,7 +631,7 @@ def concentration_experiment(
     constraint).
     """
     gammas = [float(g) for g in gamma_grid]
-    if not gammas or min(gammas) <= 0.0:
+    if not gammas or not all(g > 0.0 for g in gammas):  # refuses nan too
         raise ValueError("gamma grid must be positive")
     if not levy_c > 0.0:
         raise ValueError("levy_c must be positive")
@@ -621,6 +644,18 @@ def concentration_experiment(
     ]
     fitted = min(constraints) if constraints else None
     return dataclasses.replace(report, tail=tail, levy_bound=levy, fitted_c=fitted)
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(row) for every row of an (m, K) complex stack, bit for bit.
+
+    Its formula, sqrt(re . re + im . im), with each dot product a stacked
+    matmul of a row by its column, which gives the bits of ndarray.dot
+    (np.vecdot would do, but numpy before 2.0 lacks it).  A row sum such as
+    norm(v, axis=-1) adds in another order.
+    """
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    return np.sqrt(re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2))[:, 0, 0]
 
 
 def lipschitz_check(
@@ -639,14 +674,20 @@ def lipschitz_check(
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    def nearby(i: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        phi = random_pure_state(ws.k, rng)
-        noise = rng.standard_normal(ws.k) + 1j * rng.standard_normal(ws.k)
-        psi = phi + perturbation * noise
-        return phi, psi / np.linalg.norm(psi)
+    def nearby(m: int, rng: np.random.Generator) -> np.ndarray:
+        # each pair's normals in the order it drew them alone: phi's real and
+        # imaginary parts (random_pure_state), then the noise's
+        normals = rng.standard_normal((m, 4, ws.k))
+        pairs = np.empty((m, 2, ws.k), dtype=complex)
+        phi, psi = pairs[:, 0], pairs[:, 1]
+        phi.real, phi.imag = normals[:, 0], normals[:, 1]
+        normalize_rows(phi)
+        psi[:] = phi + perturbation * (normals[:, 2] + 1j * normals[:, 3])
+        psi /= _norms(psi)[:, None]
+        return pairs
 
     draw = None if perturbation is None else nearby
-    gap = lambda pair: np.linalg.norm(pair[0] - pair[1])  # noqa: E731
+    gap = lambda pairs: _norms(pairs[:, 0] - pairs[:, 1])  # noqa: E731
     fs, gaps = _f_on_draws(n_pairs, ws, draw, stream=(seed,), shape=(2,), per_draw=gap)
     kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
     worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))

@@ -49,17 +49,20 @@ from framecrypt.workspace import build_working_space
 WS12 = build_working_space(12, 2.0)
 
 
-def chunk_draws(k, count, stream, shape=()):
-    """The states _f_on_draws draws itself, written out: each draw's states
-    by random_pure_state, one after another, on its chunk's generator
-    derived_rng(*stream, c); shape (count, *shape, k)."""
+def chunk_draws(k, count, stream, shape=(), one=None):
+    """The states _f_on_draws draws, written out: each draw by one(rng) on its
+    chunk's generator derived_rng(*stream, c), one draw after another; by
+    default the draw's states by random_pure_state, as the sampler draws
+    them itself.  Shape (count, *shape, k)."""
     per_draw = math.prod(shape)
+    if one is None:
+        one = lambda rng: np.array([random_pure_state(k, rng) for _ in range(per_draw)])  # noqa: E731
     chunk = f_chunk(k, per_draw)
     draws = []
     for i in range(count):
         if i % chunk == 0:
             rng = derived_rng(*stream, i // chunk)
-        draws.append(np.array([random_pure_state(k, rng) for _ in range(per_draw)]).reshape(*shape, k))
+        draws.append(np.reshape(one(rng), (*shape, k)))
     return np.array(draws)
 
 
@@ -540,8 +543,8 @@ def no_child_left():
 
 
 def pid(states):
-    """A per_draw value: the process that drew the states."""
-    return os.getpid()
+    """per_draw values: the process that drew the states, once per draw."""
+    return np.full(len(states), os.getpid())
 
 
 def shares_of(pids):
@@ -574,7 +577,7 @@ def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
     draws = 13  # 4.6 MB of states: over FORK_BYTES, one draw per chunk
     by_sampler, pids = _f_on_draws(draws, WS84, stream=(606,), per_draw=pid)
     by_callback, callback_pids = _f_on_draws(
-        draws, WS84, lambda i, rng: random_pure_state(WS84.k, rng), stream=(606,), per_draw=pid
+        draws, WS84, lambda m, rng: chunk_draws_of(m, rng, WS84.k), stream=(606,), per_draw=pid
     )
     assert no_child_left()
     want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(draws)]
@@ -588,8 +591,8 @@ def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
 
 @pytest.mark.parametrize("count", [2, 3, 5])
 def test_spread_chunks_match_the_serial_loop(cpus, count):
-    # n = 12: 65 whole chunks of 56 draws and a partial one; each share is a
-    # run of whole chunks, so it makes the serial loop's kernel calls
+    # n = 12: 66 whole chunks of 56 draws and a partial one; each share is a
+    # run of whole chunks, so its draws are the serial loop's
     draws = 3700
     cpus(1)
     serial = _f_on_draws(draws, WS12, stream=(9, 2))
@@ -610,15 +613,27 @@ def nearby_pair(k, rng, perturbation):
     return phi, psi / np.linalg.norm(psi)
 
 
+def chunk_draws_of(m, rng, k, one=None):
+    """A per-chunk draw callback, written out: the chunk's first m draws, each
+    by one(rng) (default: one random_pure_state), one after another."""
+    one = one or (lambda rng: random_pure_state(k, rng))
+    return np.array([one(rng) for _ in range(m)])
+
+
+def pair_gaps(pairs):
+    """per_draw values: np.linalg.norm(phi - psi) of every pair, one at a time."""
+    return [np.linalg.norm(phi - psi) for phi, psi in pairs]
+
+
 @pytest.mark.parametrize("perturbation", [None, 1e-4])
 def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, perturbation):
     pairs_drawn = 6  # 4.3 MB of states: over FORK_BYTES
 
     def pairs(count):
         cpus(count)
-        draw = None if perturbation is None else (lambda i, rng: nearby_pair(WS84.k, rng, perturbation))
-        gap = lambda pair: np.linalg.norm(pair[0] - pair[1])  # noqa: E731
-        fs, gaps = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=gap)
+        one = lambda rng: nearby_pair(WS84.k, rng, perturbation)  # noqa: E731
+        draw = None if perturbation is None else (lambda m, rng: chunk_draws_of(m, rng, WS84.k, one))
+        fs, gaps = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=pair_gaps)
         _, pids = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=pid)
         assert len(set(pids)) == count
         return fs, gaps, lipschitz_check(WS84, pairs_drawn, 8, perturbation)
@@ -662,7 +677,7 @@ def test_chunk_filled_states_are_random_pure_states(kernel_input, pairs):
     count = 2 * f_chunk(WS12.k, 2 if pairs else 1) + 3
     fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape)
     got = np.concatenate(kernel_input)
-    assert len(kernel_input) == 3 and len(got) == count
+    assert len(kernel_input) == 1 and len(got) == count  # the three chunks fill one batch
     want = chunk_draws(WS12.k, count, (31, 4), shape)
     assert np.array_equal(got, want)
     assert np.array_equal(fs, [f_evals(w[None], WS12)[0] for w in want])
@@ -681,8 +696,8 @@ def test_chunk_streams_key_on_every_word_of_seed_and_prefix(kernel_input, seed, 
     assert np.array_equal(fs, f_evals(want, WS12))
 
 
-def nearby_draw(i, rng):
-    return nearby_pair(WS12.k, rng, 1e-4)
+def nearby_draw(m, rng):
+    return chunk_draws_of(m, rng, WS12.k, lambda rng: nearby_pair(WS12.k, rng, 1e-4))
 
 
 @pytest.mark.parametrize("shape, draw", [((), None), ((2,), None), ((2,), nearby_draw)], ids=["states", "pairs", "nearby"])
@@ -715,6 +730,90 @@ def test_one_draw_chunks_keep_each_draws_own_generator(kernel_input, shape):
         assert np.array_equal(fs[i], f_evals(want[None], ws)[0])
 
 
+def lipschitz_callbacks(monkeypatch, ws, perturbation):
+    """The draw and per_draw callbacks lipschitz_check hands the sampler."""
+    seen, sample = {}, privacy._f_on_draws
+
+    def capture(count, ws, draw=None, **kwargs):
+        seen.update(draw=draw, per_draw=kwargs["per_draw"])
+        return sample(count, ws, draw, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(privacy, "_f_on_draws", capture)
+        lipschitz_check(ws, 1, 0, perturbation)
+    return seen["draw"], seen["per_draw"]
+
+
+# (n, states per draw) -> (draws per chunk, chunks per batch)
+BATCHES = {(12, 1): (56, 4), (12, 2): (28, 4), (24, 1): (7, 4), (24, 2): (3, 5), (60, 1): (1, 1), (60, 2): (1, 1)}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["states", "pairs", "nearby"])
+@pytest.mark.parametrize("n", [12, 24, 60])  # K = 72, 544: several chunks per batch; 8,200: one
+def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, workers):
+    # two whole batches and a partial one, serially and in two shares: each
+    # batch is one kernel call on whole chunks, each chunk drawn from its own
+    # generator, and every value is the written-out chunk loop's, bit for bit
+    ws = build_working_space(n, 2.0)
+    shape = () if kind == "states" else (2,)
+    chunk, per_batch = BATCHES[n, math.prod(shape)]
+    assert f_chunk(ws.k, math.prod(shape)) == chunk
+    count = 2 * chunk * per_batch + chunk * per_batch // 2 + 1
+    draw, one = None, None
+    if shape:  # lipschitz_check's own callbacks
+        draw, gaps = lipschitz_callbacks(monkeypatch, ws, 1e-4 if kind == "nearby" else None)
+    if kind == "nearby":
+        one = lambda rng: nearby_pair(ws.k, rng, 1e-4)  # noqa: E731
+    if workers > 1:
+        request.getfixturevalue("cpus")(workers)
+        monkeypatch.setattr(privacy, "FORK_BYTES", 0)  # spread however small the call
+    caller, inputs = os.getpid(), []
+    calls = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # kernel calls: caller, worker
+
+    def kernel(phis, ws):
+        calls[int(os.getpid() != caller)] += 1
+        inputs.append(np.array(phis))  # reaches the caller's list only
+        return f_evals(phis, ws)
+
+    monkeypatch.setattr(privacy, "f_evals", kernel)
+    fs, pids = _f_on_draws(count, ws, draw, stream=(17, 2), shape=shape, per_draw=pid)
+    share_calls = calls.copy()
+    want = chunk_draws(ws.k, count, (17, 2), shape, one)
+    np.testing.assert_array_equal(fs, f_evals(want, ws))
+    sizes = [len(list(run)) for _, run in itertools.groupby(pids)]
+    assert len(sizes) == workers and pids[0] == caller
+    assert workers == 1 or sizes[0] % chunk == 0  # shares are runs of whole chunks
+    batches = [math.ceil(math.ceil(size / chunk) / per_batch) for size in sizes]
+    assert list(share_calls[:workers]) == batches
+    if workers == 1:
+        assert len(inputs) == batches[0]
+        np.testing.assert_array_equal(np.concatenate(inputs), want)
+    if shape:
+        fs_again, got = _f_on_draws(count, ws, draw, stream=(17, 2), shape=shape, per_draw=gaps)
+        np.testing.assert_array_equal(fs_again, fs)
+        assert np.asarray(got).view(np.uint64).tolist() == np.array(pair_gaps(want)).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("n", [12, 24, 60])
+def test_lipschitz_gaps_are_the_per_pair_norms_bit_for_bit(monkeypatch, n):
+    # pairs far apart, nearby, and closer than 1e-13, so the kept mask of
+    # lipschitz_check sees both kinds
+    ws = build_working_space(n, 2.0)
+    _, gaps = lipschitz_callbacks(monkeypatch, ws, None)
+    rng = derived_rng(n, 3)
+    phis = random_pure_state(ws.k, rng, size=40)
+    noise = random_pure_state(ws.k, rng, size=40)
+    scales = np.repeat([1.0, 1e-4, 1e-13, 3e-14, 1e-15], 8)[:, None]
+    psis = phis + scales * noise
+    psis[:8] = random_pure_state(ws.k, rng, size=8)
+    pairs = np.stack([phis, psis], axis=1)
+    got = np.asarray(gaps(pairs))
+    want = np.array([np.linalg.norm(phi - psi) for phi, psi in pairs])
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert 0 < np.count_nonzero(got < 1e-13) < len(got)
+
+
 class DrawFailed(Exception):
     pass
 
@@ -733,12 +832,16 @@ def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
 
         return slowed
 
+    # a chunk holds one draw here, so its generator tells which draw it is
+    index = {derived_rng(1, i).bit_generator.state["state"]["state"]: i for i in range(90)}
+
     @slow
-    def draw(i, rng):
+    def draw(m, rng):
+        i = index[rng.bit_generator.state["state"]["state"]]
         drawn[i] = 1
         if i == bad:
             raise DrawFailed(i)
-        return random_pure_state(WS84.k, rng)
+        return chunk_draws_of(m, rng, WS84.k)
 
     monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
     with pytest.raises(DrawFailed) as failed:
@@ -756,10 +859,10 @@ def test_a_killed_worker_raises_child_process_error(cpus):
     cpus(2)
     caller = os.getpid()
 
-    def draw(i, rng):
+    def draw(m, rng):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return random_pure_state(WS84.k, rng)
+        return chunk_draws_of(m, rng, WS84.k)
 
     with pytest.raises(ChildProcessError, match="signal"):
         _f_on_draws(13, WS84, draw, stream=(1,))
@@ -928,6 +1031,15 @@ def test_theorem1_feasible_run_records_fractions():
     }
     with pytest.raises(ValueError):
         theorem1_experiment(12, 2.0, -14.0, n_subspaces=0, seed=0)
+
+
+@pytest.mark.parametrize("gammas", [(0.1, math.nan), (math.nan, 0.1), (0.0,), (-1.0,)])
+def test_concentration_refuses_a_gamma_not_above_zero_before_any_draw(monkeypatch, gammas):
+    calls = []
+    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="gamma grid must be positive"):
+        concentration_experiment(build_working_space(8, 2.0), 50, gammas, 1.0, 0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("levy_c", [0.0, -1.0, math.nan])
