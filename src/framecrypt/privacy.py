@@ -9,20 +9,20 @@ output.  Small f over a whole subspace S means states encoded in S are
 nearly indistinguishable to anyone watching the channel output, while the
 dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
-eigensolve; ``f_eval`` is its one-state case.  Every sampled state, each
-Lipschitz pair included, goes through one sampler, ``_f_on_draws``.  It owns
-the generators, one ``derived_rng`` per 64 KiB chunk of states, which fixes
-the sampled values; it draws each chunk's plain random states in one call
-and normalizes them at once, and hands the kernel a 256 KiB batch of whole
-chunks at a time, which sets only the speed.  Lipschitz pairs are drawn and
-measured a chunk at a time, their gaps by the formula of np.linalg.norm.
-A call with FORK_BYTES of states or more it spreads over the
-process's CPUs, in worker processes forked for that one call and reaped
-before it returns, each walking a contiguous share of the draws and writing
-f into shared memory, with bit-identical values.  States on a subspace
-(the probes of estimate_max_f, net points) reach it only as coefficient
-rows through ``span``; it forms them a chunk at a time by one stacked
-matrix-vector product.  The helpers here evaluate f two
+eigensolve; ``f_eval`` is its one-state case.  Every state drawn from the
+whole working space, each Lipschitz pair included, comes from one sampler,
+``_f_on_draws``.  It owns the generators, one ``derived_rng`` per 64 KiB
+chunk of states, which fixes the sampled values; it draws each chunk's
+Gaussians in one call and normalizes them at once, or has lipschitz_check
+finish them into its pairs and their gaps, and hands the kernel a 256 KiB
+batch of whole chunks at a time, which sets only the speed.  A call with
+FORK_BYTES of states or more it spreads over the process's CPUs, in worker
+processes forked for that one call and reaped before it returns, each
+walking a contiguous share of the draws and writing f into shared memory,
+with bit-identical values.  States on a subspace (the probes of
+estimate_max_f, net points) are not such draws: they go to the kernel
+directly, formed by one stacked matrix-vector product.  The helpers here
+evaluate f two
 independent ways, estimate its maximum over a subspace (an alternating ascent,
 ``_ascend_all``, that runs all its starts as one stack of eigensolves per
 round, with a proved upper bound on 2-dimensional subspaces from a fixed
@@ -193,7 +193,7 @@ def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     added in block order, so a state's value does not depend on the states
     next to it.  The result has the stack's leading shape; an empty (0, K)
     stack gives an empty array.  It does not chunk: _f_on_draws hands it at
-    most one batch of states.
+    most one batch of states, estimate_max_f all its probes or net points.
     """
     phis = np.asarray(phis, dtype=complex)
     if phis.ndim < 2 or phis.shape[-1] != ws.k:
@@ -322,34 +322,29 @@ def _fan_out(run, shares: list) -> None:
         raise error
 
 
-def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(), span=None, per_draw=None):
+def _f_on_draws(count: int, ws: WorkingSpace, stream: tuple, *, shape=(), finish=None):
     """f on the states of draws 0, ..., count - 1, with result shape (count, *shape).
 
     The one loop here that draws and chunks states.  A draw is a
     (*shape, K) stack of states: one state for shape (), a pair for (2,).
-    Draws are made f_chunk(K, states per draw) at a time, and with
-    ``stream`` = (seed, *prefix) the sampler owns the generators: chunk c
-    uses derived_rng(seed, *prefix, c).  With ``span`` = (basis, coeffs),
-    draw i is the state basis @ coeffs[i], and each chunk's states are
-    formed at once by _span_states.  With ``draw``, draw(m, rng) gives the
-    chunk's first m draws as an (m, *shape, K) stack, rng being the chunk's
-    generator (None without a stream), which it must consume draw by draw.
-    With neither, the sampler draws a chunk's states itself in one
-    standard_normal call of shape (draws, *shape, 2, K), each state's real
-    parts, then its imaginary parts, and normalizes the chunk with
-    normalize_rows: the states random_pure_state would give, called once
-    per state on the chunk's generator, bit for bit.  So a partial last
-    chunk draws a prefix of the full chunk's states, and where a chunk
-    holds one draw (K > 2,048 for single states), draw i uses
-    derived_rng(seed, *prefix, i).  With ``per_draw``, per_draw(states) is
-    one float per draw of an (m, *shape, K) stack, and the call returns
-    (f, those floats).
+    Draws are made f_chunk(K, states per draw) at a time, chunk c from the
+    generator derived_rng(*stream, c), stream being (seed, *prefix).  One
+    standard_normal call of shape (draws, *shape, 2, K) fills a chunk's
+    rows, each row's real parts, then its imaginary parts, and
+    normalize_rows turns them into the states random_pure_state would give,
+    called once per state on the chunk's generator, bit for bit.  So a
+    partial last chunk draws a prefix of the full chunk's states, and where
+    a chunk holds one draw (K > 2,048 for single states), draw i uses
+    derived_rng(*stream, i).  With ``finish``, finish(rows) turns an
+    (m, *shape, K) stack of Gaussian rows into states in place instead,
+    row by row, and returns one float per draw, and the call returns (f,
+    those floats).
 
     The chunk fixes the values; the batch, the whole chunks in
     F_BATCH_BYTES of states (at least one), sets only the speed.  Each
     share fills one reused batch buffer chunk by chunk, checking ``stop``
-    before every chunk, and hands it to f_evals whole, so the states of all
-    draws never exist at once.  A call of FORK_BYTES of states or more is
+    before every chunk, then normalizes or finishes it and hands it to
+    f_evals whole, so the states of all draws never exist at once.  A call of FORK_BYTES of states or more is
     shared by _fan_out among the processes _workers allows, each share a
     contiguous run of whole chunks batched from its own start; its results
     go to shared memory.  A chunk's generator depends only on its index,
@@ -366,7 +361,7 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
     workers = _workers(count * state_bytes, chunks)
     edges = [min(count, chunks * w // workers * chunk) for w in range(workers + 1)]
     fs = _shared_empty((count, *shape), workers > 1)
-    values = _shared_empty((count,), workers > 1) if per_draw is not None else None
+    values = _shared_empty((count,), workers > 1) if finish is not None else None
 
     def run(share: range, stop: mmap.mmap) -> None:
         states = np.empty((min(batch, len(share)), *shape, ws.k), dtype=complex)
@@ -375,25 +370,19 @@ def _f_on_draws(count: int, ws: WorkingSpace, draw=None, *, stream=None, shape=(
             for start in range(first, last, chunk):
                 if stop[0]:
                     return
-                end = min(start + chunk, last)
-                rows = states[start - first : end - first]
-                rng = derived_rng(*stream, start // chunk) if stream else None
-                if span is not None:
-                    rows[:] = _span_states(span[0], span[1][start:end])
-                elif draw is not None:
-                    rows[:] = draw(end - start, rng)
-                else:
-                    normals = rng.standard_normal((len(rows), *shape, 2, ws.k))
-                    rows.real = normals[..., 0, :]
-                    rows.imag = normals[..., 1, :]
-                    # freed before normalize_rows' temporaries: at K = 78,561 a
-                    # share then holds no more at once than random_pure_state
-                    del normals
-                    normalize_rows(rows)
-            filled = states[: last - first]
-            if values is not None:
-                values[first:last] = per_draw(filled)
-            fs[first:last] = f_evals(filled, ws)
+                rows = states[start - first : min(start + chunk, last) - first]
+                normals = derived_rng(*stream, start // chunk).standard_normal((len(rows), *shape, 2, ws.k))
+                rows.real = normals[..., 0, :]
+                rows.imag = normals[..., 1, :]
+                # freed before normalize_rows' temporaries: at K = 78,561 a
+                # share then holds no more at once than random_pure_state
+                del normals
+            rows = states[: last - first]
+            if finish is None:
+                normalize_rows(rows)
+            else:
+                values[first:last] = finish(rows)
+            fs[first:last] = f_evals(rows, ws)
 
     _fan_out(run, [range(edges[w], edges[w + 1]) for w in range(workers)])
     return fs if values is None else (fs, values)
@@ -461,7 +450,8 @@ def build_eps_net(dim_s: int, epsilon: float, seed: int) -> EpsNet:
     """The cube-surface net of ``EpsNet``, counted and refused by net_size first.
 
     It draws no random numbers: ``seed`` is unused and stays in the signature
-    only because perfbench calls build_eps_net with three arguments.
+    only because perfbench/test_tracer.py calls build_eps_net with three
+    arguments.
     """
     n_points = net_size(dim_s, epsilon)
     d, m = _net_grid(dim_s, epsilon)
@@ -544,7 +534,9 @@ def estimate_max_f(
     ascent from the best ASCENT_RESTARTS of them, all run at once by
     _ascend_all.  For dim_s = 1, f is phase invariant and the single value
     is exact; for dim_s = 2 the net of build_eps_net plus the Lipschitz
-    constant yields a proved upper bound as well.
+    constant yields a proved upper bound as well.  The net holds no
+    randomness, so it is built, and a bad net_epsilon refused, before the
+    probes.  Probes and net points each go to f_evals as one stack.
     """
     if sample.ambient_dim != ws.k:
         raise ValueError("subspace does not belong to this working space")
@@ -554,16 +546,16 @@ def estimate_max_f(
     if sample.dim_s == 1:
         val = f_eval(basis[:, 0], ws)
         return MaxFEstimate(val, val)
+    net = build_eps_net(2, net_epsilon, seed) if sample.dim_s == 2 else None
 
     probes = random_pure_state(sample.dim_s, derived_rng(seed, 0), size=budget)
-    vals = _f_on_draws(budget, ws, span=(basis, probes))
+    vals = f_evals(_span_states(basis, probes), ws)
     order = np.argsort(vals)[::-1][:ASCENT_RESTARTS]
     lower = max(float(vals.max()), float(_ascend_all(probes[order], basis, ws)[0].max()))
 
     certified = None
-    if sample.dim_s == 2:
-        net = build_eps_net(2, net_epsilon, seed)
-        net_vals = _f_on_draws(net.n_points, ws, span=(basis, net.points))
+    if net is not None:
+        net_vals = f_evals(_span_states(basis, net.points), ws)
         lower = max(lower, float(net_vals.max()))
         # f is phase invariant and 2-Lipschitz, and every state lies within
         # covering_radius <= eps/2 of a net point: max f <= net max + eps
@@ -580,7 +572,7 @@ def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.nda
     statistics both experiments report; the tail fields are left empty."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    fs = _f_on_draws(n_samples, ws, stream=(seed,))
+    fs = _f_on_draws(n_samples, ws, (seed,))
     std = float(fs.std(ddof=1))
     return fs, ConcentrationReport(
         n_samples=n_samples,
@@ -667,28 +659,30 @@ def lipschitz_check(
     """Largest |f(phi) - f(psi)| / ||phi - psi|| over sampled pairs.
 
     With ``perturbation`` set, psi is phi plus Gaussian noise of that scale
-    (renormalized), stressing the bound where it is tightest.  Pairs closer
+    (renormalized), stressing the bound where it is tightest; a perturbation
+    that is not finite is refused before any draw.  Pairs closer
     than 1e-13 are left out of the ratio, and the result is 0.0 when every
     pair is.  Asserts the ratio never exceeds 2 (plus roundoff slack);
     returns the maximum ratio.
     """
     if n_pairs < 1:
         raise ValueError("need at least one pair")
-    def nearby(m: int, rng: np.random.Generator) -> np.ndarray:
-        # each pair's normals in the order it drew them alone: phi's real and
-        # imaginary parts (random_pure_state), then the noise's
-        normals = rng.standard_normal((m, 4, ws.k))
-        pairs = np.empty((m, 2, ws.k), dtype=complex)
-        phi, psi = pairs[:, 0], pairs[:, 1]
-        phi.real, phi.imag = normals[:, 0], normals[:, 1]
-        normalize_rows(phi)
-        psi[:] = phi + perturbation * (normals[:, 2] + 1j * normals[:, 3])
-        psi /= _norms(psi)[:, None]
-        return pairs
+    if perturbation is not None and not math.isfinite(perturbation):
+        raise ValueError(f"perturbation must be finite, got {perturbation}")
 
-    draw = None if perturbation is None else nearby
-    gap = lambda pairs: _norms(pairs[:, 0] - pairs[:, 1])  # noqa: E731
-    fs, gaps = _f_on_draws(n_pairs, ws, draw, stream=(seed,), shape=(2,), per_draw=gap)
+    def finish(pairs: np.ndarray) -> np.ndarray:
+        # each pair's Gaussians in the order it drew them alone: phi's real and
+        # imaginary parts (random_pure_state), then psi's or the noise's
+        phi, psi = pairs[:, 0], pairs[:, 1]
+        if perturbation is None:
+            normalize_rows(pairs)
+        else:
+            normalize_rows(phi)
+            psi[:] = phi + perturbation * psi
+            psi /= _norms(psi)[:, None]
+        return _norms(phi - psi)
+
+    fs, gaps = _f_on_draws(n_pairs, ws, (seed,), shape=(2,), finish=finish)
     kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
     worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:

@@ -314,8 +314,10 @@ def test_exact_commands_match_their_pinned_output(capsys, name, argv):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="this platform has no CPU affinity")
 def test_one_cpu_prints_the_same_bytes():
     """A process pinned to one CPU samples serially (it never forks) and
-    prints the pinned output of the run that spreads its draws, which forks
-    where it may use more CPUs."""
+    prints the bytes of the run that spreads its draws, which forks where it
+    may use more CPUs: the pinned concentration output, and a lipschitz run
+    whose plain and nearby pairs (42.6 MB and 4.26 MB of states) both
+    spread, so lipschitz_check's finish runs inside the workers."""
     script = (
         "import os, sys\n"
         "if sys.argv[1] == 'one':\n"
@@ -327,15 +329,22 @@ def test_one_cpu_prints_the_same_bytes():
         "print(len(forks), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    argv = ["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"]
     golden = (GOLDEN / "concentration_n96_samples100_seed3.json").read_text(encoding="utf-8")
     can_spread = len(os.sched_getaffinity(0)) > 1 and hasattr(os, "fork") and blas_threads() is not None
-    for cpus in ("one", "all"):
-        proc = subprocess.run([sys.executable, "-c", script, cpus, *argv], capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert proc.stdout.decode() == golden
-        forks = int(proc.stderr.decode().split()[-1])
-        assert (forks > 0) == (cpus == "all" and can_spread)
+    runs = [
+        (["--command", "concentration", "--n", "96", "--samples", "100", "--seed", "3"], 1),
+        (["--command", "lipschitz", "--n", "96", "--samples", "40", "--seed", "0"], 2),
+    ]
+    for argv, spreading_calls in runs:
+        want = golden if argv[1] == "concentration" else None  # lipschitz: the one-CPU bytes
+        for cpus in ("one", "all"):
+            proc = subprocess.run([sys.executable, "-c", script, cpus, *argv], capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode()
+            want = want or proc.stdout.decode()
+            assert proc.stdout.decode() == want
+            forks = int(proc.stderr.decode().split()[-1])
+            # each spread call forks at least one worker
+            assert forks >= spreading_calls if cpus == "all" and can_spread else forks == 0
 
 
 def test_the_blas_thread_count_does_not_move_the_bytes():

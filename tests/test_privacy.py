@@ -17,7 +17,7 @@ import pytest
 
 from framecrypt import privacy
 from framecrypt.channel import reduced_map_f
-from framecrypt.linalg import derived_rng, random_pure_state, set_blas_threads, trace_norm
+from framecrypt.linalg import derived_rng, normalize_rows, random_pure_state, set_blas_threads, trace_norm
 from framecrypt.privacy import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
@@ -398,13 +398,17 @@ def test_span_states_are_one_row_products_bit_for_bit(kernel_input, n, alpha, di
         for cs in (coeffs, columns):
             want = [basis @ c for c in cs]
             np.testing.assert_array_equal(_span_states(basis, np.ascontiguousarray(cs)), want)
-        kernel_input.clear()
-        fs = _f_on_draws(count, ws, span=(basis, coeffs))
-        got = np.concatenate(kernel_input)
-        assert len(got) == count
-        for i, c in enumerate(coeffs):
-            np.testing.assert_array_equal(got[i], basis @ c)
-            assert fs[i] == f_evals((basis @ c)[None], ws)[0]
+    # the stacks estimate_max_f hands the kernel: all its probes, then the
+    # whole net, each state the one-row product of its coefficients
+    kernel_input.clear()
+    estimate_max_f(SubspaceSample(basis), ws, budget=2 * chunk + 1, seed=dim_s, net_epsilon=0.6)
+    stacks = [random_pure_state(dim_s, derived_rng(dim_s, 0), size=2 * chunk + 1)]
+    if dim_s == 2:
+        stacks.append(build_eps_net(2, 0.6, 0).points)
+    assert [len(got) for got in kernel_input] == [len(cs) for cs in stacks]
+    for got, cs in zip(kernel_input, stacks):
+        for state, c in zip(got, cs):
+            np.testing.assert_array_equal(state, basis @ c)
 
 
 def test_estimate_dim1_is_exact():
@@ -443,6 +447,16 @@ def test_estimate_validation():
     other = build_working_space(8, 2.0)
     with pytest.raises(ValueError):
         estimate_max_f(sub, other, budget=5, seed=0)
+
+
+@pytest.mark.parametrize("net_epsilon", [0.0, 2.0, math.nan, 1e-4])  # 1e-4: over NET_SIZE_LIMIT
+def test_estimate_refuses_a_bad_net_epsilon_before_any_probe(monkeypatch, net_epsilon):
+    calls = []
+    monkeypatch.setattr(privacy, "f_evals", lambda *args: calls.append("f_evals"))
+    monkeypatch.setattr(privacy, "_ascend_all", lambda *args: calls.append("_ascend_all"))
+    with pytest.raises(ValueError, match="net"):
+        estimate_max_f(sample_subspace(WS12, 2, 0), WS12, budget=5, seed=0, net_epsilon=net_epsilon)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +530,15 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
     assert lipschitz_check(WS12, n_pairs, 3, perturbation=perturbation) == worst
 
 
+@pytest.mark.parametrize("perturbation", [math.nan, math.inf, -math.inf])
+def test_lipschitz_refuses_a_perturbation_that_is_not_finite_before_any_draw(monkeypatch, perturbation):
+    calls = []
+    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError, match="perturbation must be finite"):
+        lipschitz_check(build_working_space(8, 2.0), 20, 0, perturbation=perturbation)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # large calls spread over forked workers
 # ---------------------------------------------------------------------------
@@ -542,9 +565,14 @@ def no_child_left():
     return False
 
 
-def pid(states):
-    """per_draw values: the process that drew the states, once per draw."""
-    return np.full(len(states), os.getpid())
+def drawn_by(finish=normalize_rows):
+    """A finish for _f_on_draws: finish(rows), the sampler's normalize_rows by
+    default, then the process that drew the rows, once per draw."""
+    def finish_and_tag(rows):
+        finish(rows)
+        return np.full(len(rows), os.getpid())
+
+    return finish_and_tag
 
 
 def shares_of(pids):
@@ -558,9 +586,9 @@ def test_draws_spread_only_from_the_fork_threshold(cpus):
     assert privacy._workers(FORK_BYTES - 1, 100) == 1
     assert privacy._workers(FORK_BYTES, 100) == 4
     assert privacy._workers(FORK_BYTES, 3) == 3  # at most one worker per chunk
-    # certify's calls (60 probes, 150 net points at n = 12) stay serial;
-    # concentration --n 12 --samples 5000 spreads
-    assert 150 * WS12.k * state_bytes < FORK_BYTES <= 5000 * WS12.k * state_bytes
+    # mean-f --n 12 --samples 2000 stays serial; concentration --n 12
+    # --samples 5000 spreads
+    assert 2000 * WS12.k * state_bytes < FORK_BYTES <= 5000 * WS12.k * state_bytes
     cpus(1)
     assert privacy._workers(2**40, 100) == 1
     cpus(4)
@@ -575,18 +603,15 @@ def test_draws_spread_only_from_the_fork_threshold(cpus):
 def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
     cpus(count)  # 5: more shares than this machine may have cores
     draws = 13  # 4.6 MB of states: over FORK_BYTES, one draw per chunk
-    by_sampler, pids = _f_on_draws(draws, WS84, stream=(606,), per_draw=pid)
-    by_callback, callback_pids = _f_on_draws(
-        draws, WS84, lambda m, rng: chunk_draws_of(m, rng, WS84.k), stream=(606,), per_draw=pid
-    )
+    by_sampler = _f_on_draws(draws, WS84, (606,))
+    by_finish, pids = _f_on_draws(draws, WS84, (606,), finish=drawn_by())
     assert no_child_left()
     want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(draws)]
     assert np.array_equal(by_sampler, want)
-    assert np.array_equal(by_callback, want)
-    for drawn_by in (pids, callback_pids):
-        # one contiguous share per process, the caller's first
-        assert len(shares_of(drawn_by)) == len(set(drawn_by)) == count
-        assert drawn_by[0] == os.getpid()
+    assert np.array_equal(by_finish, want)
+    # one contiguous share per process, the caller's first
+    assert len(shares_of(pids)) == len(set(pids)) == count
+    assert pids[0] == os.getpid()
 
 
 @pytest.mark.parametrize("count", [2, 3, 5])
@@ -597,7 +622,7 @@ def test_spread_chunks_match_the_serial_loop(cpus, count):
     cpus(1)
     serial = _f_on_draws(draws, WS12, stream=(9, 2))
     cpus(count)
-    spread, pids = _f_on_draws(draws, WS12, stream=(9, 2), per_draw=pid)
+    spread, pids = _f_on_draws(draws, WS12, (9, 2), finish=drawn_by())
     assert no_child_left()
     assert np.array_equal(spread, serial)
     chunk = f_chunk(WS12.k)
@@ -613,28 +638,34 @@ def nearby_pair(k, rng, perturbation):
     return phi, psi / np.linalg.norm(psi)
 
 
-def chunk_draws_of(m, rng, k, one=None):
-    """A per-chunk draw callback, written out: the chunk's first m draws, each
-    by one(rng) (default: one random_pure_state), one after another."""
-    one = one or (lambda rng: random_pure_state(k, rng))
-    return np.array([one(rng) for _ in range(m)])
-
-
 def pair_gaps(pairs):
-    """per_draw values: np.linalg.norm(phi - psi) of every pair, one at a time."""
+    """np.linalg.norm(phi - psi) of every pair, one at a time."""
     return [np.linalg.norm(phi - psi) for phi, psi in pairs]
 
 
+def lipschitz_finish(monkeypatch, ws, perturbation):
+    """The finish lipschitz_check hands the sampler."""
+    seen, sample = {}, privacy._f_on_draws
+
+    def capture(*args, finish, **kwargs):
+        seen["finish"] = finish
+        return sample(*args, finish=finish, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(privacy, "_f_on_draws", capture)
+        lipschitz_check(ws, 1, 0, perturbation)
+    return seen["finish"]
+
+
 @pytest.mark.parametrize("perturbation", [None, 1e-4])
-def test_spread_pairs_and_gaps_match_the_serial_loop(cpus, perturbation):
+def test_spread_pairs_and_gaps_match_the_serial_loop(monkeypatch, cpus, perturbation):
     pairs_drawn = 6  # 4.3 MB of states: over FORK_BYTES
+    finish = lipschitz_finish(monkeypatch, WS84, perturbation)
 
     def pairs(count):
         cpus(count)
-        one = lambda rng: nearby_pair(WS84.k, rng, perturbation)  # noqa: E731
-        draw = None if perturbation is None else (lambda m, rng: chunk_draws_of(m, rng, WS84.k, one))
-        fs, gaps = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=pair_gaps)
-        _, pids = _f_on_draws(pairs_drawn, WS84, draw, stream=(8,), shape=(2,), per_draw=pid)
+        fs, gaps = _f_on_draws(pairs_drawn, WS84, (8,), shape=(2,), finish=finish)
+        _, pids = _f_on_draws(pairs_drawn, WS84, (8,), shape=(2,), finish=drawn_by(finish))
         assert len(set(pids)) == count
         return fs, gaps, lipschitz_check(WS84, pairs_drawn, 8, perturbation)
 
@@ -696,22 +727,23 @@ def test_chunk_streams_key_on_every_word_of_seed_and_prefix(kernel_input, seed, 
     assert np.array_equal(fs, f_evals(want, WS12))
 
 
-def nearby_draw(m, rng):
-    return chunk_draws_of(m, rng, WS12.k, lambda rng: nearby_pair(WS12.k, rng, 1e-4))
-
-
-@pytest.mark.parametrize("shape, draw", [((), None), ((2,), None), ((2,), nearby_draw)], ids=["states", "pairs", "nearby"])
-def test_a_partial_chunk_draws_a_prefix_of_the_full_chunk(kernel_input, shape, draw):
+@pytest.mark.parametrize("kind", ["states", "pairs", "nearby"])
+def test_a_partial_chunk_draws_a_prefix_of_the_full_chunk(monkeypatch, kernel_input, kind):
     # a call's last chunk, cut short, takes its states from the start of the
     # stream of the whole chunk, so a shorter call gives the longer one's prefix
+    shape = () if kind == "states" else (2,)
+    finish = lipschitz_finish(monkeypatch, WS12, 1e-4) if kind == "nearby" else None
     chunk = f_chunk(WS12.k, math.prod(shape))
-    full_fs = _f_on_draws(2 * chunk, WS12, draw, stream=(7,), shape=shape)
-    full = np.concatenate(kernel_input)
-    for count in (1, chunk - 1, chunk + 1, 2 * chunk - 1):
+
+    def sample(count):  # f, and the gaps with a finish
         kernel_input.clear()
-        fs = _f_on_draws(count, WS12, draw, stream=(7,), shape=shape)
-        assert np.array_equal(np.concatenate(kernel_input), full[:count])
-        assert np.array_equal(fs, full_fs[:count])
+        out = _f_on_draws(count, WS12, (7,), shape=shape, finish=finish)
+        return np.concatenate(kernel_input), *(out if finish else (out,))
+
+    full = sample(2 * chunk)
+    for count in (1, chunk - 1, chunk + 1, 2 * chunk - 1):
+        for got, want in zip(sample(count), full, strict=True):
+            assert np.array_equal(got, want[:count])
 
 
 @pytest.mark.parametrize("shape", [(), (2,)])
@@ -730,20 +762,6 @@ def test_one_draw_chunks_keep_each_draws_own_generator(kernel_input, shape):
         assert np.array_equal(fs[i], f_evals(want[None], ws)[0])
 
 
-def lipschitz_callbacks(monkeypatch, ws, perturbation):
-    """The draw and per_draw callbacks lipschitz_check hands the sampler."""
-    seen, sample = {}, privacy._f_on_draws
-
-    def capture(count, ws, draw=None, **kwargs):
-        seen.update(draw=draw, per_draw=kwargs["per_draw"])
-        return sample(count, ws, draw, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(privacy, "_f_on_draws", capture)
-        lipschitz_check(ws, 1, 0, perturbation)
-    return seen["draw"], seen["per_draw"]
-
-
 # (n, states per draw) -> (draws per chunk, chunks per batch)
 BATCHES = {(12, 1): (56, 4), (12, 2): (28, 4), (24, 1): (7, 4), (24, 2): (3, 5), (60, 1): (1, 1), (60, 2): (1, 1)}
 
@@ -760,9 +778,9 @@ def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, wor
     chunk, per_batch = BATCHES[n, math.prod(shape)]
     assert f_chunk(ws.k, math.prod(shape)) == chunk
     count = 2 * chunk * per_batch + chunk * per_batch // 2 + 1
-    draw, one = None, None
-    if shape:  # lipschitz_check's own callbacks
-        draw, gaps = lipschitz_callbacks(monkeypatch, ws, 1e-4 if kind == "nearby" else None)
+    finish, one = normalize_rows, None
+    if shape:  # lipschitz_check's own finish
+        finish = lipschitz_finish(monkeypatch, ws, 1e-4 if kind == "nearby" else None)
     if kind == "nearby":
         one = lambda rng: nearby_pair(ws.k, rng, 1e-4)  # noqa: E731
     if workers > 1:
@@ -777,7 +795,7 @@ def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, wor
         return f_evals(phis, ws)
 
     monkeypatch.setattr(privacy, "f_evals", kernel)
-    fs, pids = _f_on_draws(count, ws, draw, stream=(17, 2), shape=shape, per_draw=pid)
+    fs, pids = _f_on_draws(count, ws, (17, 2), shape=shape, finish=drawn_by(finish))
     share_calls = calls.copy()
     want = chunk_draws(ws.k, count, (17, 2), shape, one)
     np.testing.assert_array_equal(fs, f_evals(want, ws))
@@ -790,28 +808,30 @@ def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, wor
         assert len(inputs) == batches[0]
         np.testing.assert_array_equal(np.concatenate(inputs), want)
     if shape:
-        fs_again, got = _f_on_draws(count, ws, draw, stream=(17, 2), shape=shape, per_draw=gaps)
+        fs_again, got = _f_on_draws(count, ws, (17, 2), shape=shape, finish=finish)
         np.testing.assert_array_equal(fs_again, fs)
-        assert np.asarray(got).view(np.uint64).tolist() == np.array(pair_gaps(want)).view(np.uint64).tolist()
+        assert got.view(np.uint64).tolist() == np.array(pair_gaps(want)).view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("perturbation", [None, 1.0])
 @pytest.mark.parametrize("n", [12, 24, 60])
-def test_lipschitz_gaps_are_the_per_pair_norms_bit_for_bit(monkeypatch, n):
+def test_lipschitz_gaps_are_the_per_pair_norms_bit_for_bit(monkeypatch, n, perturbation):
     # pairs far apart, nearby, and closer than 1e-13, so the kept mask of
-    # lipschitz_check sees both kinds
+    # lipschitz_check sees both kinds; a plain pair is finished from both of
+    # its rows, a nearby one from phi and the noise, here of scale 1.0 times
+    # each pair's own
     ws = build_working_space(n, 2.0)
-    _, gaps = lipschitz_callbacks(monkeypatch, ws, None)
+    finish = lipschitz_finish(monkeypatch, ws, perturbation)
     rng = derived_rng(n, 3)
     phis = random_pure_state(ws.k, rng, size=40)
-    noise = random_pure_state(ws.k, rng, size=40)
-    scales = np.repeat([1.0, 1e-4, 1e-13, 3e-14, 1e-15], 8)[:, None]
-    psis = phis + scales * noise
-    psis[:8] = random_pure_state(ws.k, rng, size=8)
-    pairs = np.stack([phis, psis], axis=1)
-    got = np.asarray(gaps(pairs))
-    want = np.array([np.linalg.norm(phi - psi) for phi, psi in pairs])
+    noise = np.repeat([1.0, 1e-4, 1e-13, 3e-14, 1e-15], 8)[:, None] * random_pure_state(ws.k, rng, size=40)
+    noise[:8] = random_pure_state(ws.k, rng, size=8)
+    pairs = np.stack([phis, noise if perturbation else phis + noise], axis=1)
+    got = finish(pairs)
+    want = np.array([np.linalg.norm(phi - psi) for phi, psi in pairs])  # the pairs as finished
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert 0 < np.count_nonzero(got < 1e-13) < len(got)
+    np.testing.assert_allclose(np.linalg.norm(pairs, axis=-1), 1.0, atol=1e-15)
 
 
 class DrawFailed(Exception):
@@ -821,7 +841,7 @@ class DrawFailed(Exception):
 # three shares of 30 draws: the caller's first, fourth, fifth and sixth
 # draws, then share 1's first and share 2's third
 @pytest.mark.parametrize("bad", [0, 3, 4, 5, 30, 62])
-def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
+def test_a_failing_finish_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
     cpus(3)
     drawn = np.frombuffer(mmap.mmap(-1, 90), dtype=np.uint8)  # shared with the workers
 
@@ -832,20 +852,21 @@ def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
 
         return slowed
 
-    # a chunk holds one draw here, so its generator tells which draw it is
-    index = {derived_rng(1, i).bit_generator.state["state"]["state"]: i for i in range(90)}
+    # a chunk holds one draw here, so its first Gaussian tells which draw it is
+    index = {derived_rng(1, i).standard_normal(): i for i in range(90)}
 
     @slow
-    def draw(m, rng):
-        i = index[rng.bit_generator.state["state"]["state"]]
+    def finish(rows):
+        i = index[rows[0, 0].real]
         drawn[i] = 1
         if i == bad:
             raise DrawFailed(i)
-        return chunk_draws_of(m, rng, WS84.k)
+        normalize_rows(rows)
+        return np.zeros(len(rows))
 
     monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
     with pytest.raises(DrawFailed) as failed:
-        _f_on_draws(90, WS84, draw, stream=(1,))
+        _f_on_draws(90, WS84, (1,), finish=finish)
     assert failed.value.args == (bad,)  # the worker's exception, type and all
     assert no_child_left()  # every worker was reaped
     per_share = drawn.reshape(3, 30).sum(axis=1)
@@ -859,13 +880,13 @@ def test_a_killed_worker_raises_child_process_error(cpus):
     cpus(2)
     caller = os.getpid()
 
-    def draw(m, rng):
+    def finish(rows):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return chunk_draws_of(m, rng, WS84.k)
+        return normalize_rows(rows)[:, 0].real
 
     with pytest.raises(ChildProcessError, match="signal"):
-        _f_on_draws(13, WS84, draw, stream=(1,))
+        _f_on_draws(13, WS84, (1,), finish=finish)
     assert no_child_left()
 
 
@@ -896,7 +917,7 @@ def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
     cpus(4)
     before = threading.active_count()
     _f_on_draws(2, WS84, stream=(1,))
-    _, pids = _f_on_draws(16, WS84, stream=(1,), per_draw=pid)
+    _, pids = _f_on_draws(16, WS84, (1,), finish=drawn_by())
     assert len(shares_of(pids)) == len(set(pids)) == 4
     assert pids[0] == os.getpid()
     assert no_child_left()
@@ -958,6 +979,19 @@ def test_small_draws_start_no_thread(monkeypatch, cpus):
     estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)  # certify's calls
     assert forks == []
     assert threading.active_count() == before
+
+
+def test_subspace_states_never_fork(monkeypatch, cpus):
+    # estimate_max_f hands its probes and its net to the kernel directly, so
+    # they stay in the caller however large they are
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(privacy, "FORK_BYTES", 0)
+    cpus(4)
+    estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)
+    assert forks == []
+    _f_on_draws(200, WS12, (2,))  # four chunks: the sampler forks here
+    assert len(forks) == 3
 
 
 # ---------------------------------------------------------------------------
