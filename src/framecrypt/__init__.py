@@ -14,7 +14,6 @@ The package is organized bottom-up:
 
 from framecrypt.linalg import (
     haar_unitary,
-    partial_trace,
     random_density_matrix,
     random_pure_state,
     trace_norm,

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from framecrypt.linalg import check_limit, kron_power, partial_trace
+from framecrypt.linalg import check_limit, kron_power
 from framecrypt.repkit import block_layout, rotation_su2
 from framecrypt.workspace import WorkingSpace, workspace_vector
 
@@ -117,7 +117,8 @@ def twirl_block(rho: np.ndarray) -> np.ndarray:
     out = np.zeros_like(rho)
     for b in block_layout(_infer_qubits(rho.shape[0])):
         s = b.span
-        t = partial_trace(rho[s, s], b.dim_r, b.dim_p, "left")
+        # each block is rotation (x) multiplicity, dim_r x dim_p: trace out the rotation factor
+        t = np.einsum("asat->st", rho[s, s].reshape(b.dim_r, b.dim_p, b.dim_r, b.dim_p))
         out[s, s] = np.kron(np.eye(b.dim_r) / b.dim_r, t)
     return out
 

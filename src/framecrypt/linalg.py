@@ -18,10 +18,11 @@ connected components of the exact-nonzero pattern (x + x^dagger) are blocks
 no entry couples, and components of one size are gathered into one stack.
 The Hermitian test runs on those stacks alone, since every entry outside
 them is zero in both triangles.  A Hermitian input's spectrum is the union
-of its components', so each stack goes to one eigvalsh; any other input
-takes one SVD.  There is no threshold, since an entry of any size, however
-tiny, moves the norm; and each component keeps its indices ascending, so
-eigvalsh reads the same lower-triangle entries as on the whole matrix.
+of its components', so each stack goes to one eigvalsh; any other input,
+nan and inf included, is refused.  There is no threshold, since an entry of
+any size, however tiny, moves the norm; and each component keeps its indices
+ascending, so eigvalsh reads the same lower-triangle entries as on the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(x: np.ndarray) -> bool:
-    """Entrywise within HERMITIAN_TOL of its adjoint (an entry with nan never
-    is); a stack is Hermitian when every matrix in it is."""
+    """Entrywise within HERMITIAN_TOL of its adjoint (an entry with nan or
+    inf never is); a stack is Hermitian when every matrix in it is."""
     x = np.asarray(x)
-    return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
+    with np.errstate(invalid="ignore"):  # inf - inf is nan: refused, not warned of
+        return bool(np.all(np.abs(x - dagger(x)) <= HERMITIAN_TOL))
 
 
 def _components(x: np.ndarray) -> np.ndarray:
@@ -124,7 +126,7 @@ def _components(x: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(x: np.ndarray) -> float:
-    """Sum of singular values.
+    """Trace norm of a Hermitian matrix: the sum of its eigenvalues' magnitudes.
 
     The input is split exactly first: the connected components of the
     exact-nonzero pattern of x + x^dagger (see :func:`_components`) are
@@ -134,11 +136,12 @@ def trace_norm(x: np.ndarray) -> float:
     so is x, since an entry between two components is zero in both
     triangles; then a permutation P makes P x P^T the direct sum of the
     components, its spectrum is the union of theirs, and each part takes one
-    eigvalsh.  Otherwise x takes one SVD.  No entry counts as zero unless it
-    is zero: 1e-300 still joins its component, and dropping it would change
-    the norm by 2e-300.  Each component's indices stay ascending, so eigvalsh
-    reads the same lower triangle entries as on the whole matrix, not their
-    mirror images, which may differ within HERMITIAN_TOL.
+    eigvalsh.  Otherwise, nan and inf included, it raises ValueError.  No
+    entry counts as zero unless it is zero: 1e-300 still joins its
+    component, and dropping it would change the norm by 2e-300.  Each
+    component's indices stay ascending, so eigvalsh reads the same lower
+    triangle entries as on the whole matrix, not their mirror images, which
+    may differ within HERMITIAN_TOL.
     """
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -151,31 +154,11 @@ def trace_norm(x: np.ndarray) -> float:
         idxs = (order[sizes[order] == size].reshape(-1, size) for size in np.unique(sizes))
         parts = [x[idx[:, :, None], idx[:, None, :]] for idx in idxs]
     if not all(is_hermitian(part) for part in parts):
-        return float(np.linalg.svd(x, compute_uv=False).sum())
+        raise ValueError(f"trace norm needs a Hermitian matrix, entrywise within HERMITIAN_TOL = {HERMITIAN_TOL}")
     total = 0.0
     for part in parts:
         total += float(np.abs(np.linalg.eigvalsh(part)).sum())
     return total
-
-
-def partial_trace(rho: np.ndarray, dim_left: int, dim_right: int, side: str = "right") -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^dim_left x C^dim_right.
-
-    ``side`` names the factor that is traced *out*; the reduced operator on
-    the remaining factor is returned.
-    """
-    rho = np.asarray(rho)
-    if dim_left < 1 or dim_right < 1:
-        raise ValueError("factor dimensions must be positive")
-    d = dim_left * dim_right
-    if rho.shape != (d, d):
-        raise ValueError(f"operator shape {rho.shape} does not match {dim_left}x{dim_right} factors")
-    r = rho.reshape(dim_left, dim_right, dim_left, dim_right)
-    if side == "right":
-        return np.einsum("arbr->ab", r)
-    if side == "left":
-        return np.einsum("asat->st", r)
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def kron_power(m: np.ndarray, n: int) -> np.ndarray:

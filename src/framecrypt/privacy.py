@@ -22,12 +22,12 @@ walking a contiguous share of the draws and writing f into shared memory,
 with bit-identical values.  States on a subspace (the probes of
 estimate_max_f, net points) are not such draws: they go to the kernel
 directly, formed by one stacked matrix-vector product.  The helpers here
-evaluate f two
-independent ways, estimate its maximum over a subspace (an alternating ascent,
-``_ascend_all``, that runs all its starts as one stack of eigensolves per
-round, with a proved upper bound on 2-dimensional subspaces from a fixed
-covering net and the Lipschitz constant of f), and run the mean /
-concentration / smoothness experiments that the theory predicts:
+evaluate f two independent ways, estimate its maximum over a subspace (an
+alternating ascent, ``_ascend_all``, that runs all its starts as one stack
+of eigensolves per round, with a proved upper bound on 2-dimensional
+subspaces from a fixed covering net and the Lipschitz constant of f), and
+run the mean / concentration / smoothness experiments that the theory
+predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -291,6 +291,13 @@ def _fan_out(run, shares: list) -> None:
     checks before every chunk; a share that raises sets it, so every share
     ends at its next chunk.  The caller's own exception is raised first,
     then the first child's in share order.  With one share nothing forks.
+
+    Shares run in processes, not threads.  A thread pool gives the same
+    values but lost all 7 interleaved pairs of perfbench's sample_small runs
+    (15 s each, 2-core Xeon, one BLAS thread): op_s_p50 read 0.12-0.20 s
+    with threads against 0.09-0.16 s forked, since much of a small share's
+    time is Python that holds the interpreter lock.  Threads also count in
+    the caller's peak RSS (RUSAGE_SELF), which rose by 1.0-1.3 MB.
     """
     stop = mmap.mmap(-1, 1)
     children = []
@@ -344,13 +351,13 @@ def _f_on_draws(count: int, ws: WorkingSpace, stream: tuple, *, shape=(), finish
     F_BATCH_BYTES of states (at least one), sets only the speed.  Each
     share fills one reused batch buffer chunk by chunk, checking ``stop``
     before every chunk, then normalizes or finishes it and hands it to
-    f_evals whole, so the states of all draws never exist at once.  A call of FORK_BYTES of states or more is
-    shared by _fan_out among the processes _workers allows, each share a
-    contiguous run of whole chunks batched from its own start; its results
-    go to shared memory.  A chunk's generator depends only on its index,
-    and a state's f does not depend on the states next to it, so the values
-    are the same bit for bit at any batch size and CPU count.  count must
-    be positive.
+    f_evals whole, so the states of all draws never exist at once.  A call
+    of FORK_BYTES of states or more is shared by _fan_out among the
+    processes _workers allows, each share a contiguous run of whole chunks
+    batched from its own start; its results go to shared memory.  A chunk's
+    generator depends only on its index, and a state's f does not depend on
+    the states next to it, so the values are the same bit for bit at any
+    batch size and CPU count.  count must be positive.
     """
     per_draw_states = math.prod(shape)
     state_bytes = per_draw_states * ws.k * np.dtype(complex).itemsize
@@ -499,8 +506,7 @@ def _ascend_all(starts: np.ndarray, basis: np.ndarray, ws: WorkingSpace) -> tupl
     two values, or after ASCENT_ITERS rounds, so every start runs as it
     would alone.  Returns each start's best value and final coefficients.
     """
-    # one norm per start: norm(starts, axis=1) adds the squares in another order
-    coeffs = starts / np.array([np.linalg.norm(c) for c in starts])[:, None]
+    coeffs = starts / _norms(starts)[:, None]
     best = np.full(len(starts), -np.inf)
     running = np.arange(len(starts))
     basis_blocks = ws.blocks(basis.T)  # (dim_s, |Y|, D, D_alpha)

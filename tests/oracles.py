@@ -1,5 +1,6 @@
-"""Helpers only the tests call: rotation draws, index maps and a brute-force
-enumeration of coupling histories, each independent of the code it checks."""
+"""Helpers only the tests call: rotation draws, index maps, a brute-force
+enumeration of coupling histories, a partial trace by summation and the exact
+mean of f at D_alpha = 1, each independent of the code it checks."""
 
 from __future__ import annotations
 
@@ -57,3 +58,34 @@ def enumerate_paths(n: int, two_j: int) -> list[tuple[int, ...]]:
         for steps in itertools.product((1, -1), repeat=n)
         if min(itertools.accumulate(steps)) >= 0 and sum(steps) == two_j
     ]
+
+
+def partial_trace_by_summation(rho, dim_left, dim_right):
+    """Trace out the left factor of an operator on C^dim_left (x) C^dim_right
+    by element-wise index summation, no reshapes: the definition, slowly."""
+    out = np.zeros((dim_right, dim_right), dtype=complex)
+    for s in range(dim_right):
+        for t in range(dim_right):
+            for a in range(dim_left):
+                out[s, t] += rho[a * dim_right + s, a * dim_right + t]
+    return out
+
+
+def exact_mean_f(ws: WorkingSpace) -> float:
+    """E f for a Haar-random state of a working space with D_alpha = 1.
+
+    The weights of the m = |Y| blocks of D coordinates are Dirichlet(D, ..., D)
+    (Zyczkowski & Sommers, J. Phys. A 34 (2001) 7111), so each is
+    Beta(a, b) with a = D, b = (m - 1)D and mean 1/m, and f is the sum of
+    their distances from 1/m.  The mean absolute deviation of Beta(a, b) is
+    2 a^a b^b / (B(a, b) (a + b)^(a + b + 1)) (Johnson, Kotz & Balakrishnan,
+    Continuous Univariate Distributions, vol. 2, ch. 25), so
+    E f = m * that, here in logarithms through math.lgamma.
+    """
+    if ws.d_alpha != 1:
+        raise ValueError(f"the closed form needs D_alpha = 1, got {ws.d_alpha}")
+    m, a = len(ws.y), ws.d
+    b = (m - 1) * a
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_mad = math.log(2.0) + a * math.log(a) + b * math.log(b) - (a + b + 1) * math.log(a + b) - log_beta
+    return m * math.exp(log_mad)

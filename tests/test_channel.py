@@ -21,16 +21,10 @@ from framecrypt.channel import (
     twirl_oracle,
     twirl_working_state,
 )
-from framecrypt.linalg import (
-    derived_rng,
-    kron_power,
-    partial_trace,
-    random_density_matrix,
-    trace_norm,
-)
+from framecrypt.linalg import derived_rng, kron_power, random_density_matrix, trace_norm
 from framecrypt.repkit import block_layout, rotation_su2, schur_transform, wigner_d
 from framecrypt.workspace import build_working_space, embed_state
-from oracles import random_euler
+from oracles import partial_trace_by_summation, random_euler
 
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
@@ -106,6 +100,39 @@ def test_twirl_block_is_a_channel():
         np.testing.assert_allclose(twirl_block(out), out, atol=1e-13)
     with pytest.raises(ValueError):
         twirl_block(np.eye(3))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_twirl_block_traces_out_the_rotation_factor_by_the_summation_oracle(n):
+    # each block becomes I/(2j+1) (x) the reduction of its rotation factor
+    rho = random_density_matrix(2**n, derived_rng(41, n))
+    out = twirl_block(rho)
+    for b in block_layout(n):
+        reduced = partial_trace_by_summation(rho[b.span, b.span], b.dim_r, b.dim_p)
+        np.testing.assert_allclose(out[b.span, b.span], np.kron(np.eye(b.dim_r) / b.dim_r, reduced), atol=1e-14)
+
+
+def test_twirl_block_keeps_the_multiplicity_factor_of_products_and_mixes_entanglement():
+    # a product block sigma (x) tau becomes I/dim_r (x) tau whatever sigma is;
+    # a maximally entangled block of equal factors (j = 1 at n = 4: 3 x 3)
+    # becomes I/9
+    n = 4
+    rng = np.random.default_rng(5)
+    layout = block_layout(n)
+    for b in layout:
+        sigma, tau = random_density_matrix(b.dim_r, rng), random_density_matrix(b.dim_p, rng)
+        rho = np.zeros((2**n, 2**n), dtype=complex)
+        rho[b.span, b.span] = np.kron(sigma, tau)
+        want = np.zeros_like(rho)
+        want[b.span, b.span] = np.kron(np.eye(b.dim_r) / b.dim_r, tau)
+        np.testing.assert_allclose(twirl_block(rho), want, atol=1e-14)
+    (square,) = [b.span for b in layout if b.dim_r == b.dim_p == 3]
+    psi = np.eye(3).reshape(9) / math.sqrt(3.0)
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[square, square] = np.outer(psi, psi)
+    want = np.zeros_like(rho)
+    want[square, square] = np.eye(9) / 9
+    np.testing.assert_allclose(twirl_block(rho), want, atol=1e-15)
 
 
 def test_twirl_block_fixes_multiplicity_operators():
@@ -395,7 +422,7 @@ def test_reference_states_shapes_and_fixed_point():
     layout = {b.two_j: b for b in block_layout(ws.n)}
     for tj, blk in rho0.blocks.items():  # the reduction is I/d_p on the kept paths
         b = layout[tj]
-        reduced = partial_trace(blk, b.dim_r, b.dim_p, "left")
+        reduced = partial_trace_by_summation(blk, b.dim_r, b.dim_p)
         np.testing.assert_allclose(
             reduced[: ws.d_alpha, : ws.d_alpha], np.eye(ws.d_alpha) / ws.d_p, atol=1e-15
         )

@@ -97,6 +97,18 @@ def test_twirl_check_payload(capsys):
     assert doc["payload"]["max_trace_norm_gap"] < 1e-10
 
 
+@pytest.mark.parametrize("grid", [[], ["--quadrature", "1,1,1"]], ids=["default", "undersized"])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_twirl_check_differences_pass_the_hermitian_trace_norm(capsys, n, grid):
+    # trace_norm refuses input that is not Hermitian; the exact channel minus
+    # its quadrature average never is, however coarse the grid
+    code, out, err = run_main(capsys, "--command", "twirl-check", "--n", str(n), *grid)
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert payload["quadrature_sufficient"] is (not grid)
+    assert math.isfinite(payload["max_trace_norm_gap"])
+
+
 def test_mean_f_payload(capsys):
     code, out, _ = run_main(
         capsys, "--command", "mean-f", "--n", "12", "--alpha", "2", "--samples", "150"

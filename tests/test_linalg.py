@@ -1,7 +1,6 @@
 """Tests for the dense linear-algebra helpers."""
 
 import _ctypes
-import contextlib
 import tracemalloc
 from pathlib import Path
 
@@ -20,32 +19,10 @@ from framecrypt.linalg import (
     is_hermitian,
     kron_power,
     normalize_rows,
-    partial_trace,
     random_density_matrix,
     random_pure_state,
     trace_norm,
 )
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-# ---------------------------------------------------------------------------
-
-def partial_trace_by_summation(rho, dim_left, dim_right, side):
-    """Element-wise index summation, no reshapes: the definition, slowly."""
-    if side == "right":
-        out = np.zeros((dim_left, dim_left), dtype=complex)
-        for a in range(dim_left):
-            for b in range(dim_left):
-                for r in range(dim_right):
-                    out[a, b] += rho[a * dim_right + r, b * dim_right + r]
-    else:
-        out = np.zeros((dim_right, dim_right), dtype=complex)
-        for s in range(dim_right):
-            for t in range(dim_right):
-                for a in range(dim_left):
-                    out[s, t] += rho[a * dim_right + s, a * dim_right + t]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +32,9 @@ def partial_trace_by_summation(rho, dim_left, dim_right, side):
 def test_trace_norm_hand_values():
     assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0, abs=1e-14)
     assert trace_norm(np.zeros((3, 3))) == 0.0
-    # nilpotent 2x2: singular values are 1 and 0
-    assert trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0, abs=1e-14)
+    # Pauli y: eigenvalues +-1; the all-ones 2x2: eigenvalues 2 and 0
+    assert trace_norm(np.array([[0.0, -1j], [1j, 0.0]])) == pytest.approx(2.0, abs=1e-14)
+    assert trace_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_trace_norm_rejects_non_square():
@@ -64,7 +42,7 @@ def test_trace_norm_rejects_non_square():
         trace_norm(np.ones((2, 3)))
 
 
-def test_trace_norm_hermitian_and_svd_paths_agree():
+def test_trace_norm_is_the_singular_value_sum_of_hermitian_input():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
@@ -78,8 +56,7 @@ def test_trace_norm_hermitian_and_svd_paths_agree():
 @settings(max_examples=40, deadline=None)
 def test_trace_norm_triangle_inequality(seed, dim):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    y = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    x, y = hermitian_blocks((dim, dim), rng)
     assert trace_norm(x + y) <= trace_norm(x) + trace_norm(y) + 1e-9
 
 
@@ -197,68 +174,35 @@ def test_trace_norm_of_empty_and_one_by_one_inputs():
     assert trace_norm(np.array([[-3.5]])) == 3.5
     tilted = np.array([[2.0 + HERMITIAN_TOL / 4 * 1j]])  # Hermitian within tolerance
     assert trace_norm(tilted) == dense_trace_norm(tilted) == 2.0
-    assert trace_norm(np.array([[3j]])) == 3.0  # not Hermitian: the SVD
+    with pytest.raises(ValueError, match="HERMITIAN_TOL"):
+        trace_norm(np.array([[3j]]))
 
 
-def test_trace_norm_of_non_hermitian_input_goes_through_the_svd(monkeypatch):
+def nilpotent_pair():
+    """A nilpotent 6 x 6, split into components like a Hermitian one would be."""
     x = np.zeros((6, 6))
-    x[0, 3] = x[4, 1] = 1.0  # nilpotent, and split into components like a Hermitian one would be
+    x[0, 3] = x[4, 1] = 1.0
+    return x
+
+
+def with_entry(x, value):
+    """x with entry (1, 2) set to ``value``."""
+    x = np.array(x, dtype=complex)
+    x[1, 2] = value
+    return x
+
+
+@pytest.mark.parametrize(
+    "x",
+    [nilpotent_pair(), with_entry(np.eye(4), np.nan), with_entry(np.eye(4), np.inf), np.diag([1.0, np.inf])],
+    ids=["nilpotent", "nan", "inf", "inf-diagonal"],
+)
+def test_trace_norm_refuses_input_that_is_not_hermitian_before_any_eigensolve(x, monkeypatch):
+    # with numpy's warnings raised as errors, inf - inf on the diagonal still ends in the refusal
     eig_shapes = record_calls(monkeypatch, "eigvalsh")
-    svd_shapes = record_calls(monkeypatch, "svd")
-    assert trace_norm(x) == pytest.approx(2.0, abs=1e-14)
-    assert svd_shapes == [(6, 6)]
+    with np.errstate(all="raise"), pytest.raises(ValueError, match="HERMITIAN_TOL"):
+        trace_norm(x)
     assert eig_shapes == []
-
-
-# ---------------------------------------------------------------------------
-# partial trace
-# ---------------------------------------------------------------------------
-
-def test_partial_trace_product_state():
-    rng = np.random.default_rng(0)
-    sigma = random_density_matrix(3, rng)
-    tau = random_density_matrix(4, rng)
-    rho = np.kron(sigma, tau)
-    np.testing.assert_allclose(partial_trace(rho, 3, 4, "right"), sigma, atol=1e-12)
-    np.testing.assert_allclose(partial_trace(rho, 3, 4, "left"), tau, atol=1e-12)
-
-
-def test_partial_trace_maximally_entangled():
-    d = 4
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi[i * d + i] = 1.0 / np.sqrt(d)
-    rho = np.outer(psi, psi.conj())
-    for side in ("left", "right"):
-        np.testing.assert_allclose(partial_trace(rho, d, d, side), np.eye(d) / d, atol=1e-12)
-
-
-def test_partial_trace_matches_summation_oracle():
-    rng = np.random.default_rng(42)
-    rho = random_density_matrix(4, rng)  # two qubits
-    for side in ("left", "right"):
-        fast = partial_trace(rho, 2, 2, side)
-        slow = partial_trace_by_summation(rho, 2, 2, side)
-        np.testing.assert_allclose(fast, slow, atol=1e-12)
-    # and on uneven factor splits
-    rho = random_density_matrix(6, rng)
-    for dl, dr in ((2, 3), (3, 2)):
-        for side in ("left", "right"):
-            np.testing.assert_allclose(
-                partial_trace(rho, dl, dr, side),
-                partial_trace_by_summation(rho, dl, dr, side),
-                atol=1e-12,
-            )
-
-
-def test_partial_trace_preserves_trace_and_checks_dims():
-    rho = random_density_matrix(6, 3)
-    red = partial_trace(rho, 2, 3, "right")
-    assert np.trace(red) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        partial_trace(rho, 2, 2, "right")
-    with pytest.raises(ValueError):
-        partial_trace(rho, 2, 3, "middle")
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +327,11 @@ def dense_is_hermitian(x):
 
 @pytest.mark.parametrize("dim", [1, 2, 63, 64, 65, 130, 607])
 def test_is_hermitian_agrees_with_the_dense_formula(dim, monkeypatch):
-    # trace_norm's Hermitian verdict, read off its route, must be the dense
-    # formula's on the whole matrix although is_hermitian sees only the
-    # gathered components.  From dim 8 the input is a permuted direct sum of
-    # blocks of sizes 2, 2, m, m and a larger one, so the parts are three
-    # stacks; below it, one block.  An off-diagonal entry just inside, at and
+    # trace_norm's Hermitian verdict, read off whether it eigensolves or
+    # refuses, must be the dense formula's on the whole matrix although
+    # is_hermitian sees only the gathered components.  From dim 8 the input
+    # is a permuted direct sum of blocks of sizes 2, 2, m, m and a larger
+    # one, so the parts are three stacks; below it, one block.  An off-diagonal entry just inside, at and
     # just outside the tolerance, in the upper and the lower triangle, and
     # nan and inf anywhere, go into the second size-m component: in neither
     # the first stack nor the largest, nor first in its own.
@@ -417,16 +361,16 @@ def test_is_hermitian_agrees_with_the_dense_formula(dim, monkeypatch):
             x[a, b] = bad
             cases.append(x)
     eig_shapes = record_calls(monkeypatch, "eigvalsh")
-    svd_shapes = record_calls(monkeypatch, "svd")
     results = []
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in the dense formula
         for x in cases:
             eig_shapes.clear()
-            svd_shapes.clear()
-            with contextlib.suppress(np.linalg.LinAlgError):  # the SVD of nan does not converge
-                trace_norm(x)
             hermitian = dense_is_hermitian(x)
-            assert svd_shapes == ([] if hermitian else [(dim, dim)])
+            if hermitian:
+                trace_norm(x)
+            else:
+                with pytest.raises(ValueError, match="HERMITIAN_TOL"):
+                    trace_norm(x)
             assert sorted(eig_shapes) == (sorted(want_eig) if hermitian else [])
             assert is_hermitian(x) == hermitian
             results.append(hermitian)

@@ -45,6 +45,7 @@ from framecrypt.privacy import (
     theorem1_experiment,
 )
 from framecrypt.workspace import build_working_space
+from oracles import exact_mean_f
 
 WS12 = build_working_space(12, 2.0)
 
@@ -475,6 +476,23 @@ def test_mean_f_respects_both_bounds():
     assert r4.mean_f <= 0.5 + 3.0 * r4.stderr_f
     with pytest.raises(ValueError):
         mean_f_experiment(WS12, 1, 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, alpha", [(24, 16), (54, 36), (96, 64)])  # D_alpha = 1; |Y| = 4, 9, 16
+def test_mean_f_at_one_path_per_block_matches_the_dirichlet_law(monkeypatch, request, n, alpha, workers):
+    # the block weights of a Haar state are Dirichlet, so E f has a closed
+    # form; a sampler of real Gaussian states sits 60, 99 and 137 standard
+    # errors off it
+    ws = build_working_space(n, alpha)
+    samples = 8000
+    if workers > 1:
+        request.getfixturevalue("cpus")(workers)
+        assert samples * ws.k * np.dtype(complex).itemsize >= FORK_BYTES  # forked shares
+    else:
+        monkeypatch.setattr(privacy, "_cpus", lambda: 1)
+    report = mean_f_experiment(ws, samples, 1)
+    assert abs(report.mean_f - exact_mean_f(ws)) <= 4.0 * report.stderr_f
 
 
 def test_concentration_tail_and_fit():
