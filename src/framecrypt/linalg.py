@@ -4,9 +4,9 @@ All functions are pure; random sampling takes an explicit seed (or an
 already-constructed Generator, which np.random.default_rng passes through
 unaltered), so every result is reproducible.  :func:`derived_rng` of
 (seed, *stream) keys one generator by those integers alone.  The privacy
-sampler draws chunk c of a seeded run from derived_rng(seed, *prefix, c),
-plain random states in one call, and normalizes them at once with
-:func:`normalize_rows`, the formula of :func:`random_pure_state`; its
+sampler draws each 256 KiB chunk c of states of a seeded run from
+derived_rng(seed, *prefix, c) in one call, and normalizes them at once
+with :func:`normalize_rows`, the formula of :func:`random_pure_state`; its
 forked shares are runs of whole chunks, so every value is the same bit for
 bit however the chunks are spread over the process's CPUs.
 :func:`blas_threads` and :func:`set_blas_threads` read and set the thread

@@ -11,23 +11,22 @@ dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
 eigensolve; ``f_eval`` is its one-state case.  Every state drawn from the
 whole working space, each Lipschitz pair included, comes from one sampler,
-``_f_on_draws``.  It owns the generators, one ``derived_rng`` per 64 KiB
+``_f_on_draws``.  It owns the generators, one ``derived_rng`` per 256 KiB
 chunk of states, which fixes the sampled values; it draws each chunk's
 Gaussians in one call and normalizes them at once, or has lipschitz_check
-finish them into its pairs and their gaps, and hands the kernel a 256 KiB
-batch of whole chunks at a time, which sets only the speed.  A call with
-FORK_BYTES of states or more it spreads over the process's CPUs, in worker
-processes forked for that one call and reaped before it returns, each
-walking a contiguous share of the draws and writing f into shared memory,
-with bit-identical values.  States on a subspace (the probes of
-estimate_max_f, net points) are not such draws: they go to the kernel
-directly, formed by one stacked matrix-vector product.  The helpers here
-evaluate f two independent ways, estimate its maximum over a subspace (an
-alternating ascent, ``_ascend_all``, that runs all its starts as one stack
-of eigensolves per round, with a proved upper bound on 2-dimensional
-subspaces from a fixed covering net and the Lipschitz constant of f), and
-run the mean / concentration / smoothness experiments that the theory
-predicts:
+finish them into its pairs and their gaps, and hands each chunk to the
+kernel in one call.  A call with FORK_BYTES of states or more it spreads
+over the process's CPUs, in worker processes forked for that one call and
+reaped before it returns, each walking a contiguous share of the draws and
+writing f into shared memory, with bit-identical values.  States on a
+subspace (the probes of estimate_max_f, net points) are not such draws:
+they go to the kernel directly, formed by one stacked matrix-vector
+product.  The helpers here evaluate f two independent ways, estimate its
+maximum over a subspace (an alternating ascent, ``_ascend_all``, that runs
+all its starts as one stack of eigensolves per round, with a proved upper
+bound on 2-dimensional subspaces from a fixed covering net and the
+Lipschitz constant of f), and run the mean / concentration / smoothness
+experiments that the theory predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -59,6 +58,7 @@ from framecrypt.linalg import (
     trace_norm,
 )
 from framecrypt.channel import reduced_blocks, reference_states, twirl_working_state
+from framecrypt.repkit import QUBIT_LIMIT
 from framecrypt.workspace import WorkingSpace, build_working_space, workspace_vector
 
 LIPSCHITZ_BOUND = 2.0
@@ -68,29 +68,28 @@ ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
 HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
-# bytes of the states (not draws) of one _f_on_draws chunk (64 KiB).  Each
-# chunk draws from its own generator, so where a chunk holds several draws
-# (K <= 2,048 for single states) the sampled values change with this size
-F_CHUNK_BYTES = 2**16
-# bytes of the states _f_on_draws hands f_evals at once: as many whole chunks
-# as fit, and never fewer than one (256 KiB).  It sets the speed only, never a
-# value.  One operation of perfbench's sample_small (concentration --n 12,
-# lipschitz --n 12, mean-f --n 24) by batch size, one CPU, one BLAS thread,
-# 2-core Xeon: time as a share of one chunk per batch, median of 15
-# interleaved operations, and the peak of its numpy allocations (tracemalloc).
-# A fresh process's peak RSS after one operation moved only at 4 MiB (+0.8 MB):
-#   batch       64 KiB   128 KiB  256 KiB  1 MiB   4 MiB
-#   time        1.00     0.96     0.95     0.96    1.01
-#   peak MiB    2.0      2.1      2.4      4.2     11.5
-F_BATCH_BYTES = 2**18
+# bytes of the states (not draws) of one _f_on_draws chunk (256 KiB): the unit
+# of one generator and of one f_evals call.  Each chunk draws from its own
+# generator, so where a chunk holds several draws (K <= 8,192 for single
+# states, K <= 4,096 for pairs) the sampled values change with this size.  One
+# operation of perfbench's sample_small (concentration --n 12, lipschitz --n
+# 12, mean-f --n 24) by chunk size, one CPU, one BLAS thread, 2-core Xeon: time
+# as a share of 64 KiB chunks, median of 15 interleaved operations, and the
+# peak of its numpy allocations (tracemalloc).  A fresh process's peak RSS
+# after one operation read 38.4, 39.1 and 41.9 MB:
+#   chunk       64 KiB   256 KiB  1 MiB
+#   time        1.00     0.92     0.92
+#   peak MiB    0.2      0.8      3.0
+F_CHUNK_BYTES = 2**18
 # bytes of all the states of one _f_on_draws call (count x states per draw x
 # K x 16) from which it forks workers (4 MiB).  Forked time as a share of
-# serial, 2 workers, one BLAS thread, 2-core Xeon, median of 15 interleaved
-# calls (forking and reaping an empty share takes about 2.5 ms):
+# serial, 2 workers, one BLAS thread, 2-core Xeon, 256 KiB chunks: the median
+# of 3 runs, each the median of 61 interleaved calls (forking and reaping an
+# empty share takes about 1.6 ms):
 #   K \ states    1 MiB   2 MiB   4 MiB
-#   72            1.13    0.96    0.62
-#   544           0.94    0.68    0.58
-#   8,200         0.97    0.81    0.72
+#   72            1.02    0.77    0.81
+#   544           1.03    0.76    0.68
+#   8,200         1.21    0.93    0.94
 FORK_BYTES = 2**22
 THEOREM1_BUDGET = 200  # random probes per subspace in theorem1_experiment
 # most state coordinates (states handled x K; twirl-check: operator entries) one
@@ -192,8 +191,9 @@ def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     over (m, ..., |Y|, D_alpha, D_alpha), then each state's block totals
     added in block order, so a state's value does not depend on the states
     next to it.  The result has the stack's leading shape; an empty (0, K)
-    stack gives an empty array.  It does not chunk: _f_on_draws hands it at
-    most one batch of states, estimate_max_f all its probes or net points.
+    stack gives an empty array.  It does not chunk: _f_on_draws hands it
+    one chunk of states at a time, estimate_max_f all its probes or net
+    points at once.
     """
     phis = np.asarray(phis, dtype=complex)
     if phis.ndim < 2 or phis.shape[-1] != ws.k:
@@ -341,55 +341,46 @@ def _f_on_draws(count: int, ws: WorkingSpace, stream: tuple, *, shape=(), finish
     normalize_rows turns them into the states random_pure_state would give,
     called once per state on the chunk's generator, bit for bit.  So a
     partial last chunk draws a prefix of the full chunk's states, and where
-    a chunk holds one draw (K > 2,048 for single states), draw i uses
-    derived_rng(*stream, i).  With ``finish``, finish(rows) turns an
-    (m, *shape, K) stack of Gaussian rows into states in place instead,
-    row by row, and returns one float per draw, and the call returns (f,
-    those floats).
+    a chunk holds one draw (K > 8,192 for single states, K > 4,096 for
+    pairs), draw i uses derived_rng(*stream, i).  With ``finish``,
+    finish(rows) turns an (m, *shape, K) stack of Gaussian rows into states
+    in place instead, row by row, and returns one float per draw, and the
+    call returns (f, those floats).
 
-    The chunk fixes the values; the batch, the whole chunks in
-    F_BATCH_BYTES of states (at least one), sets only the speed.  Each
-    share fills one reused batch buffer chunk by chunk, checking ``stop``
-    before every chunk, then normalizes or finishes it and hands it to
-    f_evals whole, so the states of all draws never exist at once.  A call
-    of FORK_BYTES of states or more is shared by _fan_out among the
-    processes _workers allows, each share a contiguous run of whole chunks
-    batched from its own start; its results go to shared memory.  A chunk's
-    generator depends only on its index, and a state's f does not depend on
-    the states next to it, so the values are the same bit for bit at any
-    batch size and CPU count.  count must be positive.
+    Each share walks its chunks in order, checking ``stop`` before every
+    one, and hands each chunk, normalized or finished, to f_evals whole, so
+    the states of all draws never exist at once.  A call of FORK_BYTES of
+    states or more is shared by _fan_out among the processes _workers
+    allows, each share a contiguous run of whole chunks; its results go to
+    shared memory.  A chunk's generator depends only on its index, and a
+    state's f does not depend on the states next to it, so the values are
+    the same bit for bit at any CPU count.  count must be positive.
     """
     per_draw_states = math.prod(shape)
-    state_bytes = per_draw_states * ws.k * np.dtype(complex).itemsize
-    full = f_chunk(ws.k, per_draw_states)
-    chunk = min(full, count)
-    batch = min(count, full * max(1, F_BATCH_BYTES // (full * state_bytes)))
+    chunk = min(f_chunk(ws.k, per_draw_states), count)
     chunks = -(-count // chunk)
-    workers = _workers(count * state_bytes, chunks)
+    workers = _workers(count * per_draw_states * ws.k * np.dtype(complex).itemsize, chunks)
     edges = [min(count, chunks * w // workers * chunk) for w in range(workers + 1)]
     fs = _shared_empty((count, *shape), workers > 1)
     values = _shared_empty((count,), workers > 1) if finish is not None else None
 
     def run(share: range, stop: mmap.mmap) -> None:
-        states = np.empty((min(batch, len(share)), *shape, ws.k), dtype=complex)
-        for first in range(share.start, share.stop, batch):
-            last = min(first + batch, share.stop)
-            for start in range(first, last, chunk):
-                if stop[0]:
-                    return
-                rows = states[start - first : min(start + chunk, last) - first]
-                normals = derived_rng(*stream, start // chunk).standard_normal((len(rows), *shape, 2, ws.k))
-                rows.real = normals[..., 0, :]
-                rows.imag = normals[..., 1, :]
-                # freed before normalize_rows' temporaries: at K = 78,561 a
-                # share then holds no more at once than random_pure_state
-                del normals
-            rows = states[: last - first]
+        for start in range(share.start, share.stop, chunk):
+            if stop[0]:
+                return
+            last = min(start + chunk, share.stop)
+            normals = derived_rng(*stream, start // chunk).standard_normal((last - start, *shape, 2, ws.k))
+            rows = np.empty((last - start, *shape, ws.k), dtype=complex)
+            rows.real = normals[..., 0, :]
+            rows.imag = normals[..., 1, :]
+            # freed before normalize_rows' temporaries: at K = 78,561 a
+            # share then holds no more at once than random_pure_state
+            del normals
             if finish is None:
                 normalize_rows(rows)
             else:
-                values[first:last] = finish(rows)
-            fs[first:last] = f_evals(rows, ws)
+                values[start:last] = finish(rows)
+            fs[start:last] = f_evals(rows, ws)
 
     _fan_out(run, [range(edges[w], edges[w + 1]) for w in range(workers)])
     return fs if values is None else (fs, values)
@@ -776,10 +767,11 @@ def theorem1_experiment(n: int, delta: float, c_prime: float, n_subspaces: int, 
     delta/3.  ``c_prime`` is the additive constant of the subspace dimension
     2^(3 log2 n + 3.5 log2 delta + c_prime).  Desk-scale parameters are often
     infeasible (the multiplicity slice truncates to zero, or the dimension
-    is below one state or beyond the whole working space); those runs return
-    a structured report with ``feasible = False`` rather than raising.  A
-    feasible run whose state coordinates exceed WORK_LIMIT is refused before
-    the first draw.
+    is below one state or beyond the whole working space, or n is odd or
+    not positive); those runs return a structured report with ``feasible =
+    False`` rather than raising.  An n over QUBIT_LIMIT is refused, and so is
+    a feasible run whose state coordinates exceed WORK_LIMIT, before the
+    first draw.
     """
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
@@ -799,6 +791,8 @@ def theorem1_experiment(n: int, delta: float, c_prime: float, n_subspaces: int, 
     try:
         ws = build_working_space(n, alpha)
     except ValueError as exc:
+        if n % 2 == 0 and n > QUBIT_LIMIT:
+            raise  # over the qubit limit: refused, as by every command
         base["reason"] = str(exc)
         return base
     base["workspace"] = ws.descriptor()

@@ -499,6 +499,7 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "haar-moments", "--n", "2", "--samples", "100000000000"],
         ["--command", "mean-f", "--n", "12", "--samples", "100000000000"],
         ["--command", "mean-f", "--n", "200", "--samples", "1000000"],
+        ["--command", "theorem1", "--n", "4098", "--delta", "1"],
         ["--command", "theorem1", "--n", "200", "--delta", "2", "--c-prime", "-20"],
         ["--command", "theorem1", "--n", "24", "--delta", "2", "--c-prime", "-12",
          "--samples", "1000000"],
@@ -508,7 +509,7 @@ def test_capacity_rejects_negative_delta(capsys):
     ],
     ids=["net", "net-subnormal-epsilon", "workspace", "decompose", "capacity", "twirl-check",
          "haar-moments", "haar-moments-samples", "mean-f-samples", "mean-f-work",
-         "theorem1-subspace", "theorem1-work", "twirl-check-work", "twirl-check-nodes"],
+         "theorem1-qubits", "theorem1-subspace", "theorem1-work", "twirl-check-work", "twirl-check-nodes"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
     start = time.perf_counter()

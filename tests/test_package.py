@@ -53,6 +53,29 @@ def test_no_unbounded_while_loops():
     assert found == []
 
 
+def test_every_module_constant_is_read():
+    # a deleted path must not leave its knob behind: every module-level
+    # UPPER_CASE name the package assigns is loaded somewhere in it, by name
+    # or as an attribute, not only named in a comment or a docstring
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    constants = {
+        target.id
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    loaded = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    assert len(constants) >= 20
+    assert sorted(constants - loaded) == []
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -192,18 +192,23 @@ def test_f_evals_on_an_empty_stack_is_empty():
         f_evals(np.zeros((3, WS12.k + 1)), WS12)
 
 
-@pytest.mark.parametrize("n, chunk", [(12, 56), (24, 7), (60, 1), (128, 1)])
-def test_f_chunk_holds_one_state_on_large_spaces_and_fits_the_budget(n, chunk):
-    k = build_working_space(n, 2.0).k
-    state_bytes = k * np.dtype(complex).itemsize
-    assert f_chunk(k) == chunk
-    pair_chunk = f_chunk(k, 2)
-    assert pair_chunk == max(1, chunk // 2)  # 28 pairs at n = 12, 3 at n = 24
+@pytest.mark.parametrize("n, chunk", [(12, 227), (24, 30), (60, 1), (128, 1)])
+def test_f_chunk_holds_one_state_on_large_spaces_and_fits_the_budget(kernel_input, n, chunk):
+    ws = build_working_space(n, 2.0)
+    state_bytes = ws.k * np.dtype(complex).itemsize
+    assert f_chunk(ws.k) == chunk
+    pair_chunk = f_chunk(ws.k, 2)
+    assert pair_chunk == max(1, chunk // 2)  # 113 pairs at n = 12, 15 at n = 24
     # a chunk counts states: a chunk of several draws stays within the
     # budget, and one more draw would not fit
     for per_draw, draws in ((1, chunk), (2, pair_chunk)):
         assert draws == 1 or draws * per_draw * state_bytes <= F_CHUNK_BYTES
         assert (draws + 1) * per_draw * state_bytes > F_CHUNK_BYTES
+    # the sampler draws by this table: a full chunk from generator 0, one
+    # kernel call, then the next draw from generator 1, another call
+    fs = _f_on_draws(chunk + 1, ws, (n,))
+    assert [len(got) for got in kernel_input] == [chunk, 1]
+    assert np.array_equal(fs, f_evals(chunk_draws(ws.k, chunk + 1, (n,)), ws))
 
 
 def test_f_rejects_leaky_input():
@@ -478,14 +483,18 @@ def test_mean_f_respects_both_bounds():
         mean_f_experiment(WS12, 1, 0)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("n, alpha", [(24, 16), (54, 36), (96, 64)])  # D_alpha = 1; |Y| = 4, 9, 16
+# D_alpha = 1; |Y| = 4, 9, 16 and 36.  (216, 144) runs serially at 2,000
+# samples: 8,000 take about 1.6 s there.  Its chunk of K = 5,220 holds 3 states
+@pytest.mark.parametrize(
+    "n, alpha, workers",
+    [(24, 16, 1), (24, 16, 2), (54, 36, 1), (54, 36, 2), (96, 64, 1), (96, 64, 2), (216, 144, 1)],
+)
 def test_mean_f_at_one_path_per_block_matches_the_dirichlet_law(monkeypatch, request, n, alpha, workers):
     # the block weights of a Haar state are Dirichlet, so E f has a closed
-    # form; a sampler of real Gaussian states sits 60, 99 and 137 standard
-    # errors off it
+    # form; a sampler of real Gaussian states sits 60, 99, 137 and 100
+    # standard errors off it
     ws = build_working_space(n, alpha)
-    samples = 8000
+    samples = 2000 if n == 216 else 8000
     if workers > 1:
         request.getfixturevalue("cpus")(workers)
         assert samples * ws.k * np.dtype(complex).itemsize >= FORK_BYTES  # forked shares
@@ -493,6 +502,25 @@ def test_mean_f_at_one_path_per_block_matches_the_dirichlet_law(monkeypatch, req
         monkeypatch.setattr(privacy, "_cpus", lambda: 1)
     report = mean_f_experiment(ws, samples, 1)
     assert abs(report.mean_f - exact_mean_f(ws)) <= 4.0 * report.stderr_f
+
+
+def test_concentration_tail_matches_an_independent_dirichlet_draw():
+    # at (24, 16), D_alpha = 1: f = sum_j |w_j - 1/4| over the weights of
+    # four blocks of D = 17 coordinates, Dirichlet(17, 17, 17, 17) for a Haar
+    # state, drawn here from numpy's gamma and never by the sampler.  The
+    # statistic is the two-sample Kolmogorov-Smirnov distance between the
+    # tails of |f - median|, read at the Dirichlet sample's points (which can
+    # only lower it); 0.0436 is its 0.1% critical value for two samples of
+    # 4,000, 1.949 * sqrt(2 / 4000).  It reads 0.016 at these seeds, and 0.158
+    # for a sampler of real Gaussian states
+    ws = build_working_space(24, 16)
+    samples = 4000
+    weights = np.random.default_rng([24, 16]).gamma(ws.d, size=(samples, len(ws.y)))
+    weights /= weights.sum(axis=1, keepdims=True)
+    f = np.abs(weights - 1.0 / len(ws.y)).sum(axis=1)
+    dev = np.abs(f - np.median(f))  # an even count: the median is no sample, so every dev > 0
+    report = concentration_experiment(ws, samples, dev, 1.0, 1)
+    assert max(abs(report.tail[g] - np.mean(dev > g)) for g in dev) <= 0.0436
 
 
 def test_concentration_tail_and_fit():
@@ -527,8 +555,9 @@ def test_lipschitz_skips_pairs_closer_than_roundoff(perturbation):
 
 def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
     # at this scale the gaps straddle the 1e-13 skip threshold, so every chunk
-    # of the pair sampler (28 pairs) holds both kinds; checked against a
-    # per-pair loop that takes each chunk's pairs from the chunk's generator
+    # of the pair sampler (113 pairs, then a partial chunk of 7) holds both
+    # kinds; checked against a per-pair loop that takes each chunk's pairs
+    # from the chunk's generator
     n_pairs, perturbation = 120, 8.5e-15
     chunk = f_chunk(WS12.k, 2)
     worst, skipped = 0.0, []
@@ -634,8 +663,8 @@ def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
 
 @pytest.mark.parametrize("count", [2, 3, 5])
 def test_spread_chunks_match_the_serial_loop(cpus, count):
-    # n = 12: 66 whole chunks of 56 draws and a partial one; each share is a
-    # run of whole chunks, so its draws are the serial loop's
+    # n = 12: 16 whole chunks of 227 draws and a partial one; each share is
+    # a run of whole chunks, so its draws are the serial loop's
     draws = 3700
     cpus(1)
     serial = _f_on_draws(draws, WS12, stream=(9, 2))
@@ -723,10 +752,11 @@ def test_chunk_filled_states_are_random_pure_states(kernel_input, pairs):
     # two full chunks and a partial one; each draw's states are those of
     # random_pure_state called on its chunk's generator in draw order, bit for bit
     shape = (2,) if pairs else ()
-    count = 2 * f_chunk(WS12.k, 2 if pairs else 1) + 3
+    chunk = f_chunk(WS12.k, 2 if pairs else 1)
+    count = 2 * chunk + 3
     fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape)
     got = np.concatenate(kernel_input)
-    assert len(kernel_input) == 1 and len(got) == count  # the three chunks fill one batch
+    assert [len(rows) for rows in kernel_input] == [chunk, chunk, 3]  # one kernel call per chunk
     want = chunk_draws(WS12.k, count, (31, 4), shape)
     assert np.array_equal(got, want)
     assert np.array_equal(fs, [f_evals(w[None], WS12)[0] for w in want])
@@ -780,22 +810,18 @@ def test_one_draw_chunks_keep_each_draws_own_generator(kernel_input, shape):
         assert np.array_equal(fs[i], f_evals(want[None], ws)[0])
 
 
-# (n, states per draw) -> (draws per chunk, chunks per batch)
-BATCHES = {(12, 1): (56, 4), (12, 2): (28, 4), (24, 1): (7, 4), (24, 2): (3, 5), (60, 1): (1, 1), (60, 2): (1, 1)}
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["states", "pairs", "nearby"])
-@pytest.mark.parametrize("n", [12, 24, 60])  # K = 72, 544: several chunks per batch; 8,200: one
-def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, workers):
-    # two whole batches and a partial one, serially and in two shares: each
-    # batch is one kernel call on whole chunks, each chunk drawn from its own
-    # generator, and every value is the written-out chunk loop's, bit for bit
+@pytest.mark.parametrize("n", [12, 24, 60])  # K = 72, 544: several draws per chunk; 8,200: one
+def test_chunks_match_the_written_out_loop(monkeypatch, request, n, kind, workers):
+    # two whole chunks and a partial one, serially and in two shares: each
+    # chunk is drawn from its own generator, made once, and handed to the
+    # kernel in one call, and every value is the written-out chunk loop's,
+    # bit for bit
     ws = build_working_space(n, 2.0)
     shape = () if kind == "states" else (2,)
-    chunk, per_batch = BATCHES[n, math.prod(shape)]
-    assert f_chunk(ws.k, math.prod(shape)) == chunk
-    count = 2 * chunk * per_batch + chunk * per_batch // 2 + 1
+    chunk = f_chunk(ws.k, math.prod(shape))
+    count = 2 * chunk + chunk // 2 + 1
     finish, one = normalize_rows, None
     if shape:  # lipschitz_check's own finish
         finish = lipschitz_finish(monkeypatch, ws, 1e-4 if kind == "nearby" else None)
@@ -805,25 +831,33 @@ def test_batches_match_the_written_out_chunks(monkeypatch, request, n, kind, wor
         request.getfixturevalue("cpus")(workers)
         monkeypatch.setattr(privacy, "FORK_BYTES", 0)  # spread however small the call
     caller, inputs = os.getpid(), []
-    calls = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)  # kernel calls: caller, worker
+    chunks = math.ceil(count / chunk)
+    # shared with the workers: generators made per chunk index, kernel calls by caller and worker
+    made = np.frombuffer(mmap.mmap(-1, 8 * chunks), dtype=np.int64)
+    calls = np.frombuffer(mmap.mmap(-1, 16), dtype=np.int64)
+
+    def generator(*key):
+        made[key[-1]] += 1
+        return derived_rng(*key)
 
     def kernel(phis, ws):
         calls[int(os.getpid() != caller)] += 1
         inputs.append(np.array(phis))  # reaches the caller's list only
         return f_evals(phis, ws)
 
+    monkeypatch.setattr(privacy, "derived_rng", generator)
     monkeypatch.setattr(privacy, "f_evals", kernel)
     fs, pids = _f_on_draws(count, ws, (17, 2), shape=shape, finish=drawn_by(finish))
     share_calls = calls.copy()
+    assert made.tolist() == [1] * chunks
     want = chunk_draws(ws.k, count, (17, 2), shape, one)
     np.testing.assert_array_equal(fs, f_evals(want, ws))
     sizes = [len(list(run)) for _, run in itertools.groupby(pids)]
     assert len(sizes) == workers and pids[0] == caller
     assert workers == 1 or sizes[0] % chunk == 0  # shares are runs of whole chunks
-    batches = [math.ceil(math.ceil(size / chunk) / per_batch) for size in sizes]
-    assert list(share_calls[:workers]) == batches
+    assert list(share_calls[:workers]) == [math.ceil(size / chunk) for size in sizes]
     if workers == 1:
-        assert len(inputs) == batches[0]
+        assert [len(rows) for rows in inputs] == [chunk] * (chunks - 1) + [count - (chunks - 1) * chunk]
         np.testing.assert_array_equal(np.concatenate(inputs), want)
     if shape:
         fs_again, got = _f_on_draws(count, ws, (17, 2), shape=shape, finish=finish)
@@ -1008,8 +1042,10 @@ def test_subspace_states_never_fork(monkeypatch, cpus):
     cpus(4)
     estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)
     assert forks == []
-    _f_on_draws(200, WS12, (2,))  # four chunks: the sampler forks here
+    count = 4 * f_chunk(WS12.k)  # four chunks: the sampler forks here
+    fs = _f_on_draws(count, WS12, (2,))
     assert len(forks) == 3
+    assert np.array_equal(fs, f_evals(chunk_draws(WS12.k, count, (2,)), WS12))
 
 
 # ---------------------------------------------------------------------------
