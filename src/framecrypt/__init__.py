@@ -36,7 +36,6 @@ from framecrypt.channel import (
     twirl_oracle,
 )
 from framecrypt.privacy import (
-    ConcentrationReport,
     build_eps_net,
     concentration_experiment,
     estimate_max_f,

@@ -34,6 +34,8 @@ def thm1_dim_bound(n: int, delta: float, c_prime: float) -> float:
     _require_even(n)
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
+    if math.isnan(c_prime):
+        raise ValueError("c_prime must be a number, got nan")
     return 3.0 * math.log2(n) + 3.5 * math.log2(delta) + c_prime
 
 
@@ -72,5 +74,7 @@ def min_delta_for_advantage(n: int, c_prime: float) -> float:
     """Smallest delta at which the delta-private subspace dimension beats the
     zero-error quantum rate; scales like n^(-4/7), and inf past the float range."""
     _require_even(n)
+    if math.isnan(c_prime):
+        raise ValueError("c_prime must be a number, got nan")
     bits = (math.log2(n + 1) - 3.0 * math.log2(n) - c_prime) / 3.5
     return 2.0**bits if bits < 1024 else math.inf  # 2.0**1024 overflows

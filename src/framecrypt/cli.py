@@ -190,8 +190,7 @@ def _run_mean_f(config: argparse.Namespace) -> tuple[dict, dict | None]:
     ws = _ws_from(config)
     samples = _or_default(config.samples, 2000)
     check_limit(samples * ws.k, privacy.WORK_LIMIT, "mean-f", "state coordinates")
-    report = privacy.mean_f_experiment(ws, samples, config.seed)
-    return dataclasses.asdict(report), ws.descriptor()
+    return privacy.mean_f_experiment(ws, samples, config.seed), ws.descriptor()
 
 
 def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
@@ -199,10 +198,9 @@ def _run_concentration(config: argparse.Namespace) -> tuple[dict, dict | None]:
     samples = _or_default(config.samples, 2000)
     check_limit(samples * ws.k, privacy.WORK_LIMIT, "concentration", "state coordinates")
     report = privacy.concentration_experiment(ws, samples, DEFAULT_GAMMA_GRID, config.levy_c, config.seed)
-    d = dataclasses.asdict(report)
-    d["tail"] = {f"{g:g}": v for g, v in report.tail.items()}
-    d["levy_bound"] = {f"{g:g}": v for g, v in report.levy_bound.items()}
-    return d, ws.descriptor()
+    report["tail"] = {f"{g:g}": v for g, v in report["tail"].items()}
+    report["levy_bound"] = {f"{g:g}": v for g, v in report["levy_bound"].items()}
+    return report, ws.descriptor()
 
 
 def _run_lipschitz(config: argparse.Namespace) -> tuple[dict, dict | None]:

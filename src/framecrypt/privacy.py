@@ -35,7 +35,6 @@ experiments that the theory predicts:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import mmap
@@ -138,23 +137,6 @@ class EpsNet:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass
-class ConcentrationReport:
-    """Summary of a batch of f evaluations on random working-space states."""
-
-    n_samples: int
-    mean_f: float
-    median_f: float
-    tail: dict  # gamma -> empirical P(|f - median| > gamma)
-    levy_bound: dict  # gamma -> exp2(-levy_c (K-1) gamma^2 / 2)
-    fitted_c: float | None
-    seeds: list
-    std_f: float
-    stderr_f: float
-    bound_inv_sqrt_alpha: float
-    bound_ratio: float
 
 
 def _centred_blocks(v: np.ndarray, ws: WorkingSpace) -> np.ndarray:
@@ -564,43 +546,46 @@ def estimate_max_f(
 # sampling experiments
 # ---------------------------------------------------------------------------
 
-def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, ConcentrationReport]:
+def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, dict]:
     """f on n_samples random states (stream (seed,) of _f_on_draws) and the
-    statistics both experiments report; the tail fields are left empty."""
+    statistics both experiments report, as the dict the CLI prints; the tail
+    fields are left empty."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
     fs = _f_on_draws(n_samples, ws, (seed,))
     std = float(fs.std(ddof=1))
-    return fs, ConcentrationReport(
-        n_samples=n_samples,
-        mean_f=float(fs.mean()),
-        median_f=float(np.median(fs)),
-        tail={},
-        levy_bound={},
-        fitted_c=None,
-        seeds=[int(seed)],
-        std_f=std,
-        stderr_f=std / math.sqrt(n_samples),
-        bound_inv_sqrt_alpha=1.0 / math.sqrt(ws.alpha),
-        bound_ratio=math.sqrt(ws.d_alpha / ws.d),
-    )
+    return fs, {
+        "n_samples": n_samples,
+        "mean_f": float(fs.mean()),
+        "median_f": float(np.median(fs)),
+        "tail": {},  # gamma -> empirical P(|f - median| > gamma)
+        "levy_bound": {},  # gamma -> exp2(-levy_c (K-1) gamma^2 / 2)
+        "fitted_c": None,
+        "seeds": [int(seed)],
+        "std_f": std,
+        "stderr_f": std / math.sqrt(n_samples),
+        "bound_inv_sqrt_alpha": 1.0 / math.sqrt(ws.alpha),
+        "bound_ratio": math.sqrt(ws.d_alpha / ws.d),
+    }
 
 
-def mean_f_experiment(ws: WorkingSpace, n_samples: int, seed: int) -> ConcentrationReport:
-    """Sample f and check the mean and median against their predicted bounds.
+def mean_f_experiment(ws: WorkingSpace, n_samples: int, seed: int) -> dict:
+    """Sample f and check the mean and median against their predicted bounds;
+    returns the report dict of _sampled_report, the payload the CLI prints.
 
     Raises AssertionError if the empirical mean exceeds 1/sqrt(alpha) (or the
     tighter sqrt(d_alpha/d)) by more than three standard errors, or if the
     median exceeds twice the mean.
     """
     _, r = _sampled_report(ws, n_samples, seed)
-    mean, se = r.mean_f, r.stderr_f
-    if mean > r.bound_inv_sqrt_alpha + 3.0 * se:
-        raise AssertionError(f"mean f {mean} exceeds 1/sqrt(alpha)={r.bound_inv_sqrt_alpha} + 3 SE")
-    if mean > r.bound_ratio + 3.0 * se:
-        raise AssertionError(f"mean f {mean} exceeds sqrt(d_alpha/d)={r.bound_ratio} + 3 SE")
-    if r.median_f > 2.0 * mean + _ASSERT_SLACK:
-        raise AssertionError(f"median {r.median_f} exceeds twice the mean {mean}")
+    mean, se, median = r["mean_f"], r["stderr_f"], r["median_f"]
+    inv_sqrt_alpha, ratio = r["bound_inv_sqrt_alpha"], r["bound_ratio"]
+    if mean > inv_sqrt_alpha + 3.0 * se:
+        raise AssertionError(f"mean f {mean} exceeds 1/sqrt(alpha)={inv_sqrt_alpha} + 3 SE")
+    if mean > ratio + 3.0 * se:
+        raise AssertionError(f"mean f {mean} exceeds sqrt(d_alpha/d)={ratio} + 3 SE")
+    if median > 2.0 * mean + _ASSERT_SLACK:
+        raise AssertionError(f"median {median} exceeds twice the mean {mean}")
     return r
 
 
@@ -610,8 +595,10 @@ def concentration_experiment(
     gamma_grid,
     levy_c: float,
     seed: int,
-) -> ConcentrationReport:
-    """Empirical tail of |f - median| against the exponential reference curve.
+) -> dict:
+    """Empirical tail of |f - median| against the exponential reference curve;
+    returns the report dict of _sampled_report with its tail fields filled,
+    keyed by the float gammas of the grid.
 
     ``levy_bound`` is that curve, exp2(-levy_c (K-1) gamma^2 / 2), for the
     positive constant ``levy_c``.  ``fitted_c`` is the largest constant c
@@ -625,14 +612,14 @@ def concentration_experiment(
     if not levy_c > 0.0:
         raise ValueError("levy_c must be positive")
     fs, report = _sampled_report(ws, n_samples, seed)
-    dev = np.abs(fs - report.median_f)
+    dev = np.abs(fs - report["median_f"])
     tail = {g: float(np.mean(dev > g)) for g in gammas}
     levy = {g: 2.0 ** (-levy_c * (ws.k - 1) * g**2 / 2.0) for g in gammas}
     constraints = [
         -2.0 * math.log2(t) / ((ws.k - 1) * g**2) for g, t in tail.items() if t > 0.0
     ]
     fitted = min(constraints) if constraints else None
-    return dataclasses.replace(report, tail=tail, levy_bound=levy, fitted_c=fitted)
+    return {**report, "tail": tail, "levy_bound": levy, "fitted_c": fitted}
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -775,6 +762,8 @@ def theorem1_experiment(n: int, delta: float, c_prime: float, n_subspaces: int, 
     """
     if not 0.0 < delta <= 2.0:
         raise ValueError(f"delta must lie in (0, 2], got {delta}")
+    if math.isnan(c_prime):  # +-inf give infeasible reports
+        raise ValueError("c_prime must be a number, got nan")
     if n_subspaces < 1:
         raise ValueError("need at least one subspace")
     alpha = 36.0 / delta**2 if delta**2 > 0.0 else math.inf  # delta**2 underflows below 1e-162

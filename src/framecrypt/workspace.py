@@ -143,9 +143,7 @@ def embed_state(v: np.ndarray, ws: WorkingSpace, target: str = "coupled") -> np.
     rotation columns times that path's coordinates as the coupling walk hands
     the path over, so no block's (2^n, 2j+1, D_alpha) column stack is built.
     """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (ws.k,):
-        raise ValueError(f"expected a length-{ws.k} coordinate vector, got shape {v.shape}")
+    v = workspace_vector(v, ws)
     if target == "computational":
         check_limit(ws.n, DENSE_QUBIT_LIMIT, "a dense computational embedding", "qubits")
         out = np.zeros(2**ws.n, dtype=complex)
@@ -183,8 +181,9 @@ def restrict_state(vec: np.ndarray, ws: WorkingSpace) -> np.ndarray:
 def workspace_vector(phi: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     """The K working-space coordinates of a state, as a complex vector.
 
-    The one shape check behind f_eval, reduced_map_f and twirl_working_state:
-    any other length, a coupled-basis vector included, is refused.
+    The one shape check behind embed_state, f_eval, reduced_map_f and
+    twirl_working_state: any other shape, a coupled-basis vector included,
+    is refused.
     """
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (ws.k,):

@@ -142,8 +142,8 @@ def test_criterion_07_mean_f_bounds():
         for n, alpha in ((8, 2.0), (12, 2.0), (12, 4.0), (14, 2.0)):
             ws = build_working_space(n, alpha)
             report = mean_f_experiment(ws, 2000, 7)  # raises if a bound is broken
-            assert report.mean_f <= 1.0 / math.sqrt(alpha) + 3.0 * report.stderr_f
-            assert report.mean_f <= math.sqrt(ws.d_alpha / ws.d) + 3.0 * report.stderr_f
+            assert report["mean_f"] <= 1.0 / math.sqrt(alpha) + 3.0 * report["stderr_f"]
+            assert report["mean_f"] <= math.sqrt(ws.d_alpha / ws.d) + 3.0 * report["stderr_f"]
 
 
 def test_criterion_08_haar_fourth_moment():
@@ -160,8 +160,8 @@ def test_criterion_09_concentration_trend():
         for n in (10, 14):
             ws = build_working_space(n, 2.0)
             report = concentration_experiment(ws, 5000, grid, 1.0, 9)
-            tails[n] = report.tail[0.2]
-            print(f"  n={n}: tail(0.2)={report.tail[0.2]:.4f} fitted_c={report.fitted_c}")
+            tails[n] = report["tail"][0.2]
+            print(f"  n={n}: tail(0.2)={report['tail'][0.2]:.4f} fitted_c={report['fitted_c']}")
         assert tails[14] <= tails[10]
 
 

@@ -45,6 +45,17 @@ def test_thm1_dim_bound_values():
         thm1_dim_bound(16, 2.1, 0.0)
 
 
+def test_a_nan_c_prime_is_refused_and_the_infinities_keep_their_results():
+    with pytest.raises(ValueError, match="c_prime"):
+        min_delta_for_advantage(16, math.nan)
+    with pytest.raises(ValueError, match="c_prime"):
+        thm1_dim_bound(16, 0.5, math.nan)
+    assert min_delta_for_advantage(16, math.inf) == 0.0
+    assert min_delta_for_advantage(16, -math.inf) == math.inf
+    assert thm1_dim_bound(16, 0.5, math.inf) == math.inf
+    assert thm1_dim_bound(16, 0.5, -math.inf) == -math.inf
+
+
 def test_classical_capacity_upper_values():
     assert classical_capacity_upper(16, 0.0) == pytest.approx(15.0, abs=1e-12)
     assert classical_capacity_upper(16, 0.5) == pytest.approx(21.0, abs=1e-12)

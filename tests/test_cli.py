@@ -33,6 +33,7 @@ from framecrypt.cli import (
     run,
 )
 from framecrypt.linalg import blas_threads, check_limit
+from framecrypt.workspace import build_working_space
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -128,6 +129,19 @@ def test_concentration_payload_formats_gammas(capsys):
     assert code == 0
     assert set(doc["payload"]["tail"]) == {f"{g:g}" for g in DEFAULT_GAMMA_GRID}
     assert doc["payload"]["tail"]["2"] == 0.0
+
+
+def test_sampling_experiments_return_the_payload_they_print():
+    # one process, one BLAS thread count: the CLI's payload is the experiment's
+    # dict, with the concentration gammas relabelled as strings
+    report = privacy.mean_f_experiment(build_working_space(24, 2.0), 200, 3)
+    json.dumps(report, allow_nan=False)
+    argv = ["--command", "mean-f", "--n", "24", "--alpha", "2", "--samples", "200", "--seed", "3"]
+    assert run(parse_config(argv))["payload"] == cli._jsonable(report)
+    report = privacy.concentration_experiment(build_working_space(12, 2.0), 500, DEFAULT_GAMMA_GRID, 1.0, 3)
+    relabelled = {key: {f"{g:g}": v for g, v in report[key].items()} for key in ("tail", "levy_bound")}
+    argv = ["--command", "concentration", "--n", "12", "--samples", "500", "--seed", "3"]
+    assert run(parse_config(argv))["payload"] == cli._jsonable({**report, **relabelled})
 
 
 def test_haar_moments_payload(capsys):

@@ -76,6 +76,29 @@ def test_every_module_constant_is_read():
     assert sorted(constants - loaded) == []
 
 
+def test_every_private_function_is_called():
+    # a deletion must not leave its helper behind: every module-level _name
+    # function or class the package defines is loaded or imported by name
+    # somewhere in it, not only in the tests
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    private = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    }
+    used = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+    assert len(private) >= 40
+    assert sorted(private - used) == []
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

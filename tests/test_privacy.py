@@ -471,14 +471,14 @@ def test_estimate_refuses_a_bad_net_epsilon_before_any_probe(monkeypatch, net_ep
 
 def test_mean_f_respects_both_bounds():
     report = mean_f_experiment(WS12, 400, 3)
-    assert report.mean_f <= 1.0 / math.sqrt(2.0) + 3.0 * report.stderr_f
-    assert report.mean_f <= math.sqrt(4.0 / 9.0) + 3.0 * report.stderr_f
-    assert report.median_f <= 2.0 * report.mean_f
-    assert report.bound_inv_sqrt_alpha == pytest.approx(1.0 / math.sqrt(2.0))
-    assert report.bound_ratio == pytest.approx(2.0 / 3.0)
+    assert report["mean_f"] <= 1.0 / math.sqrt(2.0) + 3.0 * report["stderr_f"]
+    assert report["mean_f"] <= math.sqrt(4.0 / 9.0) + 3.0 * report["stderr_f"]
+    assert report["median_f"] <= 2.0 * report["mean_f"]
+    assert report["bound_inv_sqrt_alpha"] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert report["bound_ratio"] == pytest.approx(2.0 / 3.0)
     ws4 = build_working_space(12, 4.0)
     r4 = mean_f_experiment(ws4, 400, 3)
-    assert r4.mean_f <= 0.5 + 3.0 * r4.stderr_f
+    assert r4["mean_f"] <= 0.5 + 3.0 * r4["stderr_f"]
     with pytest.raises(ValueError):
         mean_f_experiment(WS12, 1, 0)
 
@@ -501,7 +501,7 @@ def test_mean_f_at_one_path_per_block_matches_the_dirichlet_law(monkeypatch, req
     else:
         monkeypatch.setattr(privacy, "_cpus", lambda: 1)
     report = mean_f_experiment(ws, samples, 1)
-    assert abs(report.mean_f - exact_mean_f(ws)) <= 4.0 * report.stderr_f
+    assert abs(report["mean_f"] - exact_mean_f(ws)) <= 4.0 * report["stderr_f"]
 
 
 def test_concentration_tail_matches_an_independent_dirichlet_draw():
@@ -520,20 +520,20 @@ def test_concentration_tail_matches_an_independent_dirichlet_draw():
     f = np.abs(weights - 1.0 / len(ws.y)).sum(axis=1)
     dev = np.abs(f - np.median(f))  # an even count: the median is no sample, so every dev > 0
     report = concentration_experiment(ws, samples, dev, 1.0, 1)
-    assert max(abs(report.tail[g] - np.mean(dev > g)) for g in dev) <= 0.0436
+    assert max(abs(report["tail"][g] - np.mean(dev > g)) for g in dev) <= 0.0436
 
 
 def test_concentration_tail_and_fit():
     report = concentration_experiment(WS12, 600, (0.05, 0.2, 2.0), 1.0, 5)
-    assert report.tail[2.0] == 0.0  # |f - median| cannot exceed the range of f
-    assert set(report.tail) == {0.05, 0.2, 2.0}
-    for g, bound in report.levy_bound.items():
+    assert report["tail"][2.0] == 0.0  # |f - median| cannot exceed the range of f
+    assert set(report["tail"]) == {0.05, 0.2, 2.0}
+    for g, bound in report["levy_bound"].items():
         assert bound == pytest.approx(2.0 ** (-(WS12.k - 1) * g**2 / 2.0))
-    if report.fitted_c is not None:
+    if report["fitted_c"] is not None:
         # the fitted curve majorizes every observed tail point
-        for g, t in report.tail.items():
+        for g, t in report["tail"].items():
             if t > 0:
-                assert 2.0 ** (-report.fitted_c * (WS12.k - 1) * g**2 / 2.0) >= t - 1e-12
+                assert 2.0 ** (-report["fitted_c"] * (WS12.k - 1) * g**2 / 2.0) >= t - 1e-12
     with pytest.raises(ValueError):
         concentration_experiment(WS12, 100, (), 1.0, 0)
     with pytest.raises(ValueError):
@@ -1146,3 +1146,17 @@ def test_theorem1_refuses_delta_outside_0_2_before_building_a_working_space(monk
     with pytest.raises(ValueError, match=r"delta must lie in \(0, 2\]"):
         theorem1_experiment(12, delta, 0.0, n_subspaces=1, seed=0)
     assert calls == []
+
+
+def test_theorem1_refuses_a_nan_c_prime_before_building_a_working_space(monkeypatch):
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(privacy, "build_working_space", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="c_prime"):
+            theorem1_experiment(12, 2.0, math.nan, n_subspaces=1, seed=0)
+    assert calls == []
+    # the infinities stay infeasible results
+    assert theorem1_experiment(12, 2.0, math.inf, n_subspaces=1, seed=0)["reason"].startswith("dimension bound 2^inf")
+    assert theorem1_experiment(12, 2.0, -math.inf, n_subspaces=1, seed=0)["reason"] == (
+        "dimension bound is below a single state"
+    )

@@ -241,6 +241,14 @@ def test_workspace_vector_refuses_a_coupled_basis_vector():
                 route(bad, ws)
 
 
+def test_embed_state_refuses_a_wrong_shape_with_the_one_shape_check():
+    ws = build_working_space(4, 2.0)
+    for bad in (np.zeros(ws.k + 1), np.zeros((1, ws.k))):
+        for target in ("coupled", "computational"):
+            with pytest.raises(ValueError, match=f"state must be K={ws.k} working-space coordinates, got shape"):
+                embed_state(bad, ws, target)
+
+
 @given(st.integers(2, 10), st.floats(1.01, 3.0))
 @settings(max_examples=30, deadline=None)
 def test_dimension_bookkeeping_property(half_n, alpha):
