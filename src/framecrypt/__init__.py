@@ -13,7 +13,7 @@ The package is organized bottom-up:
 """
 
 from framecrypt.linalg import (
-    haar_unitary,
+    haar_columns,
     random_density_matrix,
     random_pure_state,
     trace_norm,

@@ -180,21 +180,30 @@ def kron_power(m: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def haar_unitary(dim: int, seed, size: int | None = None) -> np.ndarray:
-    """Haar-distributed unitary, via QR of a complex Ginibre matrix.
+def haar_columns(k: int, m: int, seed, size: int | None = None) -> np.ndarray:
+    """The first m columns of a Haar unitary on C^k, via the QR of a k x m
+    complex Ginibre matrix (real parts drawn first, then imaginary parts).
 
-    The R-factor phases are absorbed into Q (diagonal of R made positive),
-    which makes the QR map well defined and the output exactly Haar.  With
-    ``size`` given, a stack of shape (size, dim, dim) is returned.
+    R's diagonal phases are absorbed into Q (diagonal of R made positive),
+    which makes the QR map well defined; the k x m result then has exactly
+    the law of m columns of a Haar unitary (Mezzadri, arXiv:math-ph/0609050),
+    and at m = k it is a Haar unitary.  With ``size`` given, a stack of shape
+    (size, k, m) is returned.  An m outside [1, k] is refused before any draw.
     """
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    if not 1 <= m <= k:
+        raise ValueError(f"need 1 <= m <= k, got m={m} and k={k}")
     rng = np.random.default_rng(seed)
-    shape = (dim, dim) if size is None else (int(size), dim, dim)
+    shape = (k, m) if size is None else (int(size), k, m)
     z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, seed, size: int | None = None) -> np.ndarray:
+    """Haar unitary on C^dim: haar_columns(dim, dim, seed, size).  The package
+    draws columns only; this name stays because perfbench/tracer.py wraps it."""
+    return haar_columns(dim, dim, seed, size)
 
 
 def normalize_rows(v: np.ndarray) -> np.ndarray:

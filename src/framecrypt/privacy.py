@@ -51,7 +51,7 @@ from framecrypt.linalg import (
     check_limit,
     dagger,
     derived_rng,
-    haar_unitary,
+    haar_columns,
     normalize_rows,
     random_pure_state,
     trace_norm,
@@ -65,8 +65,8 @@ NET_SIZE_LIMIT = 200_000  # most points a net may have
 ASCENT_ITERS = 80  # alternating-ascent rounds at most
 ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
-HAAR_CHUNK = 5000  # unitaries drawn at once by haar_moment_check
-HAAR_STACK_LIMIT = 2**26  # bytes of the unitaries drawn at once (64 MiB)
+HAAR_CHUNK = 5000  # column pairs drawn at once by haar_moment_check
+HAAR_STACK_LIMIT = 2**26  # bytes of the Haar columns drawn at once (64 MiB)
 # bytes of the states (not draws) of one _f_on_draws chunk (256 KiB): the unit
 # of one generator and of one f_evals call.  Each chunk draws from its own
 # generator, so where a chunk holds several draws (K <= 8,192 for single
@@ -393,16 +393,18 @@ def helstrom_distinguish(rho1: np.ndarray, rho2: np.ndarray) -> float:
 
 
 def sample_subspace(ws: WorkingSpace, dim_s: int, seed: int) -> SubspaceSample:
-    """Subspace of the working space drawn from the invariant measure: the first
-    dim_s columns of a K x K Haar unitary, refused above HAAR_STACK_LIMIT bytes.
+    """Subspace of the working space drawn from the invariant measure: the
+    K x dim_s Haar columns of haar_columns, refused above HAAR_STACK_LIMIT
+    bytes.
 
-    The basis is a contiguous copy of those columns, so the unitary is freed.
+    The basis is the phase-fixed product haar_columns returns: a contiguous
+    array that owns its memory.
     """
     if not 1 <= dim_s <= ws.k:
         raise ValueError(f"dim_s must lie in [1, {ws.k}], got {dim_s}")
-    check_limit(ws.k**2 * np.dtype(complex).itemsize, HAAR_STACK_LIMIT, f"a subspace of K={ws.k}", "unitary bytes")
-    basis = haar_unitary(ws.k, seed)[:, :dim_s].copy()
-    return SubspaceSample(basis=basis)
+    what = f"a subspace of {dim_s} columns of K={ws.k}"
+    check_limit(ws.k * dim_s * np.dtype(complex).itemsize, HAAR_STACK_LIMIT, what, "bytes")
+    return SubspaceSample(basis=haar_columns(ws.k, dim_s, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -695,24 +697,25 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
     """Monte Carlo fourth moments of Haar unitaries against the closed form.
 
     Checks E|U00|^4, E|U00|^2|U01|^2 and the cross term
-    E[U00 conj(U01) U11 conj(U10)], each within four standard errors, plus
-    the exact per-sample row normalization.  Returns a report dict.
+    E[U00 conj(U01) U11 conj(U10)], each within four standard errors.  All
+    of them read the first two columns only, so each sample is a k x 2
+    draw of haar_columns, whose 2 x 2 column Gram matrix must lie within
+    1e-10 of the identity.  Returns a report dict.
     """
     if k < 2:
         raise ValueError("need dimension k >= 2")
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
     chunk = min(HAAR_CHUNK, n_samples)
-    stack_bytes = chunk * k * k * np.dtype(complex).itemsize
-    check_limit(stack_bytes, HAAR_STACK_LIMIT, f"a stack of {chunk} unitaries of k={k}", "bytes")
+    stack_bytes = chunk * k * 2 * np.dtype(complex).itemsize
+    check_limit(stack_bytes, HAAR_STACK_LIMIT, f"a stack of {chunk} column pairs of k={k}", "bytes")
     m_abs4 = np.empty(n_samples)
     m_cross2 = np.empty(n_samples)
     m_loop = np.empty(n_samples, dtype=complex)
     for block_idx, start in enumerate(range(0, n_samples, HAAR_CHUNK)):
-        us = haar_unitary(k, derived_rng(seed, block_idx), size=min(HAAR_CHUNK, n_samples - start))
-        row_norm = np.abs(us[:, 0, :]) ** 2
-        if np.max(np.abs(row_norm.sum(axis=1) - 1.0)) > 1e-10:
-            raise AssertionError("sampled unitaries have non-normalized rows")
+        us = haar_columns(k, 2, derived_rng(seed, block_idx), size=min(HAAR_CHUNK, n_samples - start))
+        if np.max(np.abs(dagger(us) @ us - np.eye(2))) > 1e-10:
+            raise AssertionError("sampled columns are not orthonormal")
         u00, u01 = us[:, 0, 0], us[:, 0, 1]
         u10, u11 = us[:, 1, 0], us[:, 1, 1]
         m_abs4[start : start + len(us)] = np.abs(u00) ** 4
@@ -795,9 +798,9 @@ def theorem1_experiment(n: int, delta: float, c_prime: float, n_subspaces: int, 
     if dim_s > ws.k:
         base["reason"] = f"dimension bound {dim_s} exceeds the working space (K={ws.k})"
         return base
-    # states of K coordinates per subspace: its K x K unitary, the random
+    # states of K coordinates per subspace: its dim_s Haar columns, the random
     # probes, the dim_s basis columns every ascent round lifts, and the net
-    per_subspace = ws.k + THEOREM1_BUDGET + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
+    per_subspace = dim_s + THEOREM1_BUDGET + ASCENT_RESTARTS * ASCENT_ITERS * dim_s
     if dim_s == 2:
         per_subspace += net_size(2, epsilon)
     what = f"theorem1 with {n_subspaces} subspaces of {per_subspace} states of K={ws.k}"

@@ -1,6 +1,7 @@
-"""Helpers only the tests call: rotation draws, index maps, a brute-force
-enumeration of coupling histories, a partial trace by summation and the exact
-mean of f at D_alpha = 1, each independent of the code it checks."""
+"""Helpers only the tests call: rotation draws, a full Haar unitary draw,
+index maps, a brute-force enumeration of coupling histories, a partial trace
+by summation and the exact mean of f at D_alpha = 1, each independent of the
+code it checks."""
 
 from __future__ import annotations
 
@@ -34,6 +35,18 @@ def random_euler(seed) -> EulerAngles:
         math.acos(rng.uniform(-1.0, 1.0)),
         rng.uniform(0.0, 2 * math.pi),
     )
+
+
+def full_haar_unitary(dim: int, seed, size: int | None = None) -> np.ndarray:
+    """A dim x dim Haar unitary (a stack of ``size`` with size given), drawn as
+    the package drew every Haar matrix before it drew columns only: the QR of
+    a square complex Ginibre matrix, R's diagonal phases absorbed into Q."""
+    rng = np.random.default_rng(seed)
+    shape = (dim, dim) if size is None else (int(size), dim, dim)
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def embed_index(ws: WorkingSpace) -> tuple[CoupledIndex, ...]:

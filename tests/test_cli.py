@@ -511,6 +511,8 @@ def test_capacity_rejects_negative_delta(capsys):
          "--quadrature", "100000,100000,100000"],
         ["--command", "haar-moments", "--n", "100000", "--samples", "100"],
         ["--command", "haar-moments", "--n", "2", "--samples", "100000000000"],
+        # 5,000 pairs of 420 columns: 67.2 MB, over 64 MiB (k = 419 fits)
+        ["--command", "haar-moments", "--n", "420", "--samples", "5000"],
         ["--command", "mean-f", "--n", "12", "--samples", "100000000000"],
         ["--command", "mean-f", "--n", "200", "--samples", "1000000"],
         ["--command", "theorem1", "--n", "4098", "--delta", "1"],
@@ -522,7 +524,7 @@ def test_capacity_rejects_negative_delta(capsys):
         ["--command", "twirl-check", "--n", "2", "--samples", "1000", "--quadrature", "1024,1024,1024"],
     ],
     ids=["net", "net-subnormal-epsilon", "workspace", "decompose", "capacity", "twirl-check",
-         "haar-moments", "haar-moments-samples", "mean-f-samples", "mean-f-work",
+         "haar-moments", "haar-moments-samples", "haar-moments-columns", "mean-f-samples", "mean-f-work",
          "theorem1-qubits", "theorem1-subspace", "theorem1-work", "twirl-check-work", "twirl-check-nodes"],
 )
 def test_work_over_the_limit_is_refused_up_front(capsys, argv):
@@ -592,14 +594,14 @@ def test_declared_work_is_never_below_the_measured_work(monkeypatch, capsys, arg
 @pytest.mark.parametrize(
     "argv, k, dim_s, declared",
     [
-        (["--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"], 18, 2, 36_288),
-        (["--n", "24", "--delta", "2", "--c-prime", "-12", "--samples", "2", "--seed", "1"], 68, 38, 1_690_208),
+        (["--n", "12", "--delta", "2", "--c-prime", "-13", "--samples", "2", "--seed", "3"], 18, 2, 35_712),
+        (["--n", "24", "--delta", "2", "--c-prime", "-12", "--samples", "2", "--seed", "1"], 68, 38, 1_686_128),
     ],
     ids=["dim_s-2", "dim_s-38"],
 )
 def test_theorem1_declares_exactly_its_work_per_subspace(monkeypatch, capsys, argv, k, dim_s, declared):
-    """Per subspace: K for its unitary, the estimate's probes, the ascent's
-    rounds of dim_s basis columns and, at dim_s = 2, the net; each x K."""
+    """Per subspace: its dim_s Haar columns, the estimate's probes, the
+    ascent's rounds of dim_s basis columns and, at dim_s = 2, the net; each x K."""
     amounts = []
 
     def recording_check_limit(amount, limit, what, unit):
@@ -613,7 +615,7 @@ def test_theorem1_declares_exactly_its_work_per_subspace(monkeypatch, capsys, ar
     payload = json.loads(out)["payload"]
     assert (payload["workspace"]["k"], payload["dim_s"]) == (k, dim_s)
     net = privacy.net_size(2, 2.0 / 3) if dim_s == 2 else 0
-    per_subspace = k + privacy.THEOREM1_BUDGET + privacy.ASCENT_RESTARTS * privacy.ASCENT_ITERS * dim_s + net
+    per_subspace = dim_s + privacy.THEOREM1_BUDGET + privacy.ASCENT_RESTARTS * privacy.ASCENT_ITERS * dim_s + net
     assert amounts == [len(payload["subspaces"]) * per_subspace * k] == [declared]
 
 

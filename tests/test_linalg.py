@@ -15,7 +15,7 @@ from framecrypt.linalg import (
     check_limit,
     dagger,
     derived_rng,
-    haar_unitary,
+    haar_columns,
     is_hermitian,
     kron_power,
     normalize_rows,
@@ -23,6 +23,9 @@ from framecrypt.linalg import (
     random_pure_state,
     trace_norm,
 )
+from framecrypt.privacy import haar_fourth_moment
+
+from oracles import full_haar_unitary
 
 
 # ---------------------------------------------------------------------------
@@ -209,39 +212,59 @@ def test_trace_norm_refuses_input_that_is_not_hermitian_before_any_eigensolve(x,
 # random ensembles
 # ---------------------------------------------------------------------------
 
-def test_haar_unitary_is_unitary_and_deterministic():
-    for dim in (1, 2, 5):
-        u = haar_unitary(dim, 123)
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-        np.testing.assert_array_equal(u, haar_unitary(dim, 123))
-    assert abs(abs(haar_unitary(1, 7)[0, 0]) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        haar_unitary(0, 1)
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 33])
+def test_haar_columns_at_m_equal_k_are_the_full_draw_bit_for_bit(k):
+    for size in (None, 4):
+        want = full_haar_unitary(k, 100 + k, size=size)
+        assert_same_bits(haar_columns(k, k, 100 + k, size=size), want)
+        assert_same_bits(linalg.haar_unitary(k, 100 + k, size=size), want)
 
 
-def test_haar_unitary_stack_shape():
-    us = haar_unitary(3, 2, size=8)
-    assert us.shape == (8, 3, 3)
-    prods = np.einsum("sij,skj->sik", us, us.conj())
-    np.testing.assert_allclose(prods, np.broadcast_to(np.eye(3), (8, 3, 3)), atol=1e-12)
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (5, 2), (5, 5), (72, 2), (544, 3)])
+def test_haar_columns_are_orthonormal_and_repeat(k, m):
+    for size in (None, 6):
+        q = haar_columns(k, m, 123, size=size)
+        assert q.shape == ((k, m) if size is None else (size, k, m))
+        np.testing.assert_allclose(dagger(q) @ q, np.broadcast_to(np.eye(m), q.shape[:-2] + (m, m)), rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(q, haar_columns(k, m, 123, size=size))
+        assert not np.array_equal(q, haar_columns(k, m, 124, size=size))
 
 
-def test_haar_unitary_second_moment():
-    # E|U_11|^2 = 1/K by row normalization plus column symmetry
-    k, n = 4, 100_000
-    us = haar_unitary(k, 99, size=n)
-    vals = np.abs(us[:, 0, 0]) ** 2
-    se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - 1.0 / k) < 3.0 * se
+@pytest.mark.parametrize("k, m", [(3, 0), (3, 4), (1, 2), (0, 0), (5, -1)])
+def test_haar_columns_refuse_a_count_outside_one_to_k_before_drawing(k, m):
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="m <= k"):
+        haar_columns(k, m, rng)
+    assert rng.bit_generator.state == before
 
 
-def test_haar_unitary_fourth_moment_k2():
-    # E|U_11|^4 = 2/(K(K+1)) = 1/3 at K = 2
-    n = 100_000
-    us = haar_unitary(2, 12, size=n)
-    vals = np.abs(us[:, 0, 0]) ** 4
-    se = vals.std(ddof=1) / np.sqrt(n)
-    assert abs(vals.mean() - 1.0 / 3.0) < 3.0 * se
+# (i, j, k, l, m, n, p, q) of E[U_ij conj(U_kl) U_mn conj(U_pq)]: |U00|^4 and
+# |U00|^2 |U10|^2 in one column; with two, |U00|^2 |U01|^2 and the loop term
+ONE_COLUMN_MOMENTS = ((0, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 1, 0))
+TWO_COLUMN_MOMENTS = ONE_COLUMN_MOMENTS + ((0, 0, 0, 0, 0, 1, 0, 1), (0, 0, 0, 1, 1, 1, 1, 0))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("k", range(2, 9))
+def test_haar_columns_moments_match_the_closed_form(k, m):
+    # fourth moments against the Weingarten formula, and E[U00] = 0: the
+    # phase fix is what centres it (without it LAPACK's sign convention for
+    # R's diagonal gives every U00 a negative real part)
+    n = 20_000
+    us = haar_columns(k, m, derived_rng(707, k, m), size=n)
+
+    def z_score(samples, exact):
+        return abs(samples.mean() - exact) / (samples.std(ddof=1) / np.sqrt(n))
+
+    assert z_score(us[:, 0, 0].real, 0.0) <= 4.0
+    assert z_score(us[:, 0, 0].imag, 0.0) <= 4.0
+    for i, j, kk, l, mm, nn, p, q in TWO_COLUMN_MOMENTS if m == 2 else ONE_COLUMN_MOMENTS:
+        samples = us[:, i, j] * us[:, kk, l].conj() * us[:, mm, nn] * us[:, p, q].conj()
+        exact = haar_fourth_moment(k, i, j, kk, l, mm, nn, p, q)
+        assert z_score(samples.real, exact) <= 4.0
+        if (i, j, kk, l, mm, nn, p, q) == TWO_COLUMN_MOMENTS[-1]:
+            assert z_score(samples.imag, 0.0) <= 4.0
 
 
 def test_random_pure_state_norm_and_density():
@@ -422,7 +445,7 @@ def assert_same_bits(a, b):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_kron_power_keeps_the_bits_of_the_np_kron_left_fold(n):
     rng = np.random.default_rng(n)
-    rotations = [linalg.haar_unitary(2, rng) for _ in range(3)]  # complex 2 x 2
+    rotations = [haar_columns(2, 2, rng) for _ in range(3)]  # complex 2 x 2
     real = rng.standard_normal((2, 3))
     rows = rng.standard_normal((3, 1, 2)) + 1j * rng.standard_normal((3, 1, 2))  # 1 x 2 rows
     for m in (*rotations, real, *rows):

@@ -28,6 +28,7 @@ from framecrypt.privacy import (
     _span_states,
     F_CHUNK_BYTES,
     FORK_BYTES,
+    HAAR_STACK_LIMIT,
     build_eps_net,
     concentration_experiment,
     net_size,
@@ -239,7 +240,7 @@ def test_helstrom_endpoints():
 # ---------------------------------------------------------------------------
 
 def test_sample_subspace_owns_a_contiguous_basis():
-    # a view of the K x K unitary would keep all of it alive behind the basis
+    # the basis owns its memory: no larger draw stays alive behind it
     for ws, dim_s in ((WS12, 2), (build_working_space(24, 2.0), 3)):
         basis = sample_subspace(ws, dim_s, 4).basis
         assert basis.flags.c_contiguous
@@ -351,10 +352,13 @@ def loop_ascend(c0, basis, ws, iters=ASCENT_ITERS, tol=1e-12):
     return best, c, iters
 
 
-@pytest.mark.parametrize("n, dim_s", [(12, 3), (24, 4), (12, 2)])  # (12, 2): 32, 45, 42 and 80 rounds
-def test_ascent_matches_the_per_block_loop_exactly(n, dim_s):
+# each subspace seed chosen so that the starts leave in different rounds, and
+# at dim_s = 2 one start runs all ASCENT_ITERS: (12, 2, 26) takes 80, 17, 15
+# and 49 rounds
+@pytest.mark.parametrize("n, dim_s, seed", [(12, 3, 11), (24, 4, 11), (12, 2, 26)], ids=["12-3", "24-4", "12-2"])
+def test_ascent_matches_the_per_block_loop_exactly(n, dim_s, seed):
     ws = build_working_space(n, 2.0)
-    sub = sample_subspace(ws, dim_s, 11)
+    sub = sample_subspace(ws, dim_s, seed)
     starts = np.array([random_pure_state(dim_s, derived_rng(404, n, s)) for s in range(4)])
     vals, coeffs = _ascend_all(starts, sub.basis, ws)
     rounds = []
@@ -392,10 +396,7 @@ def test_span_states_are_one_row_products_bit_for_bit(kernel_input, n, alpha, di
     # the stacked matrix-vector product keeps each row's bits; should numpy
     # ever round it differently, this fails before the golden files move
     ws = build_working_space(n, alpha)
-    if ws.k < 1000:
-        basis = sample_subspace(ws, dim_s, n + dim_s).basis
-    else:  # a K x K Haar draw is over its limit here: orthonormalize dim_s random columns
-        basis = np.linalg.qr(random_pure_state(ws.k, derived_rng(n, dim_s), size=dim_s).T)[0]
+    basis = sample_subspace(ws, dim_s, n + dim_s).basis
     chunk = f_chunk(ws.k)
     for count in sorted({max(1, chunk - 1), chunk, chunk + 1, 2 * chunk + 1}):
         coeffs = random_pure_state(dim_s, derived_rng(n, dim_s, count), size=count)
@@ -1081,6 +1082,49 @@ def test_haar_moment_check_runs_clean():
         haar_moment_check(1, 1000, 0)
     with pytest.raises(ValueError):
         haar_moment_check(3, 50, 0)
+
+
+class Drawn(Exception):
+    """Raised in place of a Haar draw: the call got past its limits."""
+
+
+def refuse_to_draw(*args, **kwargs):
+    raise Drawn
+
+
+def test_haar_moment_check_counts_the_bytes_of_its_column_pairs(monkeypatch):
+    # chunk x k x 2 x 16 bytes: k = 419 is the largest k a 5,000-sample stack allows
+    monkeypatch.setattr(privacy, "haar_columns", refuse_to_draw)
+    with pytest.raises(Drawn):
+        haar_moment_check(419, 5000, 0)
+    with pytest.raises(ValueError, match="67200000 bytes, over the limit of 67108864"):
+        haar_moment_check(420, 5000, 0)
+    with pytest.raises(Drawn):  # a smaller stack: 100 pairs of 20,971 columns
+        haar_moment_check(20_971, 100, 0)
+
+
+def test_sample_subspace_counts_the_bytes_of_its_columns(monkeypatch):
+    # K x dim_s x 16 bytes against HAAR_STACK_LIMIT, refused before the draw
+    ws = build_working_space(216, 144.0)
+    largest = HAAR_STACK_LIMIT // (16 * ws.k)
+    assert (ws.k, largest) == (5220, 803)
+    monkeypatch.setattr(privacy, "haar_columns", refuse_to_draw)
+    with pytest.raises(Drawn):
+        sample_subspace(ws, largest, 0)
+    with pytest.raises(ValueError, match="over the limit"):
+        sample_subspace(ws, largest + 1, 0)
+
+
+def test_haar_moment_check_refuses_columns_that_are_not_orthogonal(monkeypatch):
+    # two unit columns, the second never orthogonalized against the first:
+    # each column's norm holds, the 2 x 2 Gram matrix's off-diagonal does not
+    def unorthogonalized(k, m, seed, size):
+        z = random_pure_state(k, seed, size=size * m).reshape(size, m, k)
+        return np.swapaxes(z, -1, -2)
+
+    monkeypatch.setattr(privacy, "haar_columns", unorthogonalized)
+    with pytest.raises(AssertionError, match="orthonormal"):
+        haar_moment_check(3, 4000, 0)
 
 
 # ---------------------------------------------------------------------------
