@@ -9,24 +9,26 @@ output.  Small f over a whole subspace S means states encoded in S are
 nearly indistinguishable to anyone watching the channel output, while the
 dimensions of the working space leave room for many such subspaces.  One
 kernel, ``f_evals``, evaluates f on a stack of states with one stacked
-eigensolve; ``f_eval`` is its one-state case.  Every state drawn from the
-whole working space, each Lipschitz pair included, comes from one sampler,
-``_f_on_draws``.  It owns the generators, one ``derived_rng`` per 256 KiB
-chunk of states, which fixes the sampled values; it draws each chunk's
-Gaussians in one call and normalizes them at once, or has lipschitz_check
-finish them into its pairs and their gaps, and hands each chunk to the
-kernel in one call.  A call with FORK_BYTES of states or more it spreads
-over the process's CPUs, in worker processes forked for that one call and
-reaped before it returns, each walking a contiguous share of the draws and
-writing f into shared memory, with bit-identical values.  States on a
-subspace (the probes of estimate_max_f, net points) are not such draws:
-they go to the kernel directly, formed by one stacked matrix-vector
-product.  The helpers here evaluate f two independent ways, estimate its
-maximum over a subspace (an alternating ascent, ``_ascend_all``, that runs
-all its starts as one stack of eigensolves per round, with a proved upper
-bound on 2-dimensional subspaces from a fixed covering net and the
-Lipschitz constant of f), and run the mean / concentration / smoothness
-experiments that the theory predicts:
+eigensolve; ``f_eval`` is its one-state case.  Every Monte Carlo sample
+here, a state drawn from the whole working space, a Lipschitz pair or a
+pair of Haar columns, comes from one loop, ``_on_chunks``.  It owns the
+generators, one ``derived_rng`` per chunk of samples (256 KiB of states,
+or HAAR_CHUNK column pairs), which fixes the sampled values, and hands
+each chunk's generator to its caller's draw, which samples the whole
+chunk at once and returns its results: f of the states, f and the gap of
+the pairs, the four moment statistics of the columns.  A call whose
+samples take FORK_BYTES or more it spreads over the process's CPUs, in
+worker processes forked for that one call and reaped before it returns,
+each walking a contiguous share of the chunks and writing its results
+into shared memory, with bit-identical values.  States on a subspace (the
+probes of estimate_max_f, net points) are not such draws: they go to the
+kernel directly, formed by one stacked matrix-vector product.  The
+helpers here evaluate f two independent ways, estimate its maximum over a
+subspace (an alternating ascent, ``_ascend_all``, that runs all its starts
+as one stack of eigensolves per round, with a proved upper bound on
+2-dimensional subspaces from a fixed covering net and the Lipschitz
+constant of f), and run the mean / concentration / smoothness experiments
+that the theory predicts:
 
 - the mean of f is at most sqrt(D_alpha / D) <= 1 / sqrt(alpha);
 - f is 2-Lipschitz in the Euclidean metric on state vectors;
@@ -66,9 +68,13 @@ ASCENT_ITERS = 80  # alternating-ascent rounds at most
 ASCENT_TOL = 1e-12  # ascent stops once a round gains no more than this
 ASCENT_RESTARTS = 4  # best random probes that each start one ascent
 HAAR_CHUNK = 5000  # column pairs drawn at once by haar_moment_check
-HAAR_STACK_LIMIT = 2**26  # bytes of the Haar columns drawn at once (64 MiB)
-# bytes of the states (not draws) of one _f_on_draws chunk (256 KiB): the unit
-# of one generator and of one f_evals call.  Each chunk draws from its own
+# bytes of the Haar columns drawn at once (64 MiB): the stack haar_columns
+# returns.  The draw peaks at about three times that, since np.linalg.qr keeps
+# a copy of its input beside Q (202.5 MB under tracemalloc at k = 419 and
+# 5,000 column pairs), and each forked worker draws a stack of its own
+HAAR_STACK_LIMIT = 2**26
+# bytes of the states (not draws) of one chunk of the f samplers (256 KiB):
+# the unit of one generator and of one f_evals call.  Each chunk draws from its own
 # generator, so where a chunk holds several draws (K <= 8,192 for single
 # states, K <= 4,096 for pairs) the sampled values change with this size.  One
 # operation of perfbench's sample_small (concentration --n 12, lipschitz --n
@@ -80,8 +86,9 @@ HAAR_STACK_LIMIT = 2**26  # bytes of the Haar columns drawn at once (64 MiB)
 #   time        1.00     0.92     0.92
 #   peak MiB    0.2      0.8      3.0
 F_CHUNK_BYTES = 2**18
-# bytes of all the states of one _f_on_draws call (count x states per draw x
-# K x 16) from which it forks workers (4 MiB).  Forked time as a share of
+# bytes of all the samples of one _on_chunks call from which it forks workers
+# (4 MiB): count x states per draw x K x 16 for the f samplers, count x k x 2 x
+# 16 for haar_moment_check's column pairs.  Forked time as a share of
 # serial, 2 workers, one BLAS thread, 2-core Xeon, 256 KiB chunks: the median
 # of 3 runs, each the median of 61 interleaved calls (forking and reaping an
 # empty share takes about 1.6 ms):
@@ -160,7 +167,7 @@ def _trace_norm_total(evals: np.ndarray) -> np.ndarray:
 
 
 def f_chunk(k: int, states_per_draw: int = 1) -> int:
-    """Draws per chunk of _f_on_draws when each draw holds states_per_draw
+    """Draws per chunk of the f samplers when each draw holds states_per_draw
     states of K = k coordinates: as many as F_CHUNK_BYTES of states holds,
     and never fewer than one draw."""
     return max(1, F_CHUNK_BYTES // (states_per_draw * k * np.dtype(complex).itemsize))
@@ -173,7 +180,7 @@ def f_evals(phis: np.ndarray, ws: WorkingSpace) -> np.ndarray:
     over (m, ..., |Y|, D_alpha, D_alpha), then each state's block totals
     added in block order, so a state's value does not depend on the states
     next to it.  The result has the stack's leading shape; an empty (0, K)
-    stack gives an empty array.  It does not chunk: _f_on_draws hands it
+    stack gives an empty array.  It does not chunk: the f samplers hand it
     one chunk of states at a time, estimate_max_f all its probes or net
     points at once.
     """
@@ -201,13 +208,13 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _workers(state_bytes: int, chunks: int) -> int:
-    """Processes an _f_on_draws call of ``state_bytes`` of states in ``chunks``
+def _workers(nbytes: int, chunks: int) -> int:
+    """Processes an _on_chunks call of ``nbytes`` of samples in ``chunks``
     chunks is spread over: one per CPU of the affinity mask and at most one
     per chunk, from FORK_BYTES on, where the process can fork and BLAS runs
     one thread (more would make the workers' and BLAS's threads compete for
     the cores); otherwise 1, the caller alone."""
-    if state_bytes < FORK_BYTES or not hasattr(os, "fork") or blas_threads() != 1:
+    if nbytes < FORK_BYTES or not hasattr(os, "fork") or blas_threads() != 1:
         return 1
     return min(_cpus(), chunks)
 
@@ -311,61 +318,44 @@ def _fan_out(run, shares: list) -> None:
         raise error
 
 
-def _f_on_draws(count: int, ws: WorkingSpace, stream: tuple, *, shape=(), finish=None):
-    """f on the states of draws 0, ..., count - 1, with result shape (count, *shape).
+def _gaussian_rows(rng: np.random.Generator, shape: tuple, k: int) -> np.ndarray:
+    """A (*shape, k) complex stack from one standard_normal call of shape
+    (*shape, 2, k): each row's real parts, then its imaginary parts, the
+    order in which random_pure_state draws one state."""
+    normals = rng.standard_normal((*shape, 2, k))
+    rows = np.empty((*shape, k), dtype=complex)
+    rows.real = normals[..., 0, :]
+    rows.imag = normals[..., 1, :]
+    return rows
 
-    The one loop here that draws and chunks states.  A draw is a
-    (*shape, K) stack of states: one state for shape (), a pair for (2,).
-    Draws are made f_chunk(K, states per draw) at a time, chunk c from the
-    generator derived_rng(*stream, c), stream being (seed, *prefix).  One
-    standard_normal call of shape (draws, *shape, 2, K) fills a chunk's
-    rows, each row's real parts, then its imaginary parts, and
-    normalize_rows turns them into the states random_pure_state would give,
-    called once per state on the chunk's generator, bit for bit.  So a
-    partial last chunk draws a prefix of the full chunk's states, and where
-    a chunk holds one draw (K > 8,192 for single states, K > 4,096 for
-    pairs), draw i uses derived_rng(*stream, i).  With ``finish``,
-    finish(rows) turns an (m, *shape, K) stack of Gaussian rows into states
-    in place instead, row by row, and returns one float per draw, and the
-    call returns (f, those floats).
 
-    Each share walks its chunks in order, checking ``stop`` before every
-    one, and hands each chunk, normalized or finished, to f_evals whole, so
-    the states of all draws never exist at once.  A call of FORK_BYTES of
-    states or more is shared by _fan_out among the processes _workers
-    allows, each share a contiguous run of whole chunks; its results go to
-    shared memory.  A chunk's generator depends only on its index, and a
-    state's f does not depend on the states next to it, so the values are
-    the same bit for bit at any CPU count.  count must be positive.
+def _on_chunks(count: int, chunk: int, stream: tuple, nbytes: int, draw, width: tuple = ()) -> np.ndarray:
+    """draw(rng, m) on samples 0, ..., count - 1, as one (count, *width) array.
+
+    The one Monte Carlo loop here: chunk c, its m <= ``chunk`` samples,
+    gets draw(derived_rng(*stream, c), m), stream being (seed, *prefix),
+    and each share checks ``stop`` before every chunk.  A call of ``nbytes``
+    at or over FORK_BYTES is shared by _fan_out among the processes
+    _workers allows, each share a contiguous run of whole chunks writing
+    into shared memory.  A chunk's generator depends only on its index, so
+    the values are the same bit for bit at any CPU count.  count must be
+    positive.
     """
-    per_draw_states = math.prod(shape)
-    chunk = min(f_chunk(ws.k, per_draw_states), count)
+    chunk = min(chunk, count)
     chunks = -(-count // chunk)
-    workers = _workers(count * per_draw_states * ws.k * np.dtype(complex).itemsize, chunks)
+    workers = _workers(nbytes, chunks)
     edges = [min(count, chunks * w // workers * chunk) for w in range(workers + 1)]
-    fs = _shared_empty((count, *shape), workers > 1)
-    values = _shared_empty((count,), workers > 1) if finish is not None else None
+    out = _shared_empty((count, *width), workers > 1)
 
     def run(share: range, stop: mmap.mmap) -> None:
         for start in range(share.start, share.stop, chunk):
             if stop[0]:
                 return
             last = min(start + chunk, share.stop)
-            normals = derived_rng(*stream, start // chunk).standard_normal((last - start, *shape, 2, ws.k))
-            rows = np.empty((last - start, *shape, ws.k), dtype=complex)
-            rows.real = normals[..., 0, :]
-            rows.imag = normals[..., 1, :]
-            # freed before normalize_rows' temporaries: at K = 78,561 a
-            # share then holds no more at once than random_pure_state
-            del normals
-            if finish is None:
-                normalize_rows(rows)
-            else:
-                values[start:last] = finish(rows)
-            fs[start:last] = f_evals(rows, ws)
+            out[start:last] = draw(derived_rng(*stream, start // chunk), last - start)
 
     _fan_out(run, [range(edges[w], edges[w + 1]) for w in range(workers)])
-    return fs if values is None else (fs, values)
+    return out
 
 
 def f_eval_direct(phi: np.ndarray, ws: WorkingSpace) -> float:
@@ -549,12 +539,17 @@ def estimate_max_f(
 # ---------------------------------------------------------------------------
 
 def _sampled_report(ws: WorkingSpace, n_samples: int, seed: int) -> tuple[np.ndarray, dict]:
-    """f on n_samples random states (stream (seed,) of _f_on_draws) and the
-    statistics both experiments report, as the dict the CLI prints; the tail
-    fields are left empty."""
+    """f on n_samples random states and the statistics both experiments
+    report, as the dict the CLI prints; the tail fields are left empty.
+    Chunk c holds f_chunk(K) states, those random_pure_state draws one after
+    another on derived_rng(seed, c), bit for bit, and f_evals takes it whole."""
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    fs = _f_on_draws(n_samples, ws, (seed,))
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        return f_evals(normalize_rows(_gaussian_rows(rng, (m,), ws.k)), ws)
+
+    fs = _on_chunks(n_samples, f_chunk(ws.k), (seed,), n_samples * ws.k * np.dtype(complex).itemsize, draw)
     std = float(fs.std(ddof=1))
     return fs, {
         "n_samples": n_samples,
@@ -656,9 +651,11 @@ def lipschitz_check(
     if perturbation is not None and not math.isfinite(perturbation):
         raise ValueError(f"perturbation must be finite, got {perturbation}")
 
-    def finish(pairs: np.ndarray) -> np.ndarray:
-        # each pair's Gaussians in the order it drew them alone: phi's real and
-        # imaginary parts (random_pure_state), then psi's or the noise's
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        # f(phi), f(psi) and ||phi - psi|| of m pairs, each pair from its Gaussians
+        # in the order it would draw them alone: phi's real and imaginary parts
+        # (random_pure_state), then psi's or the noise's
+        pairs = _gaussian_rows(rng, (m, 2), ws.k)
         phi, psi = pairs[:, 0], pairs[:, 1]
         if perturbation is None:
             normalize_rows(pairs)
@@ -666,11 +663,13 @@ def lipschitz_check(
             normalize_rows(phi)
             psi[:] = phi + perturbation * psi
             psi /= _norms(psi)[:, None]
-        return _norms(phi - psi)
+        return np.column_stack((f_evals(pairs, ws), _norms(phi - psi)))
 
-    fs, gaps = _f_on_draws(n_pairs, ws, (seed,), shape=(2,), finish=finish)
+    nbytes = n_pairs * 2 * ws.k * np.dtype(complex).itemsize
+    drawn = _on_chunks(n_pairs, f_chunk(ws.k, 2), (seed,), nbytes, draw, (3,))
+    gaps = drawn[:, 2]
     kept = gaps >= 1e-13  # closer pairs measure roundoff, not the slope of f
-    worst = float((np.abs(fs[kept, 0] - fs[kept, 1]) / gaps[kept]).max(initial=0.0))
+    worst = float((np.abs(drawn[kept, 0] - drawn[kept, 1]) / gaps[kept]).max(initial=0.0))
     if worst > LIPSCHITZ_BOUND + _ASSERT_SLACK:
         raise AssertionError(f"observed Lipschitz ratio {worst} exceeds 2")
     return worst
@@ -700,7 +699,8 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
     E[U00 conj(U01) U11 conj(U10)], each within four standard errors.  All
     of them read the first two columns only, so each sample is a k x 2
     draw of haar_columns, whose 2 x 2 column Gram matrix must lie within
-    1e-10 of the identity.  Returns a report dict.
+    1e-10 of the identity.  The loop's imaginary part is checked against 0
+    the same way.  Returns a report dict.
     """
     if k < 2:
         raise ValueError("need dimension k >= 2")
@@ -709,39 +709,32 @@ def haar_moment_check(k: int, n_samples: int, seed: int) -> dict:
     chunk = min(HAAR_CHUNK, n_samples)
     stack_bytes = chunk * k * 2 * np.dtype(complex).itemsize
     check_limit(stack_bytes, HAAR_STACK_LIMIT, f"a stack of {chunk} column pairs of k={k}", "bytes")
-    m_abs4 = np.empty(n_samples)
-    m_cross2 = np.empty(n_samples)
-    m_loop = np.empty(n_samples, dtype=complex)
-    for block_idx, start in enumerate(range(0, n_samples, HAAR_CHUNK)):
-        us = haar_columns(k, 2, derived_rng(seed, block_idx), size=min(HAAR_CHUNK, n_samples - start))
+    check_limit(n_samples * k * 2, WORK_LIMIT, f"haar-moments with {n_samples} samples of k={k}", "column entries")
+
+    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
+        us = haar_columns(k, 2, rng, size=m)
         if np.max(np.abs(dagger(us) @ us - np.eye(2))) > 1e-10:
             raise AssertionError("sampled columns are not orthonormal")
-        u00, u01 = us[:, 0, 0], us[:, 0, 1]
-        u10, u11 = us[:, 1, 0], us[:, 1, 1]
-        m_abs4[start : start + len(us)] = np.abs(u00) ** 4
-        m_cross2[start : start + len(us)] = (np.abs(u00) * np.abs(u01)) ** 2
-        m_loop[start : start + len(us)] = u00 * u01.conj() * u11 * u10.conj()
+        u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
+        loop = u00 * u01.conj() * u11 * u10.conj()
+        return np.column_stack((np.abs(u00) ** 4, (np.abs(u00) * np.abs(u01)) ** 2, loop.real, loop.imag))
 
+    nbytes = n_samples * k * 2 * np.dtype(complex).itemsize
+    moments = _on_chunks(n_samples, HAAR_CHUNK, (seed,), nbytes, draw, (4,))
     exact = {
         "abs4": haar_fourth_moment(k, 0, 0, 0, 0, 0, 0, 0, 0),
         "abs2abs2": haar_fourth_moment(k, 0, 0, 0, 0, 0, 1, 0, 1),
         "loop": haar_fourth_moment(k, 0, 0, 0, 1, 1, 1, 1, 0),
     }
     report = {"k": k, "n_samples": n_samples, "exact": exact, "estimate": {}, "z": {}}
-    for name, samples in (("abs4", m_abs4), ("abs2abs2", m_cross2), ("loop", m_loop.real)):
+    for name, samples in zip(("abs4", "abs2abs2", "loop", "loop_imag"), moments.T):
         est = float(samples.mean())
         se = float(samples.std(ddof=1)) / math.sqrt(n_samples)
-        z = abs(est - exact[name]) / se if se > 0 else 0.0
+        z = abs(est - exact.get(name, 0.0)) / se if se > 0 else 0.0
         report["estimate"][name] = est
         report["z"][name] = float(z)
         if z > 4.0:
             raise AssertionError(f"moment {name} off by {z:.2f} standard errors")
-    imag_se = float(m_loop.imag.std(ddof=1)) / math.sqrt(n_samples)
-    imag_z = abs(float(m_loop.imag.mean())) / imag_se if imag_se > 0 else 0.0
-    report["estimate"]["loop_imag"] = float(m_loop.imag.mean())
-    report["z"]["loop_imag"] = float(imag_z)
-    if imag_z > 4.0:
-        raise AssertionError(f"cross moment has spurious imaginary part ({imag_z:.2f} SE)")
     return report
 
 

@@ -99,6 +99,27 @@ def test_every_private_function_is_called():
     assert sorted(private - used) == []
 
 
+def test_one_function_forks_and_one_loop_calls_it():
+    # os.fork is named in one package function, _fan_out, which reaps every
+    # child it forks, and _fan_out in one, the chunk loop _on_chunks: a second
+    # sampling loop cannot fork around the reaping
+    def functions_naming(matches):
+        return [
+            f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for path in SOURCES
+            for top in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(top)
+            if matches(node)
+        ]
+
+    forks = functions_naming(
+        lambda node: (isinstance(node, ast.Attribute) and node.attr in ("fork", "forkpty"))
+        or (isinstance(node, ast.alias) and node.name in ("fork", "forkpty"))
+    )
+    assert forks == ["privacy._fan_out"]
+    assert functions_naming(lambda node: isinstance(node, ast.Name) and node.id == "_fan_out") == ["privacy._on_chunks"]
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

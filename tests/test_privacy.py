@@ -11,23 +11,25 @@ import signal
 import threading
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from framecrypt import privacy
 from framecrypt.channel import reduced_map_f
-from framecrypt.linalg import derived_rng, normalize_rows, random_pure_state, set_blas_threads, trace_norm
+from framecrypt.linalg import derived_rng, haar_columns, random_pure_state, set_blas_threads, trace_norm
 from framecrypt.privacy import (
     ASCENT_ITERS,
     ASCENT_RESTARTS,
     LIPSCHITZ_BOUND,
     SubspaceSample,
     _ascend_all,
-    _f_on_draws,
+    _on_chunks,
     _span_states,
     F_CHUNK_BYTES,
     FORK_BYTES,
+    HAAR_CHUNK,
     HAAR_STACK_LIMIT,
     build_eps_net,
     concentration_experiment,
@@ -52,10 +54,10 @@ WS12 = build_working_space(12, 2.0)
 
 
 def chunk_draws(k, count, stream, shape=(), one=None):
-    """The states _f_on_draws draws, written out: each draw by one(rng) on its
-    chunk's generator derived_rng(*stream, c), one draw after another; by
-    default the draw's states by random_pure_state, as the sampler draws
-    them itself.  Shape (count, *shape, k)."""
+    """The states the f samplers draw, written out: each draw by one(rng) on
+    its chunk's generator derived_rng(*stream, c), one draw after another; by
+    default the draw's states by random_pure_state, as the samplers draw
+    them themselves.  Shape (count, *shape, k)."""
     per_draw = math.prod(shape)
     if one is None:
         one = lambda rng: np.array([random_pure_state(k, rng) for _ in range(per_draw)])  # noqa: E731
@@ -66,6 +68,53 @@ def chunk_draws(k, count, stream, shape=(), one=None):
             rng = derived_rng(*stream, i // chunk)
         draws.append(np.reshape(one(rng), (*shape, k)))
     return np.array(draws)
+
+
+class Sampling(NamedTuple):
+    """The arguments of one _on_chunks call."""
+
+    count: int
+    chunk: int
+    stream: tuple
+    nbytes: int
+    draw: object
+    width: tuple
+
+
+def sampling(monkeypatch, call):
+    """The one _on_chunks call that call() makes, as a Sampling, and what it returned."""
+    seen, run = [], privacy._on_chunks
+
+    def capture(count, chunk, stream, nbytes, draw, width=()):
+        args = Sampling(count, chunk, stream, nbytes, draw, width)
+        out = run(*args)
+        seen.append((args, out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(privacy, "_on_chunks", capture)
+        call()
+    (got,) = seen
+    return got
+
+
+F_SAMPLERS = {  # small calls whose draws are the library's f draws on ws
+    "states": lambda ws: privacy._sampled_report(ws, 2, 0),
+    "pairs": lambda ws: lipschitz_check(ws, 1, 0),
+    "nearby": lambda ws: lipschitz_check(ws, 1, 0, perturbation=1e-4),
+}
+
+
+def f_sampling(monkeypatch, ws, kind):
+    """The Sampling of the library's f draws on ws: _sampled_report's single
+    "states", lipschitz_check's "pairs", and its "nearby" pairs at 1e-4."""
+    return sampling(monkeypatch, lambda: F_SAMPLERS[kind](ws))[0]
+
+
+def on_draws(s, count, stream):
+    """s's draw run on ``count`` samples of ``stream``, with s's chunk and
+    bytes per sample: f of each state, or f of each pair and its gap."""
+    return _on_chunks(count, s.chunk, stream, s.nbytes // s.count * count, s.draw, s.width)
 
 
 def spread_state(ws):
@@ -207,7 +256,7 @@ def test_f_chunk_holds_one_state_on_large_spaces_and_fits_the_budget(kernel_inpu
         assert (draws + 1) * per_draw * state_bytes > F_CHUNK_BYTES
     # the sampler draws by this table: a full chunk from generator 0, one
     # kernel call, then the next draw from generator 1, another call
-    fs = _f_on_draws(chunk + 1, ws, (n,))
+    fs = privacy._sampled_report(ws, chunk + 1, n)[0]
     assert [len(got) for got in kernel_input] == [chunk, 1]
     assert np.array_equal(fs, f_evals(chunk_draws(ws.k, chunk + 1, (n,)), ws))
 
@@ -581,7 +630,7 @@ def test_lipschitz_mixes_skipped_and_kept_pairs_in_one_chunk():
 @pytest.mark.parametrize("perturbation", [math.nan, math.inf, -math.inf])
 def test_lipschitz_refuses_a_perturbation_that_is_not_finite_before_any_draw(monkeypatch, perturbation):
     calls = []
-    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(privacy, "_on_chunks", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="perturbation must be finite"):
         lipschitz_check(build_working_space(8, 2.0), 20, 0, perturbation=perturbation)
     assert calls == []
@@ -613,14 +662,13 @@ def no_child_left():
     return False
 
 
-def drawn_by(finish=normalize_rows):
-    """A finish for _f_on_draws: finish(rows), the sampler's normalize_rows by
-    default, then the process that drew the rows, once per draw."""
-    def finish_and_tag(rows):
-        finish(rows)
-        return np.full(len(rows), os.getpid())
+def drawn_by(s):
+    """s with one more result column: the pid of the process that drew each
+    sample, after its draw's own results."""
+    def tagged(rng, m):
+        return np.column_stack((s.draw(rng, m), np.full(m, os.getpid())))
 
-    return finish_and_tag
+    return s._replace(draw=tagged, width=(math.prod(s.width) + 1,))
 
 
 def shares_of(pids):
@@ -648,31 +696,34 @@ def test_draws_spread_only_from_the_fork_threshold(cpus):
 
 
 @pytest.mark.parametrize("count", [2, 3, 5])
-def test_spread_draws_match_one_state_f_evals_exactly(cpus, count):
+def test_spread_draws_match_one_state_f_evals_exactly(monkeypatch, cpus, count):
     cpus(count)  # 5: more shares than this machine may have cores
     draws = 13  # 4.6 MB of states: over FORK_BYTES, one draw per chunk
-    by_sampler = _f_on_draws(draws, WS84, (606,))
-    by_finish, pids = _f_on_draws(draws, WS84, (606,), finish=drawn_by())
+    s, by_sampler = sampling(monkeypatch, lambda: privacy._sampled_report(WS84, draws, 606))
+    tagged = _on_chunks(*drawn_by(s))
     assert no_child_left()
     want = [f_evals(random_pure_state(WS84.k, derived_rng(606, i))[None], WS84)[0] for i in range(draws)]
     assert np.array_equal(by_sampler, want)
-    assert np.array_equal(by_finish, want)
+    assert np.array_equal(tagged[:, 0], want)
     # one contiguous share per process, the caller's first
+    pids = tagged[:, 1]
     assert len(shares_of(pids)) == len(set(pids)) == count
     assert pids[0] == os.getpid()
 
 
 @pytest.mark.parametrize("count", [2, 3, 5])
-def test_spread_chunks_match_the_serial_loop(cpus, count):
+def test_spread_chunks_match_the_serial_loop(monkeypatch, cpus, count):
     # n = 12: 16 whole chunks of 227 draws and a partial one; each share is
     # a run of whole chunks, so its draws are the serial loop's
     draws = 3700
+    states = f_sampling(monkeypatch, WS12, "states")
     cpus(1)
-    serial = _f_on_draws(draws, WS12, stream=(9, 2))
+    serial = on_draws(states, draws, (9, 2))
     cpus(count)
-    spread, pids = _f_on_draws(draws, WS12, (9, 2), finish=drawn_by())
+    spread = on_draws(drawn_by(states), draws, (9, 2))
     assert no_child_left()
-    assert np.array_equal(spread, serial)
+    assert np.array_equal(spread[:, 0], serial)
+    pids = spread[:, 1]
     chunk = f_chunk(WS12.k)
     assert len(shares_of(pids)) == count
     assert all(pids[i] == pids[i - 1] for i in range(1, draws) if i % chunk)
@@ -691,31 +742,16 @@ def pair_gaps(pairs):
     return [np.linalg.norm(phi - psi) for phi, psi in pairs]
 
 
-def lipschitz_finish(monkeypatch, ws, perturbation):
-    """The finish lipschitz_check hands the sampler."""
-    seen, sample = {}, privacy._f_on_draws
-
-    def capture(*args, finish, **kwargs):
-        seen["finish"] = finish
-        return sample(*args, finish=finish, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(privacy, "_f_on_draws", capture)
-        lipschitz_check(ws, 1, 0, perturbation)
-    return seen["finish"]
-
-
 @pytest.mark.parametrize("perturbation", [None, 1e-4])
 def test_spread_pairs_and_gaps_match_the_serial_loop(monkeypatch, cpus, perturbation):
     pairs_drawn = 6  # 4.3 MB of states: over FORK_BYTES
-    finish = lipschitz_finish(monkeypatch, WS84, perturbation)
 
     def pairs(count):
         cpus(count)
-        fs, gaps = _f_on_draws(pairs_drawn, WS84, (8,), shape=(2,), finish=finish)
-        _, pids = _f_on_draws(pairs_drawn, WS84, (8,), shape=(2,), finish=drawn_by(finish))
+        s, drawn = sampling(monkeypatch, lambda: lipschitz_check(WS84, pairs_drawn, 8, perturbation))
+        pids = _on_chunks(*drawn_by(s))[:, -1]
         assert len(set(pids)) == count
-        return fs, gaps, lipschitz_check(WS84, pairs_drawn, 8, perturbation)
+        return drawn[:, :2], drawn[:, 2], lipschitz_check(WS84, pairs_drawn, 8, perturbation)
 
     want_fs, want_gaps = [], []
     for i in range(pairs_drawn):
@@ -737,7 +773,7 @@ def test_spread_pairs_and_gaps_match_the_serial_loop(monkeypatch, cpus, perturba
 
 @pytest.fixture
 def kernel_input(monkeypatch):
-    """The states _f_on_draws hands f_evals, one array per kernel call."""
+    """The states the f samplers' draws hand f_evals, one array per kernel call."""
     calls = []
 
     def recording(phis, ws):
@@ -749,28 +785,33 @@ def kernel_input(monkeypatch):
 
 
 @pytest.mark.parametrize("pairs", [False, True])
-def test_chunk_filled_states_are_random_pure_states(kernel_input, pairs):
+def test_chunk_filled_states_are_random_pure_states(monkeypatch, kernel_input, pairs):
     # two full chunks and a partial one; each draw's states are those of
     # random_pure_state called on its chunk's generator in draw order, bit for bit
     shape = (2,) if pairs else ()
+    s = f_sampling(monkeypatch, WS12, "pairs" if pairs else "states")
+    kernel_input.clear()
     chunk = f_chunk(WS12.k, 2 if pairs else 1)
     count = 2 * chunk + 3
-    fs = _f_on_draws(count, WS12, stream=(31, 4), shape=shape)
+    drawn = on_draws(s, count, (31, 4))
     got = np.concatenate(kernel_input)
     assert [len(rows) for rows in kernel_input] == [chunk, chunk, 3]  # one kernel call per chunk
     want = chunk_draws(WS12.k, count, (31, 4), shape)
     assert np.array_equal(got, want)
+    fs = drawn[:, :2] if pairs else drawn
     assert np.array_equal(fs, [f_evals(w[None], WS12)[0] for w in want])
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 3])
 @pytest.mark.parametrize("prefix", [(), (7,), (0, 2**40), (3, 1, 2**32)])
-def test_chunk_streams_key_on_every_word_of_seed_and_prefix(kernel_input, seed, prefix):
+def test_chunk_streams_key_on_every_word_of_seed_and_prefix(monkeypatch, kernel_input, seed, prefix):
     # seeds across the 32- and 64-bit word boundaries and prefixes of several
     # words reach each chunk's derived_rng(seed, *prefix, c) whole: a full
     # chunk and a partial one, bit for bit
+    states = f_sampling(monkeypatch, WS12, "states")
+    kernel_input.clear()
     count = f_chunk(WS12.k) + 2
-    fs = _f_on_draws(count, WS12, stream=(seed, *prefix))
+    fs = on_draws(states, count, (seed, *prefix))
     want = chunk_draws(WS12.k, count, (seed, *prefix))
     assert np.array_equal(np.concatenate(kernel_input), want)
     assert np.array_equal(fs, f_evals(want, WS12))
@@ -780,14 +821,13 @@ def test_chunk_streams_key_on_every_word_of_seed_and_prefix(kernel_input, seed, 
 def test_a_partial_chunk_draws_a_prefix_of_the_full_chunk(monkeypatch, kernel_input, kind):
     # a call's last chunk, cut short, takes its states from the start of the
     # stream of the whole chunk, so a shorter call gives the longer one's prefix
-    shape = () if kind == "states" else (2,)
-    finish = lipschitz_finish(monkeypatch, WS12, 1e-4) if kind == "nearby" else None
-    chunk = f_chunk(WS12.k, math.prod(shape))
+    s = f_sampling(monkeypatch, WS12, kind)
+    chunk = f_chunk(WS12.k, 1 if kind == "states" else 2)
 
-    def sample(count):  # f, and the gaps with a finish
+    def sample(count):  # the states handed to the kernel, and f (with the gaps of pairs)
         kernel_input.clear()
-        out = _f_on_draws(count, WS12, (7,), shape=shape, finish=finish)
-        return np.concatenate(kernel_input), *(out if finish else (out,))
+        drawn = on_draws(s, count, (7,))
+        return np.concatenate(kernel_input), drawn
 
     full = sample(2 * chunk)
     for count in (1, chunk - 1, chunk + 1, 2 * chunk - 1):
@@ -796,13 +836,16 @@ def test_a_partial_chunk_draws_a_prefix_of_the_full_chunk(monkeypatch, kernel_in
 
 
 @pytest.mark.parametrize("shape", [(), (2,)])
-def test_one_draw_chunks_keep_each_draws_own_generator(kernel_input, shape):
+def test_one_draw_chunks_keep_each_draws_own_generator(monkeypatch, kernel_input, shape):
     # K = 8,200: a chunk holds one draw, so draw i's states come from
     # derived_rng(seed, *prefix, i) as when every draw had its own generator
     ws = build_working_space(60, 2.0)
     per_draw = math.prod(shape)
     assert f_chunk(ws.k, per_draw) == 1
-    fs = _f_on_draws(3, ws, stream=(5, 1), shape=shape)
+    s = f_sampling(monkeypatch, ws, "pairs" if shape else "states")
+    kernel_input.clear()
+    drawn = on_draws(s, 3, (5, 1))
+    fs = drawn[:, :2] if shape else drawn
     got = np.concatenate(kernel_input)
     for i in range(3):
         rng = derived_rng(5, 1, i)
@@ -823,9 +866,8 @@ def test_chunks_match_the_written_out_loop(monkeypatch, request, n, kind, worker
     shape = () if kind == "states" else (2,)
     chunk = f_chunk(ws.k, math.prod(shape))
     count = 2 * chunk + chunk // 2 + 1
-    finish, one = normalize_rows, None
-    if shape:  # lipschitz_check's own finish
-        finish = lipschitz_finish(monkeypatch, ws, 1e-4 if kind == "nearby" else None)
+    s = f_sampling(monkeypatch, ws, kind)
+    one = None
     if kind == "nearby":
         one = lambda rng: nearby_pair(ws.k, rng, 1e-4)  # noqa: E731
     if workers > 1:
@@ -848,8 +890,9 @@ def test_chunks_match_the_written_out_loop(monkeypatch, request, n, kind, worker
 
     monkeypatch.setattr(privacy, "derived_rng", generator)
     monkeypatch.setattr(privacy, "f_evals", kernel)
-    fs, pids = _f_on_draws(count, ws, (17, 2), shape=shape, finish=drawn_by(finish))
+    drawn = on_draws(drawn_by(s), count, (17, 2))
     share_calls = calls.copy()
+    fs, pids = (drawn[:, :2] if shape else drawn[:, 0]), drawn[:, -1]
     assert made.tolist() == [1] * chunks
     want = chunk_draws(ws.k, count, (17, 2), shape, one)
     np.testing.assert_array_equal(fs, f_evals(want, ws))
@@ -861,30 +904,45 @@ def test_chunks_match_the_written_out_loop(monkeypatch, request, n, kind, worker
         assert [len(rows) for rows in inputs] == [chunk] * (chunks - 1) + [count - (chunks - 1) * chunk]
         np.testing.assert_array_equal(np.concatenate(inputs), want)
     if shape:
-        fs_again, got = _f_on_draws(count, ws, (17, 2), shape=shape, finish=finish)
-        np.testing.assert_array_equal(fs_again, fs)
-        assert got.view(np.uint64).tolist() == np.array(pair_gaps(want)).view(np.uint64).tolist()
+        again = on_draws(s, count, (17, 2))
+        np.testing.assert_array_equal(again[:, :2], fs)
+        assert again[:, 2].view(np.uint64).tolist() == np.array(pair_gaps(want)).view(np.uint64).tolist()
+
+
+class Gaussians:
+    """A stand-in generator whose standard_normal returns the Gaussians of a
+    given complex stack, as _gaussian_rows reads them: each row's real parts,
+    then its imaginary parts."""
+
+    def __init__(self, rows):
+        self.normals = np.stack([rows.real, rows.imag], axis=-2)
+
+    def standard_normal(self, shape):
+        assert shape == self.normals.shape
+        return self.normals
 
 
 @pytest.mark.parametrize("perturbation", [None, 1.0])
 @pytest.mark.parametrize("n", [12, 24, 60])
-def test_lipschitz_gaps_are_the_per_pair_norms_bit_for_bit(monkeypatch, n, perturbation):
+def test_lipschitz_gaps_are_the_per_pair_norms_bit_for_bit(monkeypatch, kernel_input, n, perturbation):
     # pairs far apart, nearby, and closer than 1e-13, so the kept mask of
     # lipschitz_check sees both kinds; a plain pair is finished from both of
     # its rows, a nearby one from phi and the noise, here of scale 1.0 times
     # each pair's own
     ws = build_working_space(n, 2.0)
-    finish = lipschitz_finish(monkeypatch, ws, perturbation)
+    draw = sampling(monkeypatch, lambda: lipschitz_check(ws, 1, 0, perturbation))[0].draw
     rng = derived_rng(n, 3)
     phis = random_pure_state(ws.k, rng, size=40)
     noise = np.repeat([1.0, 1e-4, 1e-13, 3e-14, 1e-15], 8)[:, None] * random_pure_state(ws.k, rng, size=40)
     noise[:8] = random_pure_state(ws.k, rng, size=8)
     pairs = np.stack([phis, noise if perturbation else phis + noise], axis=1)
-    got = finish(pairs)
-    want = np.array([np.linalg.norm(phi - psi) for phi, psi in pairs])  # the pairs as finished
+    kernel_input.clear()
+    got = draw(Gaussians(pairs), len(pairs))[:, 2]
+    (finished,) = kernel_input
+    want = np.array([np.linalg.norm(phi - psi) for phi, psi in finished])  # the pairs as finished
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     assert 0 < np.count_nonzero(got < 1e-13) < len(got)
-    np.testing.assert_allclose(np.linalg.norm(pairs, axis=-1), 1.0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(finished, axis=-1), 1.0, atol=1e-15)
 
 
 class DrawFailed(Exception):
@@ -894,7 +952,8 @@ class DrawFailed(Exception):
 # three shares of 30 draws: the caller's first, fourth, fifth and sixth
 # draws, then share 1's first and share 2's third
 @pytest.mark.parametrize("bad", [0, 3, 4, 5, 30, 62])
-def test_a_failing_finish_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
+def test_a_failing_draw_stops_every_share_and_is_raised(monkeypatch, cpus, bad):
+    states = f_sampling(monkeypatch, WS84, "states")
     cpus(3)
     drawn = np.frombuffer(mmap.mmap(-1, 90), dtype=np.uint8)  # shared with the workers
 
@@ -909,17 +968,16 @@ def test_a_failing_finish_stops_every_share_and_is_raised(monkeypatch, cpus, bad
     index = {derived_rng(1, i).standard_normal(): i for i in range(90)}
 
     @slow
-    def finish(rows):
-        i = index[rows[0, 0].real]
+    def draw(rng, m):
+        i = index[rng.standard_normal()]
         drawn[i] = 1
         if i == bad:
             raise DrawFailed(i)
-        normalize_rows(rows)
-        return np.zeros(len(rows))
+        return states.draw(rng, m)
 
     monkeypatch.setattr(privacy, "f_evals", slow(f_evals))
     with pytest.raises(DrawFailed) as failed:
-        _f_on_draws(90, WS84, (1,), finish=finish)
+        on_draws(states._replace(draw=draw), 90, (1,))
     assert failed.value.args == (bad,)  # the worker's exception, type and all
     assert no_child_left()  # every worker was reaped
     per_share = drawn.reshape(3, 30).sum(axis=1)
@@ -929,17 +987,18 @@ def test_a_failing_finish_stops_every_share_and_is_raised(monkeypatch, cpus, bad
     assert int(drawn.sum()) == made
 
 
-def test_a_killed_worker_raises_child_process_error(cpus):
+def test_a_killed_worker_raises_child_process_error(monkeypatch, cpus):
+    states = f_sampling(monkeypatch, WS84, "states")
     cpus(2)
     caller = os.getpid()
 
-    def finish(rows):
+    def draw(rng, m):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return normalize_rows(rows)[:, 0].real
+        return states.draw(rng, m)
 
     with pytest.raises(ChildProcessError, match="signal"):
-        _f_on_draws(13, WS84, (1,), finish=finish)
+        on_draws(states._replace(draw=draw), 13, (1,))
     assert no_child_left()
 
 
@@ -959,18 +1018,18 @@ def test_a_failed_fork_leaves_no_pipe_open(monkeypatch, cpus):
     monkeypatch.setattr(os, "fork", fork_once)
     before = len(os.listdir("/proc/self/fd"))
     with pytest.raises(OSError, match="fork refused"):
-        _f_on_draws(13, WS84, stream=(1,))
+        privacy._sampled_report(WS84, 13, 1)
     assert no_child_left()
     assert len(os.listdir("/proc/self/fd")) == before
 
 
-def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
+def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(monkeypatch, cpus):
     # no worker outlives a call, so a serial call leaves nothing that caps
     # the next call's shares; each share is one process drawing on one thread
     cpus(4)
     before = threading.active_count()
-    _f_on_draws(2, WS84, stream=(1,))
-    _, pids = _f_on_draws(16, WS84, (1,), finish=drawn_by())
+    states = sampling(monkeypatch, lambda: privacy._sampled_report(WS84, 2, 1))[0]
+    pids = on_draws(drawn_by(states), 16, (1,))[:, -1]
     assert len(shares_of(pids)) == len(set(pids)) == 4
     assert pids[0] == os.getpid()
     assert no_child_left()
@@ -980,12 +1039,12 @@ def test_a_spread_call_draws_on_one_thread_per_share_after_a_smaller_one(cpus):
 def test_a_forked_child_samples_as_its_parent_did(cpus):
     # the child of a process that has spread draws forks workers of its own
     cpus(2)
-    want = _f_on_draws(13, WS84, stream=(12,))
+    want = privacy._sampled_report(WS84, 13, 12)[0]
     ctx = multiprocessing.get_context("fork")
     results = ctx.Queue()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork() of a process with threads
-        child = ctx.Process(target=lambda: results.put(_f_on_draws(13, WS84, stream=(12,))))
+        child = ctx.Process(target=lambda: results.put(privacy._sampled_report(WS84, 13, 12)[0]))
         child.start()
     try:
         got = results.get(timeout=60)
@@ -1003,7 +1062,7 @@ def test_the_fork_warning_of_python_3_12_is_not_raised(monkeypatch, cpus):
     # from 3.12, os.fork warns in the parent once the child exists when other
     # threads run (here OpenBLAS's pool); the suite turns warnings into errors
     cpus(1)
-    want = _f_on_draws(13, WS84, stream=(12,))
+    want = privacy._sampled_report(WS84, 13, 12)[0]
     forks, fork = [], os.fork
 
     def fork_and_warn():
@@ -1015,7 +1074,7 @@ def test_the_fork_warning_of_python_3_12_is_not_raised(monkeypatch, cpus):
 
     monkeypatch.setattr(os, "fork", fork_and_warn)
     cpus(2)
-    assert np.array_equal(_f_on_draws(13, WS84, stream=(12,)), want)
+    assert np.array_equal(privacy._sampled_report(WS84, 13, 12)[0], want)
     assert len(forks) == 1
     assert no_child_left()
 
@@ -1028,7 +1087,7 @@ def test_small_draws_start_no_thread(monkeypatch, cpus):
     before = threading.active_count()
     ws60 = build_working_space(60, 2.0)
     mean_f_experiment(ws60, 20, 3)  # 2.6 MB of states
-    assert _f_on_draws(3, WS12, stream=(2,), shape=(2,)).shape == (3, 2)
+    assert sampling(monkeypatch, lambda: lipschitz_check(WS12, 3, 2))[1].shape == (3, 3)
     estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)  # certify's calls
     assert forks == []
     assert threading.active_count() == before
@@ -1044,7 +1103,7 @@ def test_subspace_states_never_fork(monkeypatch, cpus):
     estimate_max_f(sample_subspace(WS12, 2, 5), WS12, budget=60, seed=5, net_epsilon=0.6)
     assert forks == []
     count = 4 * f_chunk(WS12.k)  # four chunks: the sampler forks here
-    fs = _f_on_draws(count, WS12, (2,))
+    fs = privacy._sampled_report(WS12, count, 2)[0]
     assert len(forks) == 3
     assert np.array_equal(fs, f_evals(chunk_draws(WS12.k, count, (2,)), WS12))
 
@@ -1115,16 +1174,79 @@ def test_sample_subspace_counts_the_bytes_of_its_columns(monkeypatch):
         sample_subspace(ws, largest + 1, 0)
 
 
-def test_haar_moment_check_refuses_columns_that_are_not_orthogonal(monkeypatch):
-    # two unit columns, the second never orthogonalized against the first:
-    # each column's norm holds, the 2 x 2 Gram matrix's off-diagonal does not
-    def unorthogonalized(k, m, seed, size):
-        z = random_pure_state(k, seed, size=size * m).reshape(size, m, k)
-        return np.swapaxes(z, -1, -2)
+def test_haar_moment_check_counts_its_column_entries_before_any_draw(monkeypatch):
+    # samples x k x 2 entries against WORK_LIMIT: 2 x 10^8 samples at k = 4
+    # would start 40,000 chunk draws; the largest CLI run, 10^6 samples at
+    # the largest k the stack limit allows, takes 8.38 x 10^8 and is drawn
+    monkeypatch.setattr(privacy, "haar_columns", refuse_to_draw)
+    with pytest.raises(ValueError, match="1600000000 column entries, over the limit of 1000000000"):
+        haar_moment_check(4, 2 * 10**8, 0)
+    with pytest.raises(Drawn):
+        haar_moment_check(419, 10**6, 0)
 
+
+def unorthogonalized(k, m, seed, size):
+    """Two unit columns, the second never orthogonalized against the first:
+    each column's norm holds, the 2 x 2 Gram matrix's off-diagonal does not."""
+    z = random_pure_state(k, seed, size=size * m).reshape(size, m, k)
+    return np.swapaxes(z, -1, -2)
+
+
+def test_haar_moment_check_refuses_columns_that_are_not_orthogonal(monkeypatch):
     monkeypatch.setattr(privacy, "haar_columns", unorthogonalized)
     with pytest.raises(AssertionError, match="orthonormal"):
         haar_moment_check(3, 4000, 0)
+
+
+def test_haar_moments_spread_with_the_report_of_one_cpu(monkeypatch, cpus):
+    # 20,000 column pairs at k = 28 take 17.9 MB, past FORK_BYTES: their four
+    # chunks are spread into one share per CPU, with the same report
+    assert 20_000 * 28 * 2 * np.dtype(complex).itemsize >= FORK_BYTES
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    reports = []
+    for count in (1, 2, 3):
+        cpus(count)
+        forks.clear()
+        reports.append(haar_moment_check(28, 20_000, 5))
+        assert len(forks) == count - 1
+        assert no_child_left()
+    assert reports[1] == reports[0]
+    assert reports[2] == reports[0]
+
+
+def test_columns_that_are_not_orthogonal_in_a_worker_fail_the_call(monkeypatch, cpus):
+    cpus(2)
+    caller = os.getpid()
+
+    def columns(k, m, seed, size):
+        draw = haar_columns if os.getpid() == caller else unorthogonalized
+        return draw(k, m, seed, size=size)
+
+    monkeypatch.setattr(privacy, "haar_columns", columns)
+    with pytest.raises(AssertionError, match="sampled columns are not orthonormal"):
+        haar_moment_check(28, 20_000, 5)
+    assert no_child_left()
+
+
+def test_haar_moment_chunks_match_the_written_out_loop(monkeypatch):
+    # two whole chunks and a partial one: chunk c's four statistics are those
+    # of its own draw on derived_rng(seed, c), bit for bit, and the estimates
+    # are the means of the written-out statistics
+    count = 2 * HAAR_CHUNK + 700
+    s, moments = sampling(monkeypatch, lambda: haar_moment_check(3, count, 4))
+    assert (s.chunk, s.stream) == (HAAR_CHUNK, (4,))
+    want = []
+    for c, start in enumerate(range(0, count, HAAR_CHUNK)):
+        us = haar_columns(3, 2, derived_rng(4, c), size=min(HAAR_CHUNK, count - start))
+        u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
+        loop = u00 * u01.conj() * u11 * u10.conj()
+        want.append(np.stack([np.abs(u00) ** 4, (np.abs(u00) * np.abs(u01)) ** 2, loop.real, loop.imag], axis=1))
+    want = np.concatenate(want)
+    assert moments.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    estimate = haar_moment_check(3, count, 4)["estimate"]
+    for name, column in zip(("abs4", "abs2abs2", "loop", "loop_imag"), want.T.copy()):
+        assert estimate[name] == column.mean()
 
 
 # ---------------------------------------------------------------------------
@@ -1168,7 +1290,7 @@ def test_theorem1_feasible_run_records_fractions():
 @pytest.mark.parametrize("gammas", [(0.1, math.nan), (math.nan, 0.1), (0.0,), (-1.0,)])
 def test_concentration_refuses_a_gamma_not_above_zero_before_any_draw(monkeypatch, gammas):
     calls = []
-    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(privacy, "_on_chunks", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="gamma grid must be positive"):
         concentration_experiment(build_working_space(8, 2.0), 50, gammas, 1.0, 0)
     assert calls == []
@@ -1177,7 +1299,7 @@ def test_concentration_refuses_a_gamma_not_above_zero_before_any_draw(monkeypatc
 @pytest.mark.parametrize("levy_c", [0.0, -1.0, math.nan])
 def test_concentration_refuses_a_nonpositive_levy_c_before_any_draw(monkeypatch, levy_c):
     calls = []
-    monkeypatch.setattr(privacy, "_f_on_draws", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(privacy, "_on_chunks", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError, match="levy_c must be positive"):
         concentration_experiment(WS12, 100, (0.1, 0.2), levy_c, 0)
     assert calls == []
